@@ -4,14 +4,15 @@ phi^(m^n)_nu is the twisted Foulkes character (plethysm s_nu o s_(m)); psi is
 its sign-twisted companion (s_nu o s_(1^m)).  Minimal constituents of phi are
 the dominance-minimal types of set family tuples, maximal constituents are the
 conjugates of minimal multiset-tuple types, and psi swaps the two block kinds.
-All even/odd-m bookkeeping (kappa = nu or nu') is centralized here.
+The table ``_RULES`` holds the four cases; all even/odd-m bookkeeping
+(kappa = nu or nu') is centralized here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .families import (
     BlockKind,
@@ -87,87 +88,79 @@ def kappa_partition(m: int, nu: Partition) -> Partition:
     return nu if m % 2 == 0 else nu.conjugate()
 
 
-def _shape_counts(p: Partition) -> tuple[int, ...]:
-    """Block counts kappa'_1 >= ... >= kappa'_k, where k is the first part."""
-    return p.conjugate().parts
+class _Rule(NamedTuple):
+    kind: BlockKind
+    shapes_from_kappa: bool  # component shapes kappa' (else nu')
+    conjugate_label: bool  # the label is the conjugate of the minimal type
+
+
+# One rule in four orientations: each extremal label set is read off the
+# dominance-minimal types of closed family tuples.  psi^(m^n)_nu is the sign
+# twist of phi^(m^n)_partner (partner = nu for even m, nu' for odd m), and
+# kappa of that partner is nu again, which is why max-psi takes its shapes
+# from nu.
+_RULES = {
+    (CharacterFlavor.PHI, Extremum.MINIMAL): _Rule(BlockKind.SET, True, False),
+    (CharacterFlavor.PHI, Extremum.MAXIMAL): _Rule(BlockKind.MULTISET, False, True),
+    (CharacterFlavor.PSI, Extremum.MINIMAL): _Rule(BlockKind.MULTISET, True, False),
+    (CharacterFlavor.PSI, Extremum.MAXIMAL): _Rule(BlockKind.SET, False, True),
+}
+
+
+def _shapes(rule: _Rule, m: int, nu: Partition) -> tuple[int, ...]:
+    """Block counts of the components: the column lengths of kappa or nu."""
+    return (kappa_partition(m, nu) if rule.shapes_from_kappa else nu).conjugate().parts
+
+
+def _report(
+    m: int, nu: Partition, flavor: CharacterFlavor, extremum: Extremum
+) -> ConstituentReport:
+    spec = CharacterSpec(m, nu, flavor)
+    rule = _RULES[flavor, extremum]
+    found = enumerate_minimal_tuple_types(m, _shapes(rule, m, nu), rule.kind)
+    witnesses = {(ty.conjugate() if rule.conjugate_label else ty): t for ty, t in found.items()}
+    labels = tuple(sorted(witnesses, reverse=True))
+    return ConstituentReport(spec, extremum, labels, witnesses)
 
 
 def minimal_constituents_phi(m: int, nu: Partition) -> ConstituentReport:
-    """Labels of the dominance-minimal constituents of phi^(m^n)_nu.
-
-    These are exactly the minimal types of set family tuples whose j-th
-    component has kappa'_j blocks, kappa = nu or nu' by the parity of m.
-    """
-    spec = CharacterSpec(m, nu, CharacterFlavor.PHI)
-    shapes = _shape_counts(kappa_partition(m, nu))
-    found = enumerate_minimal_tuple_types(m, shapes, BlockKind.SET)
-    labels = tuple(sorted(found, reverse=True))
-    return ConstituentReport(spec, Extremum.MINIMAL, labels, found)
+    """Labels of the dominance-minimal constituents of phi^(m^n)_nu: the minimal
+    types of set family tuples with kappa'_1, ..., kappa'_k blocks."""
+    return _report(m, nu, CharacterFlavor.PHI, Extremum.MINIMAL)
 
 
 def maximal_constituents_phi(m: int, nu: Partition) -> ConstituentReport:
-    """Labels of the dominance-maximal constituents of phi^(m^n)_nu.
-
-    Maximal labels are the conjugates of the minimal types of multiset family
-    tuples with nu'_1, ..., nu'_l blocks (l = first part of nu; no parity
-    adjustment here).
-    """
-    spec = CharacterSpec(m, nu, CharacterFlavor.PHI)
-    found = enumerate_minimal_tuple_types(m, _shape_counts(nu), BlockKind.MULTISET)
-    witnesses = {ty.conjugate(): t for ty, t in found.items()}
-    labels = tuple(sorted(witnesses, reverse=True))
-    return ConstituentReport(spec, Extremum.MAXIMAL, labels, witnesses)
+    """Labels of the dominance-maximal constituents of phi^(m^n)_nu: conjugates
+    of the minimal types of multiset family tuples with nu'_1, ..., nu'_l blocks."""
+    return _report(m, nu, CharacterFlavor.PHI, Extremum.MAXIMAL)
 
 
 def minimal_constituents_psi(m: int, nu: Partition) -> ConstituentReport:
-    """Labels of the dominance-minimal constituents of psi^(m^n)_nu.
-
-    Same component shapes as the phi minimum (kappa by parity), but over
-    multiset families, and the minimal types are the labels themselves.
-    """
-    spec = CharacterSpec(m, nu, CharacterFlavor.PSI)
-    shapes = _shape_counts(kappa_partition(m, nu))
-    found = enumerate_minimal_tuple_types(m, shapes, BlockKind.MULTISET)
-    labels = tuple(sorted(found, reverse=True))
-    return ConstituentReport(spec, Extremum.MINIMAL, labels, found)
+    """Labels of the dominance-minimal constituents of psi^(m^n)_nu: the minimal
+    types of multiset family tuples with kappa'_1, ..., kappa'_k blocks."""
+    return _report(m, nu, CharacterFlavor.PSI, Extremum.MINIMAL)
 
 
 def maximal_constituents_psi(m: int, nu: Partition) -> ConstituentReport:
-    """Labels of the dominance-maximal constituents of psi^(m^n)_nu.
-
-    psi^(m^n)_nu is the sign twist of phi^(m^n)_nu (m even) or of
-    phi^(m^n)_(nu') (m odd), so its maxima are the conjugated minima of the
-    corresponding phi.
-    """
-    spec = CharacterSpec(m, nu, CharacterFlavor.PSI)
-    partner = nu if m % 2 == 0 else nu.conjugate()
-    base = minimal_constituents_phi(m, partner)
-    witnesses = {lab.conjugate(): base.witnesses[lab] for lab in base.labels}
-    labels = tuple(sorted(witnesses, reverse=True))
-    return ConstituentReport(spec, Extremum.MAXIMAL, labels, witnesses)
+    """Labels of the dominance-maximal constituents of psi^(m^n)_nu: conjugates
+    of the minimal types of set family tuples with nu'_1, ..., nu'_l blocks."""
+    return _report(m, nu, CharacterFlavor.PSI, Extremum.MAXIMAL)
 
 
 def certificate_from_closed_tuple(spec: CharacterSpec, t: FamilyTuple) -> Partition:
     """Label guaranteed to appear with multiplicity >= 1 in the character.
 
     Any closed tuple of the right component shapes certifies a constituent:
-    its type for phi with set families and for psi with multiset families,
-    the conjugate of its type for phi with multiset families.  The label need
-    not be extremal.
+    the rule of the character whose block kind is the tuple's gives the
+    shapes and whether the label is the type or its conjugate.  The label
+    need not be extremal.  Set tuples are not accepted for psi.
     """
     if t.m != spec.m:
         raise ValueError(f"tuple block size {t.m} does not match m={spec.m}")
-    if spec.flavor is CharacterFlavor.PHI and t.kind is BlockKind.SET:
-        expected = _shape_counts(kappa_partition(spec.m, spec.nu))
-        conjugate_label = False
-    elif spec.flavor is CharacterFlavor.PSI and t.kind is BlockKind.MULTISET:
-        expected = _shape_counts(kappa_partition(spec.m, spec.nu))
-        conjugate_label = False
-    elif spec.flavor is CharacterFlavor.PHI and t.kind is BlockKind.MULTISET:
-        expected = _shape_counts(spec.nu)
-        conjugate_label = True
-    else:
+    if spec.flavor is CharacterFlavor.PSI and t.kind is BlockKind.SET:
         raise ValueError("no certificate rule for psi with set families")
+    rule = next(r for (f, _), r in _RULES.items() if f is spec.flavor and r.kind is t.kind)
+    expected = _shapes(rule, spec.m, spec.nu)
     if sorted(t.shapes) != sorted(expected):
         raise ValueError(
             f"component shapes {sorted(t.shapes)} do not match the required "
@@ -178,7 +171,7 @@ def certificate_from_closed_tuple(spec: CharacterSpec, t: FamilyTuple) -> Partit
     ty = tuple_type(t)
     if ty is None:
         raise ValueError("certificate requires a tuple with a defined type")
-    return ty.conjugate() if conjugate_label else ty
+    return ty.conjugate() if rule.conjugate_label else ty
 
 
 def sign_twist_labels(labels: Iterable[Partition]) -> set[Partition]:

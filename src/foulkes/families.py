@@ -23,7 +23,12 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .partitions import Partition, dominance_minimal_elements
+from .partitions import (
+    DominanceRelation,
+    Partition,
+    dominance_compare,
+    dominance_minimal_elements,
+)
 
 __all__ = [
     "BlockKind",
@@ -272,41 +277,24 @@ def down_set_family(m: int, kind: BlockKind | str, generators: Iterable[Iterable
     return Family(m, kind, seen)
 
 
-def _colex_sets_bounded(k: int, top: int) -> Iterator[Block]:
+def _colex_bounded(k: int, top: int, kind: BlockKind) -> Iterator[Block]:
+    """All k-element blocks over {1, ..., top}, in colexicographic order."""
     if k == 0:
         yield ()
         return
-    for mx in range(k, top + 1):
-        for rest in _colex_sets_bounded(k - 1, mx - 1):
+    strict = 1 if kind is BlockKind.SET else 0
+    for mx in range(1 + strict * (k - 1), top + 1):
+        for rest in _colex_bounded(k - 1, mx - strict, kind):
             yield rest + (mx,)
 
 
-def _colex_multisets_bounded(k: int, top: int) -> Iterator[Block]:
-    if k == 0:
-        yield ()
-        return
-    for mx in range(1, top + 1):
-        for rest in _colex_multisets_bounded(k - 1, mx):
-            yield rest + (mx,)
-
-
-def _colex_blocks(m: int, kind: BlockKind) -> Iterator[Block]:
-    """All blocks over the positive integers, in colexicographic order."""
-    if kind is BlockKind.SET:
-        for mx in itertools.count(m):
-            for rest in _colex_sets_bounded(m - 1, mx - 1):
-                yield rest + (mx,)
-    else:
-        for mx in itertools.count(1):
-            for rest in _colex_multisets_bounded(m - 1, mx):
-                yield rest + (mx,)
+def _ground_top(m: int, n: int, kind: BlockKind) -> int:
+    """Largest element of a closed family of n blocks (the ground-set bound)."""
+    return m + n - 1 if kind is BlockKind.SET else n
 
 
 def _bounded_blocks(m: int, n: int, kind: BlockKind) -> tuple[Block, ...]:
-    top = m + n - 1 if kind is BlockKind.SET else n
-    if kind is BlockKind.SET:
-        return tuple(_colex_sets_bounded(m, top))
-    return tuple(_colex_multisets_bounded(m, top))
+    return tuple(_colex_bounded(m, _ground_top(m, n, kind), kind))
 
 
 @lru_cache(maxsize=None)
@@ -369,6 +357,13 @@ def enumerate_minimal_tuple_types(
     kind = BlockKind(kind)
     if not shapes or any(nj < 1 for nj in shapes):
         raise ValueError("each component must contain at least one block")
+    return dict(_minimal_tuple_types(m, tuple(shapes), kind))
+
+
+@lru_cache(maxsize=None)
+def _minimal_tuple_types(
+    m: int, shapes: tuple[int, ...], kind: BlockKind
+) -> dict[Partition, FamilyTuple]:
     lists = [_closed_families(m, nj, kind) for nj in shapes]
     best: dict[Partition, FamilyTuple] = {}
     for combo in itertools.product(*lists):
@@ -383,33 +378,36 @@ def enumerate_minimal_tuple_types(
     return {ty: best[ty] for ty in sorted(minimal, reverse=True)}
 
 
-@lru_cache(maxsize=None)
-def _closed_tuple_types(m: int, shapes: tuple[int, ...], kind: BlockKind) -> frozenset[Partition]:
-    lists = [_closed_families(m, nj, kind) for nj in shapes]
-    return frozenset(
-        tuple_type(FamilyTuple(combo)) for combo in itertools.product(*lists)
-    )
-
-
 def is_minimal_tuple(t: FamilyTuple) -> bool:
-    """Whether no tuple of the same shapes has a strictly dominated type."""
+    """Whether no tuple of the same shapes has a strictly dominated type.
+
+    Exactly when the type strictly dominates none of the minimal types of
+    its shapes.  Empty components contribute nothing.
+    """
     ty = tuple_type(t)
     if ty is None:
         raise ValueError("tuple has no defined type")
-    types = _closed_tuple_types(t.m, tuple(sorted(t.shapes)), t.kind)
-    return ty in dominance_minimal_elements(types | {ty})
+    shapes = tuple(sorted((nj for nj in t.shapes if nj), reverse=True))
+    if not shapes:
+        return True
+    return not any(
+        dominance_compare(ty, low) is DominanceRelation.STRICTLY_ABOVE
+        for low in _minimal_tuple_types(t.m, shapes, t.kind)
+    )
 
 
 def colex_initial_segment(m: int, n: int, kind: BlockKind | str) -> Family:
     """The family of the first ``n`` blocks in colexicographic order.
 
     Colex extends majorization, so initial segments are always closed; they
-    realize the lexicographically least type of their shape.
+    realize the lexicographically least type of their shape.  Being closed,
+    they lie inside the ground-set bound.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     kind = BlockKind(kind)
-    return Family(m, kind, itertools.islice(_colex_blocks(m, kind), n))
+    blocks = _colex_bounded(m, _ground_top(m, n, kind), kind)
+    return Family(m, kind, itertools.islice(blocks, n))
 
 
 def tuple_to_json(t: FamilyTuple) -> dict:

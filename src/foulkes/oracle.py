@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from .errors import GuardExceededError, InternalConsistencyError
-from .families import _colex_multisets_bounded, _colex_sets_bounded
+from .families import BlockKind, _colex_bounded
 from .partitions import (
     DominanceRelation,
     Partition,
@@ -321,6 +321,28 @@ def _power_sum_coefficients(
     return tuple(sorted((tau, c) for tau, c in acc.items() if c))
 
 
+def _coefficient(terms, lam: Partition, table: CharacterTable | None) -> int:
+    """<s_lam, plethysm> from its power-sum coefficients ``terms``.
+
+    Raises :class:`InternalConsistencyError` unless the value is a
+    nonnegative integer.
+    """
+    value = Fraction(0)
+    for tau, c in terms:
+        chi = (
+            table.value(lam, Partition(tau))
+            if table is not None
+            else _border_strip_char(lam.parts, tau)
+        )
+        if chi:
+            value += c * chi
+    if value.denominator != 1 or value < 0:
+        raise InternalConsistencyError(
+            f"coefficient of ({lam}) is not a nonnegative integer: {value}"
+        )
+    return int(value)
+
+
 def _check_dimension(expansion: SchurExpansion, nu: Partition, m: int) -> None:
     want = expected_dimension(nu, m)
     got = expansion.total_dimension()
@@ -353,23 +375,7 @@ def plethysm_expansion(
             f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
-    coeffs: dict[Partition, int] = {}
-    for lam in partitions_of(degree):
-        value = Fraction(0)
-        for tau, c in terms:
-            chi = (
-                table.value(lam, Partition(tau))
-                if table is not None
-                else _border_strip_char(lam.parts, tau)
-            )
-            if chi:
-                value += c * chi
-        if value.denominator != 1 or value < 0:
-            raise InternalConsistencyError(
-                f"coefficient of ({lam}) is not a nonnegative integer: {value}"
-            )
-        if value:
-            coeffs[lam] = int(value)
+    coeffs = {lam: _coefficient(terms, lam, table) for lam in partitions_of(degree)}
     expansion = SchurExpansion(degree, coeffs)
     _check_dimension(expansion, nu, m)
     return expansion
@@ -407,20 +413,7 @@ def multiplicity(
             RuntimeWarning,
             stacklevel=2,
         )
-    value = Fraction(0)
-    for tau, c in _power_sum_coefficients(nu.parts, m, flavor):
-        chi = (
-            table.value(lam, Partition(tau))
-            if table is not None
-            else _border_strip_char(lam.parts, tau)
-        )
-        if chi:
-            value += c * chi
-    if value.denominator != 1 or value < 0:
-        raise InternalConsistencyError(
-            f"coefficient of ({lam}) is not a nonnegative integer: {value}"
-        )
-    return int(value)
+    return _coefficient(_power_sum_coefficients(nu.parts, m, flavor), lam, table)
 
 
 def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:
@@ -443,13 +436,9 @@ def _block_alphabet(m: int, flavor: PlethysmFlavor, gamma: tuple[int, ...]) -> l
     k = len(gamma)
     if flavor is PlethysmFlavor.COLUMN and m > k:
         return []
-    raw = (
-        _colex_sets_bounded(m, k)
-        if flavor is PlethysmFlavor.COLUMN
-        else _colex_multisets_bounded(m, k)
-    )
+    kind = BlockKind.SET if flavor is PlethysmFlavor.COLUMN else BlockKind.MULTISET
     out = []
-    for b in raw:
+    for b in _colex_bounded(m, k, kind):
         counts = Counter(b)
         if all(counts[v] <= gamma[v - 1] for v in counts):
             out.append(b)

@@ -152,36 +152,26 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     )
 
 
-def _check_equal_weights(items: Sequence[Partition]) -> None:
+def _dominance_extremal(
+    partitions: Iterable[Partition], beaten: DominanceRelation
+) -> set[Partition]:
+    """The members p of the set such that ``dominance_compare(p, q)`` is
+    ``beaten`` for no member q."""
+    items = list(set(partitions))
     weights = {p.weight for p in items}
     if len(weights) > 1:
         raise ValueError(f"mixed weights in partition set: {sorted(weights)}")
+    return {p for p in items if not any(dominance_compare(p, q) is beaten for q in items)}
 
 
 def dominance_minimal_elements(partitions: Iterable[Partition]) -> set[Partition]:
     """The partitions in the set that strictly dominate no other member."""
-    items = list(set(partitions))
-    _check_equal_weights(items)
-    return {
-        p
-        for p in items
-        if not any(
-            dominance_compare(p, q) is DominanceRelation.STRICTLY_ABOVE for q in items
-        )
-    }
+    return _dominance_extremal(partitions, DominanceRelation.STRICTLY_ABOVE)
 
 
 def dominance_maximal_elements(partitions: Iterable[Partition]) -> set[Partition]:
     """The partitions in the set strictly dominated by no other member."""
-    items = list(set(partitions))
-    _check_equal_weights(items)
-    return {
-        p
-        for p in items
-        if not any(
-            dominance_compare(p, q) is DominanceRelation.STRICTLY_BELOW for q in items
-        )
-    }
+    return _dominance_extremal(partitions, DominanceRelation.STRICTLY_BELOW)
 
 
 def conjugate_join(partitions: Sequence[Partition]) -> Partition:

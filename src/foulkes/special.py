@@ -23,8 +23,7 @@ from .families import (
     BlockKind,
     Family,
     FamilyTuple,
-    _colex_multisets_bounded,
-    _colex_sets_bounded,
+    _colex_bounded,
     tuple_type,
 )
 from .oracle import SchurExpansion
@@ -264,13 +263,12 @@ def rectangular_certificate(a: int, m: int, k: int, kind: BlockKind | str) -> Re
         nu = Partition([base] * k) if m % 2 == 1 else Partition([k] * base)
         b = k * comb(a - 1, m - 1)
         rectangle = Partition([a] * b)
-        blocks = list(_colex_sets_bounded(m, a))
     else:
         base = _multichoose(a, m)
         nu = Partition([k] * base)
         b = k * _multichoose(a + 1, m - 1)
         rectangle = Partition([b] * a)
-        blocks = list(_colex_multisets_bounded(m, a))
+    blocks = list(_colex_bounded(m, a, kind))
     witness = FamilyTuple([Family(m, kind, blocks)] * k)
     spec = CharacterSpec(m, nu, CharacterFlavor.PHI)
     derived = certificate_from_closed_tuple(spec, witness)

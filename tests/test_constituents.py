@@ -1,8 +1,10 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
 from foulkes.constituents import (
+    _RULES,
     CharacterFlavor,
     CharacterSpec,
     certificate_from_closed_tuple,
@@ -178,11 +180,25 @@ class TestCertificates:
         assert multiplicity(spec.nu, 2, label, guard=18) >= 1
 
     def test_minimal_witnesses_certify_their_own_labels(self):
-        for m, nu in ((2, P("2,1,1")), (3, P("2,1")), (2, P("3,2"))):
-            rep = minimal_constituents_phi(m, nu)
-            spec = CharacterSpec(m, nu, CharacterFlavor.PHI)
+        cases = ((2, P("2,1,1")), (3, P("2,1")), (2, P("3,2")), (3, P("3,1")), (4, P("2,1")))
+        for m, nu in cases:
+            phi = CharacterSpec(m, nu, CharacterFlavor.PHI)
+            psi = CharacterSpec(m, nu, CharacterFlavor.PSI)
+            for engine, spec in (
+                (minimal_constituents_phi, phi),
+                (maximal_constituents_phi, phi),
+                (minimal_constituents_psi, psi),
+            ):
+                rep = engine(m, nu)
+                for lab in rep.labels:
+                    assert certificate_from_closed_tuple(spec, rep.witnesses[lab]) == lab
+            # psi takes no set tuples; max-psi is the sign twist of the
+            # partner's phi, whose set-tuple certificate is the conjugate label.
+            partner = CharacterSpec(m, kappa_partition(m, nu), CharacterFlavor.PHI)
+            rep = maximal_constituents_psi(m, nu)
             for lab in rep.labels:
-                assert certificate_from_closed_tuple(spec, rep.witnesses[lab]) == lab
+                got = certificate_from_closed_tuple(partner, rep.witnesses[lab])
+                assert got.conjugate() == lab
 
     def test_psi_multiset_certificate(self):
         rep = minimal_constituents_psi(2, P("1,1"))
@@ -223,3 +239,22 @@ class TestCertificates:
         )
         with pytest.raises(ValueError):
             certificate_from_closed_tuple(psi_spec, good_set_tuple)
+
+
+def test_readme_rule_table_matches_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## The four rules", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if cells[0] in ("phi", "psi"):
+            rows[cells[0], cells[1]] = tuple(cells[2:])
+    want = {
+        (flavor.value, extremum.value): (
+            rule.kind.value,
+            "kappa'" if rule.shapes_from_kappa else "nu'",
+            "conjugate of the type" if rule.conjugate_label else "type",
+        )
+        for (flavor, extremum), rule in _RULES.items()
+    }
+    assert rows == want

@@ -268,6 +268,51 @@ class TestIsMinimalTuple:
         with pytest.raises(ValueError):
             is_minimal_tuple(FamilyTuple([Family(2, SET, [(2, 3)])]))
 
+    @staticmethod
+    def _strictly_dominates(a, b):
+        """Prefix sums of a are >= those of b, and a != b (equal weights)."""
+        sa = sb = 0
+        for i in range(max(len(a), len(b))):
+            sa += a.part(i + 1)
+            sb += b.part(i + 1)
+            if sa < sb:
+                return False
+        return a != b
+
+    @pytest.mark.parametrize("kind", [SET, MULTI])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("shapes", [(1,), (2,), (3,), (2, 1), (2, 2), (3, 1)])
+    def test_matches_brute_force_definition(self, m, shapes, kind):
+        # Every tuple of these shapes, closed or not, over the ground set of
+        # the largest component.  A tuple outside it closes to one inside it
+        # of weakly lower type, so these types decide minimality.
+        pool = _bounded_blocks(m, max(shapes), kind)
+        components = [
+            [Family(m, kind, c) for c in itertools.combinations(pool, nj)] for nj in shapes
+        ]
+        typed = []
+        for combo in itertools.product(*components):
+            t = FamilyTuple(combo)
+            ty = tuple_type(t)
+            if ty is not None:
+                typed.append((t, ty))
+        types = {ty for _, ty in typed}
+        for t, ty in typed:
+            want = not any(self._strictly_dominates(ty, other) for other in types)
+            assert is_minimal_tuple(t) == want, t
+
+    def test_empty_components_contribute_nothing(self):
+        empty = Family(2, SET, [])
+        assert is_minimal_tuple(FamilyTuple([empty]))
+        assert is_minimal_tuple(FamilyTuple([empty, empty]))
+        golden = [Family(2, SET, [(1, 2), (1, 3), (1, 4)]), Family(2, SET, [(1, 2)])]
+        assert is_minimal_tuple(FamilyTuple([empty, *golden]))
+        closed_not_minimal = [
+            down_set_family(2, SET, [(2, 4)]),
+            down_set_family(2, SET, [(1, 5)]),
+        ]
+        assert not is_minimal_tuple(FamilyTuple([*closed_not_minimal, empty]))
+
 
 class TestColexSegments:
     def test_examples(self):
