@@ -5,8 +5,8 @@ theta, families, certificate.  Output is deterministic: identical inputs
 produce byte-identical text or JSON (schema version 1, labels in descending
 lexicographic order).
 
-Exit codes: 0 ok, 1 usage error, 2 degree guard exceeded, 3 verify mismatch,
-4 internal consistency failure.
+Exit codes: 0 ok, 1 usage error, 2 degree guard exceeded or input refused as
+too large, 3 verify mismatch, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -402,6 +402,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input refused as too large ({type(exc).__name__})", file=sys.stderr)
         return EXIT_GUARD
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)

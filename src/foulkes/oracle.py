@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import warnings
 from collections import Counter
 from enum import Enum
@@ -183,7 +184,17 @@ class CharacterTable:
                 )
             },
         }
-        Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+        # Write a temporary file next to the target and rename it over the
+        # target, so a reader never sees a half-written cache.
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, indent=1) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "CharacterTable":
@@ -202,10 +213,27 @@ class CharacterTable:
 
     @classmethod
     def load_or_create(cls, degree: int, cache_dir: str | os.PathLike | None) -> "CharacterTable":
+        """The cached table of this degree, else an empty one.
+
+        A cache file that is not valid JSON, has an unknown schema or holds
+        another degree is ignored with a ``RuntimeWarning`` naming the file.
+        """
         if cache_dir is not None:
             path = cls.cache_path(degree, cache_dir)
             if path.exists():
-                return cls.load(path)
+                try:
+                    table = cls.load(path)
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    reason = str(exc) or type(exc).__name__
+                else:
+                    if table.degree == degree:
+                        return table
+                    reason = f"it holds degree {table.degree}"
+                warnings.warn(
+                    f"ignoring the character cache {path}: {reason}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         return cls(degree)
 
     def save_to(self, cache_dir: str | os.PathLike) -> Path:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +17,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(*argv):
+    """The CLI in its own process, so that stderr is exactly what a user sees."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "foulkes.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestConstituentCommands:
@@ -102,6 +113,30 @@ class TestExpand:
         code, _, _ = run(capsys, "expand", "--m", "2", "--nu", "1,1")
         assert code == EXIT_OK
         assert (tmp_path / "characters-n4.json").exists()
+
+
+class TestRefusals:
+    def test_deep_search_is_refused_without_traceback(self):
+        code, out, err = run_process("families", "--m", "1", "--n", "2000")
+        assert code == EXIT_GUARD
+        assert out == ""
+        assert err.startswith("error: ") and "too large" in err
+        assert "Traceback" not in err
+
+    def test_garbage_cache_file_is_reported_and_ignored(self, tmp_path):
+        argv = ("expand", "--m", "2", "--nu", "2,1", "--format", "json")
+        empty, garbled = tmp_path / "empty", tmp_path / "garbled"
+        garbled.mkdir()
+        (garbled / "characters-n6.json").write_text("{not json")
+        want = run_process(*argv, "--cache", str(empty))
+        code, out, err = run_process(*argv, "--cache", str(garbled))
+        assert want[0] == code == EXIT_OK
+        assert out == want[1]
+        assert "characters-n6.json" in err and "Warning" in err
+        assert "Traceback" not in err
+        assert (garbled / "characters-n6.json").read_text() == (
+            empty / "characters-n6.json"
+        ).read_text()
 
 
 class TestVerify:

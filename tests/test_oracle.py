@@ -93,6 +93,30 @@ class TestCharacterTable:
         again = CharacterTable.load_or_create(4, tmp_path)
         assert again.values == fresh.values
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{not json",
+            "[]",
+            '{"schema": 99, "degree": 4, "values": {}}',
+            '{"schema": 1, "degree": 5, "values": {}}',
+            '{"schema": 1, "degree": 4, "values": {"2,2": 2}}',
+        ],
+    )
+    def test_unusable_cache_file_is_ignored(self, tmp_path, content):
+        (tmp_path / "characters-n4.json").write_text(content)
+        with pytest.warns(RuntimeWarning, match="characters-n4.json"):
+            table = CharacterTable.load_or_create(4, tmp_path)
+        assert table.degree == 4 and table.values == {}
+
+    def test_save_replaces_the_file_whole(self, tmp_path):
+        (tmp_path / "characters-n4.json").write_text("{not json")
+        table = CharacterTable(4)
+        table.build_full()
+        table.save_to(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["characters-n4.json"]
+        assert CharacterTable.load_or_create(4, tmp_path).values == table.values
+
     def test_degree_checked(self):
         table = CharacterTable(4)
         with pytest.raises(ValueError):
