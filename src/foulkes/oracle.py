@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
 from collections import Counter
 from enum import Enum
@@ -184,16 +183,15 @@ class CharacterTable:
                 )
             },
         }
-        # Write a temporary file next to the target and rename it over the
-        # target, so a reader never sees a half-written cache.
+        # Write a file of this process next to the target and rename it over
+        # the target, so that no reader sees a half-written cache.
         path = Path(path)
-        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, indent=1) + "\n")
+            tmp.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
             os.replace(tmp, path)
         except BaseException:
-            os.unlink(tmp)
+            tmp.unlink(missing_ok=True)
             raise
 
     @classmethod
@@ -224,7 +222,7 @@ class CharacterTable:
                 try:
                     table = cls.load(path)
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    reason = str(exc) or type(exc).__name__
+                    reason = f"{type(exc).__name__}: {exc}"
                 else:
                     if table.degree == degree:
                         return table
