@@ -21,13 +21,14 @@ import itertools
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import (
     DominanceRelation,
     Partition,
     dominance_compare,
-    dominance_minimal_elements,
+    dominance_maximal_elements,
 )
 
 __all__ = [
@@ -302,31 +303,42 @@ def _closed_families(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
     if n == 0:
         return (Family(m, kind, []),)
     blocks = _bounded_blocks(m, n, kind)
-    covers = {b: lower_covers(b, kind) for b in blocks}
+    index = {b: i for i, b in enumerate(blocks)}
+    uppers: list[list[int]] = [[] for _ in blocks]
+    missing = [0] * len(blocks)
+    for i, b in enumerate(blocks):
+        for c in lower_covers(b, kind):
+            uppers[index[c]].append(i)
+            missing[i] += 1
     out: list[Family] = []
     chosen: list[Block] = []
-    chosen_set: set[Block] = set()
 
     # Colex order is a linear extension of majorization, so every ideal is
     # produced exactly once by adding its blocks in colex order, each block
-    # only after all its covers.
-    def extend(start: int) -> None:
+    # only after all its lower covers.  A node's frontier lists, in colex
+    # order, the blocks past the last one added whose lower covers are all
+    # chosen: the rest of the parent's frontier plus the upper covers that
+    # the new block completed.  An ideal of fewer than n blocks with largest
+    # element x can always add {1,..,m-1,x+1} (sets) or {1,..,1,x+1}
+    # (multisets), which is inside the ground-set bound, so every branch
+    # ends in a family.
+    def extend(frontier: list[int]) -> None:
         if len(chosen) == n:
             out.append(Family(m, kind, chosen))
             return
-        need = n - len(chosen)
-        for idx in range(start, len(blocks)):
-            if len(blocks) - idx < need:
-                break
-            b = blocks[idx]
-            if all(c in chosen_set for c in covers[b]):
-                chosen.append(b)
-                chosen_set.add(b)
-                extend(idx + 1)
-                chosen.pop()
-                chosen_set.discard(b)
+        for j, i in enumerate(frontier):
+            opened = []
+            for u in uppers[i]:
+                missing[u] -= 1
+                if not missing[u]:
+                    opened.append(u)
+            chosen.append(blocks[i])
+            extend(sorted(frontier[j + 1 :] + opened) if opened else frontier[j + 1 :])
+            chosen.pop()
+            for u in uppers[i]:
+                missing[u] += 1
 
-    extend(0)
+    extend([0])
     return tuple(out)
 
 
@@ -340,19 +352,19 @@ def enumerate_closed_families(m: int, n: int, kind: BlockKind | str) -> Iterator
     yield from _closed_families(m, n, BlockKind(kind))
 
 
-def _tuple_sort_key(t: FamilyTuple):
-    return tuple(f.blocks for f in t.families)
-
-
 def enumerate_minimal_tuple_types(
     m: int, shapes: Sequence[int], kind: BlockKind | str
 ) -> dict[Partition, FamilyTuple]:
     """Dominance-minimal types over all tuples with the given block counts.
 
     Minimal tuples are closed, and closing any tuple weakly lowers its type,
-    so it suffices to scan the Cartesian product of closed families per
-    component.  Returns each minimal type with its lexicographically least
-    closed witness tuple, keys sorted in descending lexicographic order.
+    so only tuples of closed families count.  Occurrence counts add across
+    components, so a prefix whose type strictly dominates another prefix's
+    type stays strictly above it under every completion: the tuples are
+    built one component at a time, keeping after each component only the
+    dominance-minimal prefix types.  Returns each minimal type with its
+    lexicographically least closed witness tuple, keys sorted in descending
+    lexicographic order.
     """
     kind = BlockKind(kind)
     if not shapes or any(nj < 1 for nj in shapes):
@@ -360,22 +372,33 @@ def enumerate_minimal_tuple_types(
     return dict(_minimal_tuple_types(m, tuple(shapes), kind))
 
 
+def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(add, a, b)) + a[len(b) :]
+
+
 @lru_cache(maxsize=None)
 def _minimal_tuple_types(
     m: int, shapes: tuple[int, ...], kind: BlockKind
 ) -> dict[Partition, FamilyTuple]:
-    lists = [_closed_families(m, nj, kind) for nj in shapes]
-    best: dict[Partition, FamilyTuple] = {}
-    for combo in itertools.product(*lists):
-        t = FamilyTuple(combo)
-        ty = tuple_type(t)
-        if ty is None:  # closed tuples always have a type
-            raise AssertionError(f"closed tuple without type: {t}")
-        held = best.get(ty)
-        if held is None or _tuple_sort_key(t) < _tuple_sort_key(held):
-            best[ty] = t
-    minimal = dominance_minimal_elements(best.keys())
-    return {ty: best[ty] for ty in sorted(minimal, reverse=True)}
+    # Prefixes are held by count vector, the conjugate of their type, so a
+    # minimal type is a dominance-maximal vector.  Prefixes and families are
+    # visited in key order, so the first prefix met of a vector is its
+    # lexicographically least, and the least witness of a type extends the
+    # least prefix of its own prefix vector.
+    kept: dict[tuple[int, ...], tuple[Family, ...]] = {(): ()}
+    for nj in shapes:
+        fams = sorted(_closed_families(m, nj, kind), key=lambda f: f.blocks)
+        vectors = [family_type(f).conjugate().parts for f in fams]
+        best: dict[tuple[int, ...], tuple[Family, ...]] = {}
+        for counts, prefix in sorted(kept.items(), key=lambda item: [f.blocks for f in item[1]]):
+            for fam, vec in zip(fams, vectors):
+                best.setdefault(_add_vectors(counts, vec), prefix + (fam,))
+        top = dominance_maximal_elements(Partition(counts) for counts in best)
+        kept = {p.parts: best[p.parts] for p in top}
+    types = {Partition(counts).conjugate(): prefix for counts, prefix in kept.items()}
+    return {ty: FamilyTuple(types[ty]) for ty in sorted(types, reverse=True)}
 
 
 def is_minimal_tuple(t: FamilyTuple) -> bool:
@@ -420,7 +443,23 @@ def tuple_to_json(t: FamilyTuple) -> dict:
 
 
 def tuple_from_json(data: Mapping) -> FamilyTuple:
-    """Inverse of :func:`tuple_to_json`."""
-    m = int(data["m"])
+    """Inverse of :func:`tuple_to_json`; any other structure is a ValueError."""
+
+    def is_list(value, item) -> bool:
+        return isinstance(value, (list, tuple)) and all(map(item, value))
+
+    def is_block(value) -> bool:
+        return is_list(value, lambda x: type(x) is int)  # not bool
+
+    if not (
+        isinstance(data, Mapping)
+        and type(data.get("m")) is int
+        and isinstance(data.get("kind"), str)
+        and is_list(data.get("families"), lambda fam: is_list(fam, is_block))
+    ):
+        raise ValueError(
+            'a family tuple must be a JSON object {"m": int, "kind": "set" or '
+            '"multiset", "families": [[[int, ...], ...], ...]}'
+        )
     kind = BlockKind(data["kind"])
-    return FamilyTuple([Family(m, kind, fam) for fam in data["families"]])
+    return FamilyTuple([Family(data["m"], kind, fam) for fam in data["families"]])

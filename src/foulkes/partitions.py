@@ -9,9 +9,12 @@ doubled partition with prescribed diagonal hook lengths.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import total_ordering
+from itertools import accumulate, repeat
 from math import factorial
+from operator import ge
 from operator import index as _as_int
 from typing import Iterable, Iterator, Sequence
 
@@ -152,26 +155,52 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     )
 
 
-def _dominance_extremal(
-    partitions: Iterable[Partition], beaten: DominanceRelation
-) -> set[Partition]:
-    """The members p of the set such that ``dominance_compare(p, q)`` is
-    ``beaten`` for no member q."""
-    items = list(set(partitions))
+def _dominance_extremal(partitions: Iterable[Partition], minimal: bool) -> set[Partition]:
+    """The dominance-minimal (or maximal) members of a set of partitions.
+
+    Lexicographic order extends dominance, so after one sort every member
+    that would beat a candidate comes before it, and then some extremal
+    member already kept beats it too: each member is compared with the kept
+    ones only.  With prefix sums padded to a common length (a partition's
+    sums reach its weight and stay there), weak dominance is ``>=`` entry by
+    entry, and a strictly dominating member has the larger sum of sums, so
+    only kept members on the right side of that total are compared.
+    """
+    items = sorted(set(partitions), key=lambda p: p.parts, reverse=not minimal)
     weights = {p.weight for p in items}
     if len(weights) > 1:
         raise ValueError(f"mixed weights in partition set: {sorted(weights)}")
-    return {p for p in items if not any(dominance_compare(p, q) is beaten for q in items)}
+    width = max(map(len, items), default=0)
+    kept: list[Partition] = []
+    totals: list[int] = []  # ascending
+    kept_sums: list[tuple[int, ...]] = []  # in the order of totals
+    for p in items:
+        sums = tuple(accumulate(p.parts + (0,) * (width - len(p))))
+        total = sum(sums)
+        # any(all(map(ge, sums, q)) for q in the kept sums of smaller total),
+        # or the mirror image, without a Python frame per pair.
+        if minimal:
+            below = kept_sums[: bisect_left(totals, total)]
+            pairs = map(map, repeat(ge), repeat(sums), below)
+        else:
+            above = kept_sums[bisect_right(totals, total) :]
+            pairs = map(map, repeat(ge), above, repeat(sums))
+        if not any(map(all, pairs)):
+            kept.append(p)
+            at = bisect_right(totals, total)
+            totals.insert(at, total)
+            kept_sums.insert(at, sums)
+    return set(kept)
 
 
 def dominance_minimal_elements(partitions: Iterable[Partition]) -> set[Partition]:
     """The partitions in the set that strictly dominate no other member."""
-    return _dominance_extremal(partitions, DominanceRelation.STRICTLY_ABOVE)
+    return _dominance_extremal(partitions, minimal=True)
 
 
 def dominance_maximal_elements(partitions: Iterable[Partition]) -> set[Partition]:
     """The partitions in the set strictly dominated by no other member."""
-    return _dominance_extremal(partitions, DominanceRelation.STRICTLY_BELOW)
+    return _dominance_extremal(partitions, minimal=False)
 
 
 def conjugate_join(partitions: Sequence[Partition]) -> Partition:

@@ -138,6 +138,32 @@ class TestRefusals:
             empty / "characters-n6.json"
         ).read_text()
 
+    @pytest.mark.parametrize(
+        "tuple_json",
+        [
+            "[1]",
+            '{"m":2}',
+            '{"m":2,"kind":"set","families":5}',
+            '{"m":2,"kind":"set","families":[[5]]}',
+            '{"m":2,"kind":"set","families":[[[true,2]]]}',
+        ],
+        ids=[
+            "not-an-object",
+            "missing-keys",
+            "families-not-a-list",
+            "block-not-a-list",
+            "boolean-element",
+        ],
+    )
+    def test_malformed_tuple_is_usage_error(self, tuple_json):
+        code, out, err = run_process(
+            "certificate", "--m", "2", "--nu", "2", "--tuple", tuple_json
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and '"families"' in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_agree(self, capsys):

@@ -60,6 +60,9 @@ class TestMinimalPhi:
             rep = minimal_constituents_phi(2, Partition([n]))
             assert rep.labels == (Partition([2] * n),)
 
+    def test_label_count_at_former_cliff(self):
+        assert len(minimal_constituents_phi(3, Partition((10, 10, 10))).labels) == 209
+
 
 class TestMaximalPhi:
     def test_golden_example(self):

@@ -216,6 +216,39 @@ class TestEnumeration:
                     got = set(enumerate_closed_families(m, n, kind))
                     assert got == brute, (kind, m, n)
 
+    @staticmethod
+    def _scan_search(m, n, kind):
+        """The earlier search: at every depth, scan every bounded block past
+        the last one added and take those whose lower covers are all chosen."""
+        if n == 0:
+            return [Family(m, kind, [])]
+        blocks = _bounded_blocks(m, n, kind)
+        out, chosen = [], []
+
+        def extend(start):
+            if len(chosen) == n:
+                out.append(Family(m, kind, chosen))
+                return
+            for idx in range(start, len(blocks)):
+                b = blocks[idx]
+                if all(c in chosen for c in lower_covers(b, kind)):
+                    chosen.append(b)
+                    extend(idx + 1)
+                    chosen.pop()
+
+        extend(0)
+        return out
+
+    @pytest.mark.parametrize("kind", [SET, MULTI])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_order_matches_scan_search(self, m, kind):
+        for n in range(0, 8):
+            want = self._scan_search(m, n, kind)
+            assert list(enumerate_closed_families(m, n, kind)) == want, (m, n)
+
+    def test_count_at_former_cliff(self):
+        assert sum(1 for _ in enumerate_closed_families(4, 20, SET)) == 1068
+
 
 class TestMinimalTuples:
     def test_golden_example_set(self):
@@ -247,6 +280,45 @@ class TestMinimalTuples:
                     assert tuple_is_closed(witness)
                     assert tuple_type(witness) == ty
                     assert is_minimal_tuple(witness)
+
+
+class TestMinimalTupleFold:
+    @staticmethod
+    def _brute_force(m, shapes, kind):
+        """Every tuple of closed families, the lexicographically least witness
+        per type, and the types that strictly dominate no other type."""
+        best = {}
+        for combo in itertools.product(
+            *(enumerate_closed_families(m, nj, kind) for nj in shapes)
+        ):
+            t = FamilyTuple(combo)
+            ty = tuple_type(t)
+            key = [f.blocks for f in combo]
+            if ty not in best or key < best[ty][0]:
+                best[ty] = (key, t)
+        minimal = [
+            ty
+            for ty in best
+            if not any(other != ty and dominates(ty, other) for other in best)
+        ]
+        return [(ty, best[ty][1]) for ty in sorted(minimal, reverse=True)]
+
+    @pytest.mark.parametrize("kind", [SET, MULTI])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shapes",
+        [(1,), (4,), (6,), (2, 1), (3, 3), (4, 2), (5, 3), (2, 2, 1), (3, 2, 2), (3, 3, 3)],
+    )
+    def test_matches_cartesian_product(self, m, shapes, kind):
+        got = enumerate_minimal_tuple_types(m, shapes, kind)
+        assert list(got.items()) == self._brute_force(m, shapes, kind)
+
+    @pytest.mark.parametrize("shapes", [(11,), (11, 1)])
+    def test_equal_types_keep_the_least_family(self, shapes):
+        # Two closed multiset families of shape (4^11) share a minimal type,
+        # and the search meets the lexicographically larger one first.
+        got = enumerate_minimal_tuple_types(4, shapes, MULTI)
+        assert list(got.items()) == self._brute_force(4, shapes, MULTI)
 
 
 class TestIsMinimalTuple:

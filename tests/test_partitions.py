@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from foulkes.partitions import (
@@ -131,6 +133,35 @@ class TestExtremalElements:
     def test_mixed_weights_raise(self):
         with pytest.raises(ValueError):
             dominance_minimal_elements({P("2"), P("1")})
+        with pytest.raises(ValueError):
+            dominance_maximal_elements([P("3,1"), P("2,1"), P("3,1")])
+
+    def test_random_sets_match_pairwise_definition(self):
+        rng = random.Random(20140923)
+        pools = {n: list(partitions_of(n)) for n in range(13)}
+        for _ in range(400):
+            pool = pools[rng.randrange(13)]
+            size = rng.choice([0, 1, 2, rng.randrange(len(pool) + 1), 2 * len(pool)])
+            sample = [rng.choice(pool) for _ in range(size)]  # with duplicates
+            distinct = set(sample)
+            minimal = {
+                p
+                for p in distinct
+                if not any(
+                    dominance_compare(p, q) is DominanceRelation.STRICTLY_ABOVE
+                    for q in distinct
+                )
+            }
+            maximal = {
+                p
+                for p in distinct
+                if not any(
+                    dominance_compare(p, q) is DominanceRelation.STRICTLY_BELOW
+                    for q in distinct
+                )
+            }
+            assert dominance_minimal_elements(sample) == minimal, sample
+            assert dominance_maximal_elements(iter(sample)) == maximal, sample
 
 
 class TestConjugateJoin:
