@@ -372,6 +372,11 @@ def enumerate_minimal_tuple_types(
     return dict(_minimal_tuple_types(m, tuple(shapes), kind))
 
 
+def _count_vector(fam: Family) -> tuple[int, ...]:
+    counts = occurrence_counts(fam)
+    return tuple(counts[i] for i in range(1, max(counts, default=0) + 1))
+
+
 def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) < len(b):
         a, b = b, a
@@ -390,7 +395,7 @@ def _minimal_tuple_types(
     kept: dict[tuple[int, ...], tuple[Family, ...]] = {(): ()}
     for nj in shapes:
         fams = sorted(_closed_families(m, nj, kind), key=lambda f: f.blocks)
-        vectors = [family_type(f).conjugate().parts for f in fams]
+        vectors = [_count_vector(f) for f in fams]
         best: dict[tuple[int, ...], tuple[Family, ...]] = {}
         for counts, prefix in sorted(kept.items(), key=lambda item: [f.blocks for f in item[1]]):
             for fam, vec in zip(fams, vectors):
