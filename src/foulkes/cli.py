@@ -211,15 +211,10 @@ def _cmd_verify(args) -> int:
         if args.nu is None:
             raise ValueError("verify needs --nu (or --seed-sweep with --n)")
         nus = [parse_partition(args.nu)]
+    # Every nu of one run has the same weight, so one table serves them all.
     cache = _cache_dir(args)
-    cases = []
-    table = None
-    for nu in nus:
-        degree = args.m * nu.weight
-        if table is None or table.degree != degree:
-            _save_table(table, cache)
-            table = _load_table(degree, cache)
-        cases.append(_verify_one(args.m, nu, args.guard, table))
+    table = _load_table(args.m * nus[0].weight, cache)
+    cases = [_verify_one(args.m, nu, args.guard, table) for nu in nus]
     _save_table(table, cache)
     agree = all(case["agree"] for case in cases)
     payload = {

@@ -24,12 +24,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .partitions import (
-    DominanceRelation,
-    Partition,
-    dominance_compare,
-    dominance_maximal_elements,
-)
+from .partitions import Partition, dominance_maximal_elements
 
 __all__ = [
     "BlockKind",
@@ -409,8 +404,9 @@ def _minimal_tuple_types(
 def is_minimal_tuple(t: FamilyTuple) -> bool:
     """Whether no tuple of the same shapes has a strictly dominated type.
 
-    Exactly when the type strictly dominates none of the minimal types of
-    its shapes.  Empty components contribute nothing.
+    Every type weakly dominates a minimal type of its shapes, so this holds
+    exactly when the type is one of them.  Empty components contribute
+    nothing.
     """
     ty = tuple_type(t)
     if ty is None:
@@ -418,10 +414,7 @@ def is_minimal_tuple(t: FamilyTuple) -> bool:
     shapes = tuple(sorted((nj for nj in t.shapes if nj), reverse=True))
     if not shapes:
         return True
-    return not any(
-        dominance_compare(ty, low) is DominanceRelation.STRICTLY_ABOVE
-        for low in _minimal_tuple_types(t.m, shapes, t.kind)
-    )
+    return ty in _minimal_tuple_types(t.m, shapes, t.kind)
 
 
 def colex_initial_segment(m: int, n: int, kind: BlockKind | str) -> Family:

@@ -77,20 +77,22 @@ def class_size(rho: Partition) -> int:
 _CHAR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
 
-def _border_strip_char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """Character value by repeated border-strip removal.
+def _border_strip_char(lam: tuple[int, ...], rho: tuple[int, ...], memo=_CHAR_CACHE) -> int:
+    """Character value by repeated border-strip removal, memoized in ``memo``.
 
-    ``rho`` must be weakly decreasing; the largest cycle is stripped first,
-    which keeps the branching small.  Strips are found on the beta-number
+    The strips below the top level are memoized in ``_CHAR_CACHE``.  ``rho``
+    must be weakly decreasing; the largest cycle is stripped first, which
+    keeps the branching small.  Strips are found on the beta-number
     (first-column hook length) encoding: removing a strip of length r moves
     one beta number down by r, and the sign is (-1)^(beta numbers jumped).
     """
-    if not rho:
-        return 1
     key = (lam, rho)
-    cached = _CHAR_CACHE.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
+    if not rho:
+        memo[key] = 1
+        return 1
     r, rest = rho[0], rho[1:]
     length = len(lam)
     beta = [lam[j] + (length - 1 - j) for j in range(length)]
@@ -107,7 +109,7 @@ def _border_strip_char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
         )
         term = _border_strip_char(mu, rest)
         total += term if leg % 2 == 0 else -term
-    _CHAR_CACHE[key] = total
+    memo[key] = total
     return total
 
 
@@ -123,31 +125,26 @@ def character_value(lam: Partition, rho: Partition) -> int:
 class CharacterTable:
     """Character values for one degree, with optional on-disk persistence.
 
-    The disk layout is JSON with a version header:
+    In memory, ``values`` is the memo of the values read through the table,
+    keyed like ``_CHAR_CACHE`` by ``(lam.parts, rho.parts)``.  On disk the keys
+    are text, in JSON with a version header:
     ``{"schema": 1, "degree": n, "values": {"<lam>|<rho>": int, ...}}``
-    where partitions are comma-separated part lists.
+    where partitions are comma-separated part lists.  Loading rejects a key
+    not of two partitions of the degree and a value that is not an integer.
     """
 
     SCHEMA = 1
 
-    def __init__(self, degree: int, values: dict[tuple[Partition, Partition], int] | None = None):
+    def __init__(self, degree: int):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.degree = degree
-        self.values: dict[tuple[Partition, Partition], int] = dict(values or {})
+        self.values: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
     def value(self, lam: Partition, rho: Partition) -> int:
         if lam.weight != self.degree or rho.weight != self.degree:
             raise ValueError(f"table holds degree {self.degree} only")
-        key = (lam, rho)
-        got = self.values.get(key)
-        if got is None:
-            got = character_value(lam, rho)
-            self.values[key] = got
-        return got
-
-    def z(self, rho: Partition) -> int:
-        return z_order(rho)
+        return _border_strip_char(lam.parts, rho.parts, self.values)
 
     def build_full(self) -> None:
         """Populate every (lam, rho) pair of this degree."""
@@ -177,10 +174,8 @@ class CharacterTable:
             "schema": self.SCHEMA,
             "degree": self.degree,
             "values": {
-                f"{lam}|{rho}": v
-                for (lam, rho), v in sorted(
-                    self.values.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts)
-                )
+                "|".join(",".join(map(str, parts)) for parts in key): v
+                for key, v in sorted(self.values.items())
             },
         }
         # Write a file of this process next to the target and rename it over
@@ -201,8 +196,12 @@ class CharacterTable:
             raise ValueError(f"unsupported character-table schema in {path}")
         table = cls(int(payload["degree"]))
         for key, v in payload["values"].items():
-            lam_text, rho_text = key.split("|")
-            table.values[(parse_partition(lam_text), parse_partition(rho_text))] = int(v)
+            lam, rho = map(parse_partition, key.split("|"))
+            if lam.weight != table.degree or rho.weight != table.degree:
+                raise ValueError(f"entry {key!r} is not of degree {table.degree}")
+            if type(v) is not int:
+                raise ValueError(f"entry {key!r} holds {v!r}, not an integer")
+            table.values[(lam.parts, rho.parts)] = v
         return table
 
     @staticmethod
@@ -347,7 +346,16 @@ def _power_sum_coefficients(
     return tuple(sorted((tau, c) for tau, c in acc.items() if c))
 
 
-def _coefficient(terms, lam: Partition, table: CharacterTable | None) -> int:
+def _memo(table: CharacterTable | None, degree: int) -> dict:
+    """The dict that holds the character values of one degree's coefficients."""
+    if table is None:
+        return _CHAR_CACHE
+    if table.degree != degree:
+        raise ValueError(f"table holds degree {table.degree} only")
+    return table.values
+
+
+def _coefficient(terms, lam: Partition, memo: dict) -> int:
     """<s_lam, plethysm> from its power-sum coefficients ``terms``.
 
     Raises :class:`InternalConsistencyError` unless the value is a
@@ -355,11 +363,7 @@ def _coefficient(terms, lam: Partition, table: CharacterTable | None) -> int:
     """
     value = Fraction(0)
     for tau, c in terms:
-        chi = (
-            table.value(lam, Partition(tau))
-            if table is not None
-            else _border_strip_char(lam.parts, tau)
-        )
+        chi = _border_strip_char(lam.parts, tau, memo)
         if chi:
             value += c * chi
     if value.denominator != 1 or value < 0:
@@ -401,7 +405,8 @@ def plethysm_expansion(
             f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
-    coeffs = {lam: _coefficient(terms, lam, table) for lam in partitions_of(degree)}
+    memo = _memo(table, degree)
+    coeffs = {lam: _coefficient(terms, lam, memo) for lam in partitions_of(degree)}
     expansion = SchurExpansion(degree, coeffs)
     _check_dimension(expansion, nu, m)
     return expansion
@@ -439,7 +444,8 @@ def multiplicity(
             RuntimeWarning,
             stacklevel=2,
         )
-    return _coefficient(_power_sum_coefficients(nu.parts, m, flavor), lam, table)
+    terms = _power_sum_coefficients(nu.parts, m, flavor)
+    return _coefficient(terms, lam, _memo(table, degree))
 
 
 def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:

@@ -194,6 +194,16 @@ class TestVerify:
             "min-psi",
         }
 
+    def test_seed_sweep_with_cache(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("FOULKES_CACHE_DIR", raising=False)
+        argv = ["verify", "--m", "2", "--n", "3", "--seed-sweep"]
+        code, plain, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        code, cached, _ = run(capsys, *argv, "--cache", str(tmp_path))
+        assert code == EXIT_OK
+        assert cached == plain
+        assert [p.name for p in tmp_path.iterdir()] == ["characters-n6.json"]
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # force a disagreement to exercise the dedicated exit code
         import foulkes.cli as cli

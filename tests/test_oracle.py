@@ -1,4 +1,5 @@
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,9 @@ from foulkes.oracle import (
     z_order,
 )
 from foulkes.partitions import Partition, dimension, parse_partition, partitions_of
+
+# A full degree-4 table as ``CharacterTable.save`` writes it.
+GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "characters-n4.json"
 
 P = parse_partition
 
@@ -101,6 +105,12 @@ class TestCharacterTable:
             '{"schema": 99, "degree": 4, "values": {}}',
             '{"schema": 1, "degree": 5, "values": {}}',
             '{"schema": 1, "degree": 4, "values": {"2,2": 2}}',
+            '{"schema": 1, "degree": 4, "values": {"2,2|2,2": 2.7}}',
+            '{"schema": 1, "degree": 4, "values": {"3,1|2,2": -0.5}}',
+            '{"schema": 1, "degree": 4, "values": {"2,2|2,2": "2"}}',
+            '{"schema": 1, "degree": 4, "values": {"4|4": true}}',
+            '{"schema": 1, "degree": 4, "values": {"2,1|2,1": 0}}',
+            '{"schema": 1, "degree": 4, "values": {"2,2|2,1": 0}}',
         ],
     )
     def test_unusable_cache_file_is_ignored(self, tmp_path, content):
@@ -121,6 +131,34 @@ class TestCharacterTable:
         table = CharacterTable(4)
         with pytest.raises(ValueError):
             table.value(P("2,1"), P("2,1"))
+        with pytest.raises(ValueError, match="degree 4 only"):
+            plethysm_expansion(P("2,1"), 2, table=table)
+        with pytest.raises(ValueError, match="degree 4 only"):
+            multiplicity(P("2,1"), 2, P("6"), table=table)
+
+    def test_save_writes_the_recorded_layout(self, tmp_path):
+        table = CharacterTable(4)
+        table.build_full()
+        table.save(tmp_path / "n4.json")
+        assert (tmp_path / "n4.json").read_text() == GOLDEN_N4.read_text()
+
+    def test_recorded_file_loads(self):
+        table = CharacterTable.load(GOLDEN_N4)
+        assert table.degree == 4 and len(table.values) == 25
+        for lam in partitions_of(4):
+            for rho in partitions_of(4):
+                assert table.value(lam, rho) == character_value(lam, rho)
+
+    def test_values_live_in_the_table_only(self):
+        from foulkes import oracle
+
+        key = ((4, 2, 1), (3, 2, 2))
+        oracle._CHAR_CACHE.pop(key, None)
+        table = CharacterTable(7)
+        want = table.value(P("4,2,1"), P("3,2,2"))
+        assert table.values == {key: want}
+        assert key not in oracle._CHAR_CACHE
+        assert want == character_value(P("4,2,1"), P("3,2,2"))
 
 
 class TestSchurExpansion:
