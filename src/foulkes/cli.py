@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 from .constituents import (
     CharacterFlavor,
@@ -88,21 +89,20 @@ def _render_tuple(t: FamilyTuple) -> str:
     )
 
 
-def _cache_dir(args) -> str | None:
-    cache = getattr(args, "cache", None)
-    if cache:
-        return cache
-    return os.environ.get(CACHE_ENV_VAR) or None
+@contextmanager
+def _cached_table(args, degree: int) -> Iterator[CharacterTable | None]:
+    """The cached character table of this degree, or None without a cache.
 
-
-def _load_table(degree: int, cache: str | None) -> CharacterTable | None:
+    The table is written back only if the block added values to it.
+    """
+    cache = getattr(args, "cache", None) or os.environ.get(CACHE_ENV_VAR) or None
     if cache is None:
-        return None
-    return CharacterTable.load_or_create(degree, cache)
-
-
-def _save_table(table: CharacterTable | None, cache: str | None) -> None:
-    if table is not None and cache is not None:
+        yield None
+        return
+    table = CharacterTable.load_or_create(degree, cache)
+    loaded = len(table.values)
+    yield table
+    if len(table.values) > loaded:
         table.save_to(cache)
 
 
@@ -146,10 +146,8 @@ def _cmd_constituents(args, extremum: str) -> int:
 def _cmd_expand(args) -> int:
     nu = parse_partition(args.nu)
     flavor = PlethysmFlavor(args.flavor)
-    cache = _cache_dir(args)
-    table = _load_table(args.m * nu.weight, cache)
-    expansion = plethysm_expansion(nu, args.m, flavor, guard=args.guard, table=table)
-    _save_table(table, cache)
+    with _cached_table(args, args.m * nu.weight) as table:
+        expansion = plethysm_expansion(nu, args.m, flavor, guard=args.guard, table=table)
     payload = {
         "schema": SCHEMA,
         "command": "expand",
@@ -212,10 +210,8 @@ def _cmd_verify(args) -> int:
             raise ValueError("verify needs --nu (or --seed-sweep with --n)")
         nus = [parse_partition(args.nu)]
     # Every nu of one run has the same weight, so one table serves them all.
-    cache = _cache_dir(args)
-    table = _load_table(args.m * nus[0].weight, cache)
-    cases = [_verify_one(args.m, nu, args.guard, table) for nu in nus]
-    _save_table(table, cache)
+    with _cached_table(args, args.m * nus[0].weight) as table:
+        cases = [_verify_one(args.m, nu, args.guard, table) for nu in nus]
     agree = all(case["agree"] for case in cases)
     payload = {
         "schema": SCHEMA,

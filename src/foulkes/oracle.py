@@ -3,7 +3,9 @@
 The main engine expands both factors in the power-sum basis, substitutes
 p_r o p_s = p_{rs}, and reads off Schur coefficients with symmetric-group
 character values computed by the border-strip (Murnaghan-Nakayama) recursion.
-All arithmetic is exact: Fractions internally, integers out.
+All arithmetic is in integers: the power-sum coefficients are scaled by the
+order n! m!^n of the wreath product S_m wr S_n, which makes them integral, and
+each Schur coefficient is one exact division by that order.
 
 A second, slower engine (:func:`monomial_expansion`) counts semistandard
 fillings by degree-m blocks and peels Schur coefficients off the monomial
@@ -18,9 +20,7 @@ import os
 import warnings
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -130,7 +130,8 @@ class CharacterTable:
     are text, in JSON with a version header:
     ``{"schema": 1, "degree": n, "values": {"<lam>|<rho>": int, ...}}``
     where partitions are comma-separated part lists.  Loading rejects a key
-    not of two partitions of the degree and a value that is not an integer.
+    not of two partitions of the degree, a value that is not an integer, and
+    a wrong value at the identity class (the dimension) or at lam = (n) (1).
     """
 
     SCHEMA = 1
@@ -195,12 +196,16 @@ class CharacterTable:
         if payload.get("schema") != cls.SCHEMA:
             raise ValueError(f"unsupported character-table schema in {path}")
         table = cls(int(payload["degree"]))
+        identity = (1,) * table.degree
         for key, v in payload["values"].items():
             lam, rho = map(parse_partition, key.split("|"))
             if lam.weight != table.degree or rho.weight != table.degree:
                 raise ValueError(f"entry {key!r} is not of degree {table.degree}")
             if type(v) is not int:
                 raise ValueError(f"entry {key!r} holds {v!r}, not an integer")
+            # The identity class gives the dimension; lam = (n) is the trivial character.
+            if (rho.parts == identity and v != dimension(lam)) or (len(lam) <= 1 and v != 1):
+                raise ValueError(f"entry {key!r} holds {v}, not the character value")
             table.values[(lam.parts, rho.parts)] = v
         return table
 
@@ -212,8 +217,8 @@ class CharacterTable:
     def load_or_create(cls, degree: int, cache_dir: str | os.PathLike | None) -> "CharacterTable":
         """The cached table of this degree, else an empty one.
 
-        A cache file that is not valid JSON, has an unknown schema or holds
-        another degree is ignored with a ``RuntimeWarning`` naming the file.
+        A cache file that :meth:`load` rejects or that holds another degree
+        is ignored with a ``RuntimeWarning`` naming the file.
         """
         if cache_dir is not None:
             path = cls.cache_path(degree, cache_dir)
@@ -299,10 +304,15 @@ class SchurExpansion:
         }
 
 
+def _wreath_order(n: int, m: int) -> int:
+    """Order n! m!^n of the wreath product S_m wr S_n."""
+    return factorial(n) * factorial(m) ** n
+
+
 def expected_dimension(nu: Partition, m: int) -> int:
     """Degree of the induced character: (mn)!/(m!^n n!) times dim chi^nu."""
     n = nu.weight
-    index, rem = divmod(factorial(m * n), factorial(m) ** n * factorial(n))
+    index, rem = divmod(factorial(m * n), _wreath_order(n, m))
     if rem:
         raise InternalConsistencyError("wreath-product index is not an integer")
     return index * dimension(nu)
@@ -311,39 +321,36 @@ def expected_dimension(nu: Partition, m: int) -> int:
 @lru_cache(maxsize=None)
 def _power_sum_coefficients(
     nu_parts: tuple[int, ...], m: int, flavor: PlethysmFlavor
-) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Coefficients of p_tau in the plethysm, as a sorted tuple of items.
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Coefficients of p_tau in the plethysm times n! m!^n, as sorted items.
 
     s_nu = sum_rho chi^nu(rho)/z_rho p_rho, while s_(m) (ROW) and s_(1^m)
     (COLUMN) expand over sigma with coefficient 1/z_sigma resp.
     sign(sigma)/z_sigma.  Substituting p_r o p_s = p_{rs} turns each choice of
     rho and one sigma per part of rho into the cycle type tau built from the
-    stretched parts rho_j * sigma^{(j)}.
+    stretched parts rho_j * sigma^{(j)}.  Scaled by the wreath order n! m!^n
+    every weight is an integer, since z_rho divides n! and z_sigma divides m!.
+    The parts of rho are folded in one at a time, merging equal partial types.
     """
     nu = Partition(nu_parts)
     n = nu.weight
-    sigma_list = [s.parts for s in partitions_of(m)]
-    sigma_weight = []
-    for s in sigma_list:
-        w = Fraction(1, z_order(Partition(s)))
-        if flavor is PlethysmFlavor.COLUMN and (m - len(s)) % 2 == 1:
-            w = -w
-        sigma_weight.append(w)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    mfac = factorial(m)
+    sign = -1 if flavor is PlethysmFlavor.COLUMN else 1
+    sigmas = [(s.parts, sign ** (m - len(s)) * (mfac // z_order(s))) for s in partitions_of(m)]
+    acc: Counter[tuple[int, ...]] = Counter()
     for rho in partitions_of(n):
         chi = character_value(nu, rho)
         if chi == 0:
             continue
-        base = Fraction(chi, z_order(rho))
-        for combo in product(range(len(sigma_list)), repeat=len(rho)):
-            w = base
-            tau_parts: list[int] = []
-            for rj, si in zip(rho.parts, combo):
-                w *= sigma_weight[si]
-                tau_parts.extend(rj * s for s in sigma_list[si])
-            tau = tuple(sorted(tau_parts, reverse=True))
-            acc[tau] = acc.get(tau, Fraction(0)) + w
-    return tuple(sorted((tau, c) for tau, c in acc.items() if c))
+        partial = Counter({(): chi * factorial(n) // z_order(rho) * mfac ** (n - len(rho))})
+        for r in rho.parts:
+            grown: Counter[tuple[int, ...]] = Counter()
+            for tau, w in partial.items():
+                for s, ws in sigmas:
+                    grown[tuple(sorted(tau + tuple(r * x for x in s), reverse=True))] += w * ws
+            partial = grown
+        acc.update(partial)
+    return tuple(sorted((tau, w) for tau, w in acc.items() if w))
 
 
 def _memo(table: CharacterTable | None, degree: int) -> dict:
@@ -355,22 +362,19 @@ def _memo(table: CharacterTable | None, degree: int) -> dict:
     return table.values
 
 
-def _coefficient(terms, lam: Partition, memo: dict) -> int:
-    """<s_lam, plethysm> from its power-sum coefficients ``terms``.
+def _coefficient(terms, scale: int, lam: Partition, memo: dict) -> int:
+    """<s_lam, plethysm> from the power-sum weights ``terms`` scaled by ``scale``.
 
     Raises :class:`InternalConsistencyError` unless the value is a
     nonnegative integer.
     """
-    value = Fraction(0)
-    for tau, c in terms:
-        chi = _border_strip_char(lam.parts, tau, memo)
-        if chi:
-            value += c * chi
-    if value.denominator != 1 or value < 0:
+    total = sum(w * _border_strip_char(lam.parts, tau, memo) for tau, w in terms)
+    value, rem = divmod(total, scale)
+    if rem or value < 0:
         raise InternalConsistencyError(
-            f"coefficient of ({lam}) is not a nonnegative integer: {value}"
+            f"coefficient of ({lam}) is not a nonnegative integer: {total}/{scale}"
         )
-    return int(value)
+    return value
 
 
 def _check_dimension(expansion: SchurExpansion, nu: Partition, m: int) -> None:
@@ -405,8 +409,8 @@ def plethysm_expansion(
             f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
-    memo = _memo(table, degree)
-    coeffs = {lam: _coefficient(terms, lam, memo) for lam in partitions_of(degree)}
+    scale, memo = _wreath_order(nu.weight, m), _memo(table, degree)
+    coeffs = {lam: _coefficient(terms, scale, lam, memo) for lam in partitions_of(degree)}
     expansion = SchurExpansion(degree, coeffs)
     _check_dimension(expansion, nu, m)
     return expansion
@@ -445,7 +449,7 @@ def multiplicity(
             stacklevel=2,
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
-    return _coefficient(terms, lam, _memo(table, degree))
+    return _coefficient(terms, _wreath_order(nu.weight, m), lam, _memo(table, degree))
 
 
 def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:

@@ -108,6 +108,21 @@ class TestExpand:
         assert code == EXIT_OK
         assert (tmp_path / "characters-n4.json").exists()
 
+    def test_warm_cache_is_not_rewritten(self, capsys, tmp_path, monkeypatch):
+        from foulkes.oracle import CharacterTable
+
+        argv = ("expand", "--m", "2", "--nu", "2,1", "--cache", str(tmp_path))
+        first = run(capsys, *argv)
+        path = tmp_path / "characters-n6.json"
+        stamp = path.stat().st_mtime_ns
+
+        def refuse(self, cache_dir):
+            raise AssertionError("a run that added no value rewrote the cache")
+
+        monkeypatch.setattr(CharacterTable, "save_to", refuse)
+        assert run(capsys, *argv) == first
+        assert path.stat().st_mtime_ns == stamp
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FOULKES_CACHE_DIR", str(tmp_path))
         code, _, _ = run(capsys, "expand", "--m", "2", "--nu", "1,1")

@@ -1,9 +1,12 @@
+from fractions import Fraction
+from itertools import product
 from math import factorial
 from pathlib import Path
 
 import pytest
 
-from foulkes.errors import GuardExceededError
+from foulkes import oracle
+from foulkes.errors import GuardExceededError, InternalConsistencyError
 from foulkes.oracle import (
     CharacterTable,
     PlethysmFlavor,
@@ -111,6 +114,10 @@ class TestCharacterTable:
             '{"schema": 1, "degree": 4, "values": {"4|4": true}}',
             '{"schema": 1, "degree": 4, "values": {"2,1|2,1": 0}}',
             '{"schema": 1, "degree": 4, "values": {"2,2|2,1": 0}}',
+            '{"schema": 1, "degree": 4, "values": {"2,2|1,1,1,1": 3}}',
+            '{"schema": 1, "degree": 4, "values": {"4|2,2": -1}}',
+            '{"schema": 1, "degree": 4, "values": {"3,1|1,1,1,1": -3}}',
+            '{"schema": 1, "degree": 4, "values": {"4|1,1,1,1": 0}}',
         ],
     )
     def test_unusable_cache_file_is_ignored(self, tmp_path, content):
@@ -149,9 +156,14 @@ class TestCharacterTable:
             for rho in partitions_of(4):
                 assert table.value(lam, rho) == character_value(lam, rho)
 
-    def test_values_live_in_the_table_only(self):
-        from foulkes import oracle
+    def test_poisoned_degree_zero_file_is_ignored(self, tmp_path):
+        (tmp_path / "characters-n0.json").write_text(
+            '{"schema": 1, "degree": 0, "values": {"|": 0}}'
+        )
+        with pytest.warns(RuntimeWarning, match="characters-n0.json"):
+            assert CharacterTable.load_or_create(0, tmp_path).values == {}
 
+    def test_values_live_in_the_table_only(self):
         key = ((4, 2, 1), (3, 2, 2))
         oracle._CHAR_CACHE.pop(key, None)
         table = CharacterTable(7)
@@ -217,6 +229,60 @@ class TestPlethysmExpansion:
         e = plethysm_expansion(P("2,1,1"), 2, table=table)
         assert e == plethysm_expansion(P("2,1,1"), 2)
         assert table.values  # top-level values were recorded
+
+
+def _rational_power_sum_coefficients(nu, m, flavor):
+    """The power-sum coefficients in Fractions, one sigma per part of rho.
+
+    The reference the integer kernel is checked against: the product over
+    sigma^len(rho) with no merging of partial cycle types.
+    """
+    sigmas = [s.parts for s in partitions_of(m)]
+    weights = []
+    for s in partitions_of(m):
+        w = Fraction(1, z_order(s))
+        if flavor is PlethysmFlavor.COLUMN and (m - len(s)) % 2 == 1:
+            w = -w
+        weights.append(w)
+    acc = {}
+    for rho in partitions_of(nu.weight):
+        chi = character_value(nu, rho)
+        if chi == 0:
+            continue
+        for combo in product(range(len(sigmas)), repeat=len(rho)):
+            w = Fraction(chi, z_order(rho))
+            tau = []
+            for r, i in zip(rho.parts, combo):
+                w *= weights[i]
+                tau.extend(r * x for x in sigmas[i])
+            key = tuple(sorted(tau, reverse=True))
+            acc[key] = acc.get(key, Fraction(0)) + w
+    return {tau: c for tau, c in acc.items() if c}
+
+
+class TestPowerSumKernel:
+    def test_weights_are_the_rational_coefficients_times_the_wreath_order(self):
+        for m in range(1, 13):
+            for n in range(12 // m + 1):
+                scale = factorial(n) * factorial(m) ** n
+                for nu in partitions_of(n):
+                    for flavor in PlethysmFlavor:
+                        got = oracle._power_sum_coefficients(nu.parts, m, flavor)
+                        assert all(type(w) is int for _, w in got)
+                        want = _rational_power_sum_coefficients(nu, m, flavor)
+                        assert dict(got) == {
+                            tau: c * scale for tau, c in want.items()
+                        }, (m, str(nu), flavor)
+
+    def test_off_by_one_table_value_is_caught(self):
+        nu, m, lam = P("2,1"), 2, P("4,2")
+        want = multiplicity(nu, m, lam)
+        for tau, _ in oracle._power_sum_coefficients(nu.parts, m, PlethysmFlavor.ROW):
+            table = CharacterTable(6)
+            assert multiplicity(nu, m, lam, table=table) == want
+            table.values[(lam.parts, tau)] += 1
+            with pytest.raises(InternalConsistencyError, match=r"\(4,2\)"):
+                multiplicity(nu, m, lam, table=table)
 
 
 class TestMultiplicity:
