@@ -7,17 +7,18 @@ every ``r``.  A family is *closed* when it is a down-set (order ideal) for
 majorization, and the covering moves of the order are the single decrements
 ``i+1 -> i`` inside one block that yield a valid block.
 
-Ground-set bound used throughout the enumeration code: a closed family of
-``n`` blocks containing a block with maximum element ``x`` already contains
-the blocks ``{1,..,m-1,y}`` for ``m <= y <= x`` (sets), respectively
-``{1,..,1,y}`` for ``1 <= y <= x`` (multisets), so ``x <= m + n - 1``
-(sets) or ``x <= n`` (multisets).  Enumeration over the bounded ground set is
-therefore finite and complete.
+Ground-set bound: a closed family of ``n`` blocks containing a block with
+maximum element ``x`` already contains the blocks ``{1,..,m-1,y}`` for
+``m <= y <= x`` (sets), respectively ``{1,..,1,y}`` for ``1 <= y <= x``
+(multisets), so ``x <= m + n - 1`` (sets) or ``x <= n`` (multisets).  The
+closed-family search does not take the bound as an input but never leaves
+it; colex initial segments are drawn from the bounded ground set.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
@@ -98,6 +99,16 @@ def lower_covers(block: Block, kind: BlockKind) -> list[Block]:
         if ok:
             out.append(block[:r] + (v - 1,) + block[r + 1 :])
     return out
+
+
+def _upper_covers(block: Block, kind: BlockKind) -> list[Block]:
+    """Blocks covering ``block`` (the mirror of :func:`lower_covers`, unbounded)."""
+    gap = 2 if kind is BlockKind.SET else 1
+    return [
+        block[:r] + (v + 1,) + block[r + 1 :]
+        for r, v in enumerate(block)
+        if r + 1 == len(block) or v + gap <= block[r + 1]
+    ]
 
 
 class Family:
@@ -289,51 +300,39 @@ def _ground_top(m: int, n: int, kind: BlockKind) -> int:
     return m + n - 1 if kind is BlockKind.SET else n
 
 
-def _bounded_blocks(m: int, n: int, kind: BlockKind) -> tuple[Block, ...]:
-    return tuple(_colex_bounded(m, _ground_top(m, n, kind), kind))
-
-
 @lru_cache(maxsize=None)
 def _closed_families(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
-    if n == 0:
-        return (Family(m, kind, []),)
-    blocks = _bounded_blocks(m, n, kind)
-    index = {b: i for i, b in enumerate(blocks)}
-    uppers: list[list[int]] = [[] for _ in blocks]
-    missing = [0] * len(blocks)
-    for i, b in enumerate(blocks):
-        for c in lower_covers(b, kind):
-            uppers[index[c]].append(i)
-            missing[i] += 1
-    out: list[Family] = []
-    chosen: list[Block] = []
-
     # Colex order is a linear extension of majorization, so every ideal is
     # produced exactly once by adding its blocks in colex order, each block
     # only after all its lower covers.  A node's frontier lists, in colex
     # order, the blocks past the last one added whose lower covers are all
-    # chosen: the rest of the parent's frontier plus the upper covers that
-    # the new block completed.  An ideal of fewer than n blocks with largest
+    # chosen: the rest of the parent's frontier, held in its stack entry,
+    # plus the upper covers the last block completed, merged in on popping
+    # (so never at a leaf; `above` keeps the upper covers of added blocks).
+    # The search is n deep, and an ideal of fewer than n blocks with largest
     # element x can always add {1,..,m-1,x+1} (sets) or {1,..,1,x+1}
-    # (multisets), which is inside the ground-set bound, so every branch
-    # ends in a family.
-    def extend(frontier: list[int]) -> None:
+    # (multisets), so every branch ends in a family.  A block past the
+    # ground-set bound has at least n blocks strictly below it, so it is
+    # completed only at a leaf and is never added.
+    out: list[Family] = []
+    first = tuple(range(1, m + 1)) if kind is BlockKind.SET else (1,) * m
+    stack: list[tuple[tuple[Block, ...], list[Block]]] = [((), [first])]
+    above: dict[Block, list[tuple[Block, list[Block]]]] = {}
+    while stack:
+        chosen, frontier = stack.pop()
         if len(chosen) == n:
             out.append(Family(m, kind, chosen))
-            return
-        for j, i in enumerate(frontier):
-            opened = []
-            for u in uppers[i]:
-                missing[u] -= 1
-                if not missing[u]:
-                    opened.append(u)
-            chosen.append(blocks[i])
-            extend(sorted(frontier[j + 1 :] + opened) if opened else frontier[j + 1 :])
-            chosen.pop()
-            for u in uppers[i]:
-                missing[u] += 1
-
-    extend([0])
+            continue
+        if chosen:
+            b = chosen[-1]
+            if b not in above:
+                above[b] = [(u, lower_covers(u, kind)) for u in _upper_covers(b, kind)]
+            have = set(chosen)
+            for u, below in above[b]:
+                if have.issuperset(below):
+                    insort(frontier, u, key=colex_key)
+        for j in reversed(range(len(frontier))):
+            stack.append((chosen + (frontier[j],), frontier[j + 1 :]))
     return tuple(out)
 
 

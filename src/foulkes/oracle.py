@@ -22,6 +22,7 @@ from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from math import factorial
+from operator import lt
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -32,7 +33,6 @@ from .partitions import (
     Partition,
     dimension,
     dominance_compare,
-    parse_partition,
     partitions_of,
 )
 
@@ -198,15 +198,16 @@ class CharacterTable:
         table = cls(int(payload["degree"]))
         identity = (1,) * table.degree
         for key, v in payload["values"].items():
-            lam, rho = map(parse_partition, key.split("|"))
-            if lam.weight != table.degree or rho.weight != table.degree:
-                raise ValueError(f"entry {key!r} is not of degree {table.degree}")
+            lam, rho = (tuple(map(int, p.split(","))) if p else () for p in key.split("|"))
+            for ps in (lam, rho):
+                if sum(ps) != table.degree or any(map(lt, ps, ps[1:])) or (ps and ps[-1] < 1):
+                    raise ValueError(f"entry {key!r} is not two partitions of {table.degree}")
             if type(v) is not int:
                 raise ValueError(f"entry {key!r} holds {v!r}, not an integer")
             # The identity class gives the dimension; lam = (n) is the trivial character.
-            if (rho.parts == identity and v != dimension(lam)) or (len(lam) <= 1 and v != 1):
+            if (rho == identity and v != dimension(Partition(lam))) or (len(lam) <= 1 and v != 1):
                 raise ValueError(f"entry {key!r} holds {v}, not the character value")
-            table.values[(lam.parts, rho.parts)] = v
+            table.values[(lam, rho)] = v
         return table
 
     @staticmethod

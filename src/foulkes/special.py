@@ -15,8 +15,10 @@ from math import comb
 from .constituents import (
     CharacterFlavor,
     CharacterSpec,
+    Extremum,
+    _RULES,
+    _shapes,
     certificate_from_closed_tuple,
-    kappa_partition,
 )
 from .errors import InternalConsistencyError
 from .families import (
@@ -141,10 +143,9 @@ def lex_least_constituent(m: int, nu: Partition, flavor: CharacterFlavor | str) 
     taking every component to be a colex initial segment, and component types
     combine by the conjugate-join.
     """
-    flavor = CharacterFlavor(flavor)
-    kind = BlockKind.SET if flavor is CharacterFlavor.PHI else BlockKind.MULTISET
-    shapes = kappa_partition(m, nu).conjugate().parts
-    return conjugate_join([agaoka_lex_least(m, nj, kind).assembled for nj in shapes])
+    rule = _RULES[CharacterFlavor(flavor), Extremum.MINIMAL]
+    shapes = _shapes(rule, m, nu)
+    return conjugate_join([agaoka_lex_least(m, nj, rule.kind).assembled for nj in shapes])
 
 
 def lex_greatest_constituent(

@@ -20,7 +20,8 @@ from foulkes.families import (
     BlockKind,
     Family,
     FamilyTuple,
-    _bounded_blocks,
+    _colex_bounded,
+    _ground_top,
     closure,
     colex_initial_segment,
     down_set_family,
@@ -52,6 +53,10 @@ from foulkes.partitions import (
 from foulkes.special import agaoka_lex_least, theta_decomposition
 
 P = parse_partition
+
+
+def _bounded_blocks(m, n, kind):
+    return tuple(_colex_bounded(m, _ground_top(m, n, kind), kind))
 
 
 def _criterion(number: int, description: str, budget_s: float, body) -> None:

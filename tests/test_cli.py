@@ -132,7 +132,8 @@ class TestExpand:
 
 class TestRefusals:
     def test_deep_search_is_refused_without_traceback(self):
-        code, out, err = run_process("families", "--m", "1", "--n", "2000")
+        nested = "[" * 5000 + "]" * 5000
+        code, out, err = run_process("certificate", "--m", "2", "--nu", "2", "--tuple", nested)
         assert code == EXIT_GUARD
         assert out == ""
         assert err.startswith("error: ") and "too large" in err
@@ -260,6 +261,14 @@ class TestOtherCommands:
         types = {tuple(f["type"]) for f in data["families"]}
         assert (4, 3, 1) in types
         assert any(f["minimal"] for f in data["families"])
+
+    def test_families_of_a_long_shape(self):
+        # 2000 blocks deep: the search keeps its nodes on a list, not the call stack
+        code, out, err = run_process("families", "--m", "1", "--n", "2000")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "closed families of shape (1^2000) kind=set: 1"
+        assert len(lines) == 2 and lines[1].endswith("type=2000  [minimal]")
 
     def test_certificate_inline(self, capsys):
         tuple_json = json.dumps(

@@ -7,7 +7,9 @@ from foulkes.families import (
     BlockKind,
     Family,
     FamilyTuple,
-    _bounded_blocks,
+    _colex_bounded,
+    _ground_top,
+    _upper_covers,
     closure,
     colex_initial_segment,
     colex_key,
@@ -25,11 +27,20 @@ from foulkes.families import (
     tuple_to_json,
     tuple_type,
 )
-from foulkes.partitions import Partition, dominates, parse_partition
+from foulkes.partitions import (
+    Partition,
+    dominance_minimal_elements,
+    dominates,
+    parse_partition,
+)
 
 P = parse_partition
 SET = BlockKind.SET
 MULTI = BlockKind.MULTISET
+
+
+def _bounded_blocks(m, n, kind):
+    return tuple(_colex_bounded(m, _ground_top(m, n, kind), kind))
 
 
 class TestBlocks:
@@ -71,6 +82,15 @@ class TestBlocks:
                             frontier.append(c)
                 below = {a for a in universe if majorizes(a, b)}
                 assert reach == below, (kind, b)
+
+    def test_upper_covers_invert_lower_covers(self):
+        for kind in (SET, MULTI):
+            for m in range(1, 5):
+                for b in _bounded_blocks(m, 6, kind):
+                    ups = _upper_covers(b, kind)
+                    assert len(set(ups)) == len(ups)
+                    assert all(b in lower_covers(u, kind) for u in ups), (kind, b)
+                    assert all(b in _upper_covers(c, kind) for c in lower_covers(b, kind))
 
     def test_colex_extends_majorization(self):
         for kind in (SET, MULTI):
@@ -245,6 +265,19 @@ class TestEnumeration:
         for n in range(0, 8):
             want = self._scan_search(m, n, kind)
             assert list(enumerate_closed_families(m, n, kind)) == want, (m, n)
+
+    def test_family_types_are_pairwise_incomparable(self):
+        # Observed, not proved, and not used by the engine: closed families of
+        # one shape have distinct, dominance-incomparable types, for sets in
+        # every case probed and for multisets up to the first failure at m=4,
+        # n=10, where 35 families have 35 types and 34 of them are minimal.
+        for kind in (SET, MULTI):
+            for m in (2, 3, 4):
+                for n in range(1, 11):
+                    types = [family_type(f) for f in enumerate_closed_families(m, n, kind)]
+                    sizes = (len(types), len(set(types)), len(dominance_minimal_elements(types)))
+                    want = (35, 35, 34) if (kind, m, n) == (MULTI, 4, 10) else (len(types),) * 3
+                    assert sizes == want, (kind, m, n)
 
     def test_count_at_former_cliff(self):
         assert sum(1 for _ in enumerate_closed_families(4, 20, SET)) == 1068

@@ -118,6 +118,9 @@ class TestCharacterTable:
             '{"schema": 1, "degree": 4, "values": {"4|2,2": -1}}',
             '{"schema": 1, "degree": 4, "values": {"3,1|1,1,1,1": -3}}',
             '{"schema": 1, "degree": 4, "values": {"4|1,1,1,1": 0}}',
+            '{"schema": 1, "degree": 4, "values": {"1,3|2,2": 0}}',
+            '{"schema": 1, "degree": 4, "values": {"4,0|2,2": 0}}',
+            '{"schema": 1, "degree": 4, "values": {"2,a|2,2": 0}}',
         ],
     )
     def test_unusable_cache_file_is_ignored(self, tmp_path, content):
