@@ -7,12 +7,11 @@ every ``r``.  A family is *closed* when it is a down-set (order ideal) for
 majorization, and the covering moves of the order are the single decrements
 ``i+1 -> i`` inside one block that yield a valid block.
 
-Ground-set bound: a closed family of ``n`` blocks containing a block with
-maximum element ``x`` already contains the blocks ``{1,..,m-1,y}`` for
-``m <= y <= x`` (sets), respectively ``{1,..,1,y}`` for ``1 <= y <= x``
-(multisets), so ``x <= m + n - 1`` (sets) or ``x <= n`` (multisets).  The
-closed-family search does not take the bound as an input but never leaves
-it; colex initial segments are drawn from the bounded ground set.
+Ground-set bound, never left by the closed-family search: a closed family of
+``n`` blocks containing a block with maximum element ``x`` already contains
+the blocks ``{1,..,m-1,y}`` for ``m <= y <= x`` (sets), respectively
+``{1,..,1,y}`` for ``1 <= y <= x`` (multisets), so ``x <= m + n - 1``
+(sets) or ``x <= n`` (multisets).
 """
 
 from __future__ import annotations
@@ -302,37 +301,38 @@ def _ground_top(m: int, n: int, kind: BlockKind) -> int:
 
 @lru_cache(maxsize=None)
 def _closed_families(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
+    if n == 0:
+        return (Family(m, kind, []),)
     # Colex order is a linear extension of majorization, so every ideal is
     # produced exactly once by adding its blocks in colex order, each block
-    # only after all its lower covers.  A node's frontier lists, in colex
-    # order, the blocks past the last one added whose lower covers are all
-    # chosen: the rest of the parent's frontier, held in its stack entry,
-    # plus the upper covers the last block completed, merged in on popping
-    # (so never at a leaf; `above` keeps the upper covers of added blocks).
-    # The search is n deep, and an ideal of fewer than n blocks with largest
-    # element x can always add {1,..,m-1,x+1} (sets) or {1,..,1,x+1}
-    # (multisets), so every branch ends in a family.  A block past the
-    # ground-set bound has at least n blocks strictly below it, so it is
-    # completed only at a leaf and is never added.
+    # only after all its lower covers.  A stack entry (depth, b, rest) is the
+    # node path[:depth] + [b]; its frontier, in colex order, is `rest` (what
+    # the parent's frontier holds past b) plus the upper covers b completed,
+    # merged in on popping, so never at a leaf.  Every branch ends in a
+    # family: an ideal of fewer than n blocks with largest element x can add
+    # {1,..,m-1,x+1} (sets) or {1,..,1,x+1} (multisets).  A block past the
+    # ground-set bound has at least n blocks below it, so it is completed
+    # only at a leaf and never added.
     out: list[Family] = []
-    first = tuple(range(1, m + 1)) if kind is BlockKind.SET else (1,) * m
-    stack: list[tuple[tuple[Block, ...], list[Block]]] = [((), [first])]
-    above: dict[Block, list[tuple[Block, list[Block]]]] = {}
+    stack: list[tuple[int, Block, list[Block]]] = [(0, next(_colex_bounded(m, m, kind)), [])]
+    above: dict[Block, list[tuple[Block, list[Block]]]] = {}  # upper covers, their lower covers
+    path: list[Block] = []
+    have: set[Block] = set()  # the blocks of path
     while stack:
-        chosen, frontier = stack.pop()
-        if len(chosen) == n:
-            out.append(Family(m, kind, chosen))
+        depth, b, frontier = stack.pop()
+        have.difference_update(path[depth:])
+        path[depth:] = [b]
+        have.add(b)
+        if depth + 1 == n:
+            out.append(Family(m, kind, path))
             continue
-        if chosen:
-            b = chosen[-1]
-            if b not in above:
-                above[b] = [(u, lower_covers(u, kind)) for u in _upper_covers(b, kind)]
-            have = set(chosen)
-            for u, below in above[b]:
-                if have.issuperset(below):
-                    insort(frontier, u, key=colex_key)
+        if b not in above:
+            above[b] = [(u, lower_covers(u, kind)) for u in _upper_covers(b, kind)]
+        for u, below in above[b]:
+            if have.issuperset(below):
+                insort(frontier, u, key=colex_key)
         for j in reversed(range(len(frontier))):
-            stack.append((chosen + (frontier[j],), frontier[j + 1 :]))
+            stack.append((depth + 1, frontier[j], frontier[j + 1 :]))
     return tuple(out)
 
 

@@ -131,9 +131,14 @@ class TestExpand:
 
 
 class TestRefusals:
-    def test_deep_search_is_refused_without_traceback(self):
-        nested = "[" * 5000 + "]" * 5000
-        code, out, err = run_process("certificate", "--m", "2", "--nu", "2", "--tuple", nested)
+    def test_deep_search_is_refused_without_traceback(self, tmp_path):
+        # Deeper than every supported interpreter's JSON nesting limit (the C
+        # scanner of 3.13 parses 10**4 levels); too long for an inline argv.
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 10**6 + "]" * 10**6)
+        code, out, err = run_process(
+            "certificate", "--m", "2", "--nu", "2", "--tuple-file", str(nested)
+        )
         assert code == EXIT_GUARD
         assert out == ""
         assert err.startswith("error: ") and "too large" in err
