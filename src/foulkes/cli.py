@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .constituents import (
     CharacterFlavor,
@@ -39,7 +37,6 @@ from .families import (
 )
 from .oracle import (
     DEFAULT_GUARD,
-    CharacterTable,
     PlethysmFlavor,
     plethysm_expansion,
 )
@@ -59,7 +56,6 @@ EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
 
 SCHEMA = 1
-CACHE_ENV_VAR = "FOULKES_CACHE_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,23 +83,6 @@ def _render_tuple(t: FamilyTuple) -> str:
     return " | ".join(
         ",".join("{" + ",".join(map(str, b)) + "}" for b in f.blocks) for f in t.families
     )
-
-
-@contextmanager
-def _cached_table(args, degree: int) -> Iterator[CharacterTable | None]:
-    """The cached character table of this degree, or None without a cache.
-
-    The table is written back only if the block added values to it.
-    """
-    cache = getattr(args, "cache", None) or os.environ.get(CACHE_ENV_VAR) or None
-    if cache is None:
-        yield None
-        return
-    table = CharacterTable.load_or_create(degree, cache)
-    loaded = len(table.values)
-    yield table
-    if len(table.values) > loaded:
-        table.save_to(cache)
 
 
 def _cmd_constituents(args, extremum: str) -> int:
@@ -146,8 +125,7 @@ def _cmd_constituents(args, extremum: str) -> int:
 def _cmd_expand(args) -> int:
     nu = parse_partition(args.nu)
     flavor = PlethysmFlavor(args.flavor)
-    with _cached_table(args, args.m * nu.weight) as table:
-        expansion = plethysm_expansion(nu, args.m, flavor, guard=args.guard, table=table)
+    expansion = plethysm_expansion(nu, args.m, flavor, guard=args.guard)
     payload = {
         "schema": SCHEMA,
         "command": "expand",
@@ -162,10 +140,10 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(m: int, nu: Partition, guard: int, table) -> dict:
-    row = plethysm_expansion(nu, m, PlethysmFlavor.ROW, guard=guard, table=table)
+def _verify_one(m: int, nu: Partition, guard: int) -> dict:
+    row = plethysm_expansion(nu, m, PlethysmFlavor.ROW, guard=guard)
     degree = row.degree
-    col = plethysm_expansion(nu, m, PlethysmFlavor.COLUMN, guard=guard, table=table)
+    col = plethysm_expansion(nu, m, PlethysmFlavor.COLUMN, guard=guard)
     checks = []
     for name, theorem_labels, oracle_labels in (
         (
@@ -204,14 +182,16 @@ def _cmd_verify(args) -> int:
     if args.seed_sweep:
         if args.n is None:
             raise ValueError("--seed-sweep requires --n")
+        if args.nu is not None:
+            raise ValueError("--seed-sweep verifies every nu of weight --n; drop --nu")
         nus = list(partitions_of(args.n))
     else:
         if args.nu is None:
             raise ValueError("verify needs --nu (or --seed-sweep with --n)")
+        if args.n is not None:
+            raise ValueError("--n is read only with --seed-sweep; drop --n or --nu")
         nus = [parse_partition(args.nu)]
-    # Every nu of one run has the same weight, so one table serves them all.
-    with _cached_table(args, args.m * nus[0].weight) as table:
-        cases = [_verify_one(args.m, nu, args.guard, table) for nu in nus]
+    cases = [_verify_one(args.m, nu, args.guard) for nu in nus]
     agree = all(case["agree"] for case in cases)
     payload = {
         "schema": SCHEMA,
@@ -347,7 +327,6 @@ def build_parser() -> _Parser:
     p.add_argument("--nu", required=True)
     p.add_argument("--flavor", choices=("row", "column"), default="row")
     p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    p.add_argument("--cache", help=f"character cache directory (or ${CACHE_ENV_VAR})")
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("verify", parents=[common], help="theorem engines vs oracle")
@@ -356,7 +335,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, help="weight of nu for --seed-sweep")
     p.add_argument("--seed-sweep", action="store_true", help="verify every nu of weight --n")
     p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    p.add_argument("--cache")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("agaoka", parents=[common], help="lex-least single-family type")

@@ -129,9 +129,10 @@ class CharacterTable:
     keyed like ``_CHAR_CACHE`` by ``(lam.parts, rho.parts)``.  On disk the keys
     are text, in JSON with a version header:
     ``{"schema": 1, "degree": n, "values": {"<lam>|<rho>": int, ...}}``
-    where partitions are comma-separated part lists.  Loading rejects a key
-    not of two partitions of the degree, a value that is not an integer, and
-    a wrong value at the identity class (the dimension) or at lam = (n) (1).
+    where partitions are comma-separated part lists.  Loading rejects a
+    degree or a value that is not an integer, a key not of two partitions of
+    the degree, and a wrong value at the identity class (the dimension) or at
+    lam = (n) (1).
     """
 
     SCHEMA = 1
@@ -195,7 +196,10 @@ class CharacterTable:
         payload = json.loads(Path(path).read_text())
         if payload.get("schema") != cls.SCHEMA:
             raise ValueError(f"unsupported character-table schema in {path}")
-        table = cls(int(payload["degree"]))
+        degree = payload["degree"]
+        if type(degree) is not int:
+            raise ValueError(f"degree {degree!r} in {path} is not an integer")
+        table = cls(degree)
         identity = (1,) * table.degree
         for key, v in payload["values"].items():
             lam, rho = (tuple(map(int, p.split(","))) if p else () for p in key.split("|"))
@@ -354,15 +358,6 @@ def _power_sum_coefficients(
     return tuple(sorted((tau, w) for tau, w in acc.items() if w))
 
 
-def _memo(table: CharacterTable | None, degree: int) -> dict:
-    """The dict that holds the character values of one degree's coefficients."""
-    if table is None:
-        return _CHAR_CACHE
-    if table.degree != degree:
-        raise ValueError(f"table holds degree {table.degree} only")
-    return table.values
-
-
 def _coefficient(terms, scale: int, lam: Partition, memo: dict) -> int:
     """<s_lam, plethysm> from the power-sum weights ``terms`` scaled by ``scale``.
 
@@ -393,7 +388,6 @@ def plethysm_expansion(
     flavor: PlethysmFlavor | str = PlethysmFlavor.ROW,
     *,
     guard: int = DEFAULT_GUARD,
-    table: CharacterTable | None = None,
 ) -> SchurExpansion:
     """Exact Schur expansion of s_nu o s_(m) (ROW) or s_nu o s_(1^m) (COLUMN).
 
@@ -410,8 +404,8 @@ def plethysm_expansion(
             f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
-    scale, memo = _wreath_order(nu.weight, m), _memo(table, degree)
-    coeffs = {lam: _coefficient(terms, scale, lam, memo) for lam in partitions_of(degree)}
+    scale = _wreath_order(nu.weight, m)
+    coeffs = {lam: _coefficient(terms, scale, lam, _CHAR_CACHE) for lam in partitions_of(degree)}
     expansion = SchurExpansion(degree, coeffs)
     _check_dimension(expansion, nu, m)
     return expansion
@@ -429,7 +423,8 @@ def multiplicity(
     """Single Schur coefficient without expanding the whole degree.
 
     Permitted past the guard up to degree ``SINGLE_COEFFICIENT_LIMIT`` with a
-    runtime warning.
+    runtime warning.  The character values are read through ``table`` if one
+    is given; it must be of this degree.
     """
     flavor = PlethysmFlavor(flavor)
     if m < 1:
@@ -437,6 +432,8 @@ def multiplicity(
     degree = m * nu.weight
     if lam.weight != degree:
         raise ValueError(f"label must have weight {degree}, got {lam.weight}")
+    if table is not None and table.degree != degree:
+        raise ValueError(f"table holds degree {table.degree} only")
     if degree > guard:
         if degree > max(guard, SINGLE_COEFFICIENT_LIMIT):
             raise GuardExceededError(
@@ -450,7 +447,8 @@ def multiplicity(
             stacklevel=2,
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
-    return _coefficient(terms, _wreath_order(nu.weight, m), lam, _memo(table, degree))
+    memo = _CHAR_CACHE if table is None else table.values
+    return _coefficient(terms, _wreath_order(nu.weight, m), lam, memo)
 
 
 def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:

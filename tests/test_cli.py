@@ -101,33 +101,35 @@ class TestExpand:
         assert code == EXIT_OK
         assert json.loads(out)["degree"] == 18
 
-    def test_cache_file_created(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys, "expand", "--m", "2", "--nu", "2", "--cache", str(tmp_path)
+
+class TestNoCharacterCache:
+    """expand and verify compute character values in memory and write no file."""
+
+    def test_cache_option_is_unrecognized(self, tmp_path):
+        code, out, err = run_process(
+            "expand", "--m", "2", "--nu", "2,1", "--cache", str(tmp_path)
         )
-        assert code == EXIT_OK
-        assert (tmp_path / "characters-n4.json").exists()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error: unrecognized arguments: --cache" in err
+        assert "Traceback" not in err
 
-    def test_warm_cache_is_not_rewritten(self, capsys, tmp_path, monkeypatch):
-        from foulkes.oracle import CharacterTable
-
-        argv = ("expand", "--m", "2", "--nu", "2,1", "--cache", str(tmp_path))
-        first = run(capsys, *argv)
-        path = tmp_path / "characters-n6.json"
-        stamp = path.stat().st_mtime_ns
-
-        def refuse(self, cache_dir):
-            raise AssertionError("a run that added no value rewrote the cache")
-
-        monkeypatch.setattr(CharacterTable, "save_to", refuse)
-        assert run(capsys, *argv) == first
-        assert path.stat().st_mtime_ns == stamp
-
-    def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expand", "--m", "2", "--nu", "2,1", "--format", "json"),
+            ("verify", "--m", "2", "--n", "3", "--seed-sweep"),
+        ],
+        ids=["expand", "verify"],
+    )
+    def test_cache_variable_is_inert(self, tmp_path, monkeypatch, argv):
+        monkeypatch.delenv("FOULKES_CACHE_DIR", raising=False)
+        plain = run_process(*argv)
         monkeypatch.setenv("FOULKES_CACHE_DIR", str(tmp_path))
-        code, _, _ = run(capsys, "expand", "--m", "2", "--nu", "1,1")
-        assert code == EXIT_OK
-        assert (tmp_path / "characters-n4.json").exists()
+        code, out, _ = run_process(*argv)
+        assert plain[0] == code == EXIT_OK
+        assert out == plain[1]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRefusals:
@@ -143,21 +145,6 @@ class TestRefusals:
         assert out == ""
         assert err.startswith("error: ") and "too large" in err
         assert "Traceback" not in err
-
-    def test_garbage_cache_file_is_reported_and_ignored(self, tmp_path):
-        argv = ("expand", "--m", "2", "--nu", "2,1", "--format", "json")
-        empty, garbled = tmp_path / "empty", tmp_path / "garbled"
-        garbled.mkdir()
-        (garbled / "characters-n6.json").write_text("{not json")
-        want = run_process(*argv, "--cache", str(empty))
-        code, out, err = run_process(*argv, "--cache", str(garbled))
-        assert want[0] == code == EXIT_OK
-        assert out == want[1]
-        assert "characters-n6.json" in err and "Warning" in err
-        assert "Traceback" not in err
-        assert (garbled / "characters-n6.json").read_text() == (
-            empty / "characters-n6.json"
-        ).read_text()
 
     @pytest.mark.parametrize(
         "tuple_json",
@@ -202,6 +189,20 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "requires --n" in err
 
+    def test_n_without_sweep_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--m", "2", "--nu", "2,1", "--n", "3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "--n" in err
+
+    def test_nu_with_sweep_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--m", "2", "--seed-sweep", "--n", "2", "--nu", "5,1"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "--nu" in err
+
     def test_json_payload(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--m", "2", "--nu", "2", "--format", "json"
@@ -214,16 +215,6 @@ class TestVerify:
             "max-phi",
             "min-psi",
         }
-
-    def test_seed_sweep_with_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("FOULKES_CACHE_DIR", raising=False)
-        argv = ["verify", "--m", "2", "--n", "3", "--seed-sweep"]
-        code, plain, _ = run(capsys, *argv)
-        assert code == EXIT_OK
-        code, cached, _ = run(capsys, *argv, "--cache", str(tmp_path))
-        assert code == EXIT_OK
-        assert cached == plain
-        assert [p.name for p in tmp_path.iterdir()] == ["characters-n6.json"]
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # force a disagreement to exercise the dedicated exit code

@@ -13,13 +13,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import shlex
 from pathlib import Path
 
 import pytest
 
-from foulkes.cli import CACHE_ENV_VAR, main
+from foulkes.cli import main
 
 HERE = Path(__file__).resolve().parent
 README = HERE.parent / "README.md"
@@ -66,14 +65,12 @@ def test_every_readme_command_is_recorded():
 
 
 @pytest.mark.parametrize("argv", transcript_argvs(), ids=" ".join)
-def test_transcript_replays_byte_for_byte(argv, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_transcript_replays_byte_for_byte(argv):
     recorded = {tuple(t["argv"]): t for t in _recorded()}
     assert replay(argv) == recorded[tuple(argv)]
 
 
 if __name__ == "__main__":
-    os.environ.pop(CACHE_ENV_VAR, None)
     transcripts = [replay(argv) for argv in transcript_argvs()]
     GOLDEN.write_text(json.dumps(transcripts, indent=1) + "\n", encoding="utf-8")
     print(f"recorded {len(transcripts)} transcripts in {GOLDEN}")
