@@ -18,6 +18,7 @@ from .constituents import (
     minimal_constituents_phi,
     minimal_constituents_psi,
     sign_twist_labels,
+    verify,
 )
 from .errors import GuardExceededError, InternalConsistencyError
 from .families import (

@@ -19,15 +19,15 @@ from typing import Sequence
 from .constituents import (
     CharacterFlavor,
     CharacterSpec,
+    Extremum,
+    _report,
     certificate_from_closed_tuple,
-    maximal_constituents_phi,
-    maximal_constituents_psi,
-    minimal_constituents_phi,
-    minimal_constituents_psi,
+    verify,
 )
 from .errors import GuardExceededError, InternalConsistencyError
 from .families import (
     BlockKind,
+    Family,
     FamilyTuple,
     enumerate_closed_families,
     family_type,
@@ -40,13 +40,7 @@ from .oracle import (
     PlethysmFlavor,
     plethysm_expansion,
 )
-from .partitions import (
-    Partition,
-    dominance_maximal_elements,
-    dominance_minimal_elements,
-    parse_partition,
-    partitions_of,
-)
+from .partitions import parse_partition, partitions_of
 from .special import agaoka_lex_least, theta_decomposition
 
 EXIT_OK = 0
@@ -79,22 +73,18 @@ def _label_list(labels) -> list[list[int]]:
     return [list(lab.parts) for lab in labels]
 
 
+def _render_family(fam: Family) -> str:
+    return ",".join("{" + ",".join(map(str, b)) + "}" for b in fam.blocks)
+
+
 def _render_tuple(t: FamilyTuple) -> str:
-    return " | ".join(
-        ",".join("{" + ",".join(map(str, b)) + "}" for b in f.blocks) for f in t.families
-    )
+    return " | ".join(map(_render_family, t.families))
 
 
 def _cmd_constituents(args, extremum: str) -> int:
     nu = parse_partition(args.nu)
     flavor = CharacterFlavor(args.character)
-    engine = {
-        ("minimal", CharacterFlavor.PHI): minimal_constituents_phi,
-        ("maximal", CharacterFlavor.PHI): maximal_constituents_phi,
-        ("minimal", CharacterFlavor.PSI): minimal_constituents_psi,
-        ("maximal", CharacterFlavor.PSI): maximal_constituents_psi,
-    }[(extremum, flavor)]
-    report = engine(args.m, nu)
+    report = _report(args.m, nu, flavor, Extremum(extremum))
     command = f"{extremum[:3]}-constituents"
     payload = {
         "schema": SCHEMA,
@@ -140,44 +130,6 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(m: int, nu: Partition, guard: int) -> dict:
-    row = plethysm_expansion(nu, m, PlethysmFlavor.ROW, guard=guard)
-    degree = row.degree
-    col = plethysm_expansion(nu, m, PlethysmFlavor.COLUMN, guard=guard)
-    checks = []
-    for name, theorem_labels, oracle_labels in (
-        (
-            "min-phi",
-            set(minimal_constituents_phi(m, nu).labels),
-            dominance_minimal_elements(row.support()),
-        ),
-        (
-            "max-phi",
-            set(maximal_constituents_phi(m, nu).labels),
-            dominance_maximal_elements(row.support()),
-        ),
-        (
-            "min-psi",
-            set(minimal_constituents_psi(m, nu).labels),
-            dominance_minimal_elements(col.support()),
-        ),
-    ):
-        checks.append(
-            {
-                "name": name,
-                "theorem": _label_list(sorted(theorem_labels, reverse=True)),
-                "oracle": _label_list(sorted(oracle_labels, reverse=True)),
-                "agree": theorem_labels == oracle_labels,
-            }
-        )
-    return {
-        "nu": list(nu.parts),
-        "degree": degree,
-        "checks": checks,
-        "agree": all(c["agree"] for c in checks),
-    }
-
-
 def _cmd_verify(args) -> int:
     if args.seed_sweep:
         if args.n is None:
@@ -191,7 +143,25 @@ def _cmd_verify(args) -> int:
         if args.n is not None:
             raise ValueError("--n is read only with --seed-sweep; drop --n or --nu")
         nus = [parse_partition(args.nu)]
-    cases = [_verify_one(args.m, nu, args.guard) for nu in nus]
+    cases = []
+    for nu in nus:
+        checks = [
+            {
+                "name": name,
+                "theorem": _label_list(sorted(rule, reverse=True)),
+                "oracle": _label_list(sorted(oracle, reverse=True)),
+                "agree": rule == oracle,
+            }
+            for name, rule, oracle in verify(args.m, nu, guard=args.guard)
+        ]
+        cases.append(
+            {
+                "nu": list(nu.parts),
+                "degree": args.m * nu.weight,
+                "checks": checks,
+                "agree": all(c["agree"] for c in checks),
+            }
+        )
     agree = all(case["agree"] for case in cases)
     payload = {
         "schema": SCHEMA,
@@ -252,7 +222,7 @@ def _cmd_families(args) -> int:
     rows = []
     for fam in enumerate_closed_families(args.m, args.n, kind):
         ty = family_type(fam)
-        minimal = is_minimal_tuple(FamilyTuple([fam])) if fam.size else False
+        minimal = is_minimal_tuple(FamilyTuple([fam]))
         rows.append((fam, ty, minimal))
     payload = {
         "schema": SCHEMA,
@@ -271,9 +241,8 @@ def _cmd_families(args) -> int:
     }
     lines = [f"closed families of shape ({args.m}^{args.n}) kind={kind.value}: {len(rows)}"]
     for fam, ty, minimal in rows:
-        blocks = ",".join("{" + ",".join(map(str, b)) + "}" for b in fam.blocks)
         mark = "  [minimal]" if minimal else ""
-        lines.append(f"  {blocks}  type={ty}{mark}")
+        lines.append(f"  {_render_family(fam)}  type={ty}{mark}")
     _emit(args, payload, lines)
     return EXIT_OK
 

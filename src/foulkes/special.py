@@ -143,7 +143,7 @@ def lex_least_constituent(m: int, nu: Partition, flavor: CharacterFlavor | str) 
     taking every component to be a colex initial segment, and component types
     combine by the conjugate-join.
     """
-    rule = _RULES[CharacterFlavor(flavor), Extremum.MINIMAL]
+    rule = _RULES[CharacterSpec(m, nu, flavor).flavor, Extremum.MINIMAL]
     shapes = _shapes(rule, m, nu)
     return conjugate_join([agaoka_lex_least(m, nj, rule.kind).assembled for nj in shapes])
 
@@ -159,9 +159,7 @@ def lex_greatest_constituent(
     {1,...,m-1, m-1+j}.  In both cases the conjugate of the witness type is
     the label.
     """
-    flavor = CharacterFlavor(flavor)
-    if nu.weight < 1:
-        raise ValueError("nu must be nonempty")
+    flavor = CharacterSpec(m, nu, flavor).flavor
     n = nu.weight
     nu_conj = nu.conjugate().parts
     if flavor is CharacterFlavor.PHI:
@@ -192,8 +190,7 @@ def unique_minimal_classification(m: int, nu: Partition) -> Partition | None:
     two columns: nu = (n) or (n-r, r) for even m, nu = (1^n) or
     (2^r, 1^(n-2r)) for odd m.  For m = 1 the character is irreducible.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    CharacterSpec(m, nu)  # refuses m < 1 and an empty nu
     if m == 1:
         return nu
     n = nu.weight
@@ -220,8 +217,7 @@ def unique_maximal_classification(m: int, nu: Partition) -> Partition | None:
     Exists for m >= 2 exactly when nu has at most two rows: (mn) for
     nu = (n) and (mn - r, r) for nu = (n-r, r).
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    CharacterSpec(m, nu)  # refuses m < 1 and an empty nu
     if m == 1:
         return nu
     n = nu.weight

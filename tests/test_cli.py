@@ -217,20 +217,24 @@ class TestVerify:
         }
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
-        # force a disagreement to exercise the dedicated exit code
-        import foulkes.cli as cli
-        from foulkes.constituents import ConstituentReport
+        # force a disagreement in the report verify reads, to exercise the
+        # dedicated exit code
+        import foulkes.constituents as constituents
+        from foulkes.constituents import CharacterFlavor, ConstituentReport, Extremum
 
-        real = cli.minimal_constituents_phi
+        real = constituents._report
 
-        def broken(m, nu):
-            rep = real(m, nu)
+        def broken(m, nu, flavor, extremum):
+            rep = real(m, nu, flavor, extremum)
+            if (flavor, extremum) != (CharacterFlavor.PHI, Extremum.MINIMAL):
+                return rep
             return ConstituentReport(rep.spec, rep.extremum, (), {})
 
-        monkeypatch.setattr(cli, "minimal_constituents_phi", broken)
+        monkeypatch.setattr(constituents, "_report", broken)
         code, out, _ = run(capsys, "verify", "--m", "2", "--nu", "2,1")
         assert code == EXIT_MISMATCH
         assert "MISMATCH" in out
+        assert "min-phi: MISMATCH [] oracle=[" in out
 
 
 class TestOtherCommands:
@@ -257,6 +261,12 @@ class TestOtherCommands:
         types = {tuple(f["type"]) for f in data["families"]}
         assert (4, 3, 1) in types
         assert any(f["minimal"] for f in data["families"])
+
+    def test_families_empty_shape_is_minimal(self, capsys):
+        # the one family of shape (m^0) is the empty family, a minimal tuple
+        code, out, _ = run(capsys, "families", "--m", "2", "--n", "0", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["families"] == [{"blocks": [], "type": [], "minimal": True}]
 
     def test_families_of_a_long_shape(self):
         # 2000 blocks deep: the search keeps its nodes on a list, not the call stack

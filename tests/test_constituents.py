@@ -14,7 +14,9 @@ from foulkes.constituents import (
     minimal_constituents_phi,
     minimal_constituents_psi,
     sign_twist_labels,
+    verify,
 )
+from foulkes.errors import GuardExceededError
 from foulkes.families import Family, FamilyTuple, down_set_family, tuple_type
 from foulkes.oracle import multiplicity, plethysm_expansion
 from foulkes.partitions import (
@@ -145,6 +147,34 @@ class TestOracleAgreement:
                     assert set(
                         maximal_constituents_psi(m, nu).labels
                     ) == dominance_maximal_elements(col.support())
+
+
+class TestVerify:
+    def test_names_in_order_and_agreement(self):
+        checks = verify(2, P("2,1,1"))
+        assert [name for name, _, _ in checks] == ["min-phi", "max-phi", "min-psi"]
+        assert all(rule == oracle for _, rule, oracle in checks)
+
+    @pytest.mark.parametrize("m, nu", [(2, "3,1"), (3, "2,1")])
+    def test_sets_are_the_reports_and_the_filtered_supports(self, m, nu):
+        nu = P(nu)
+        row = plethysm_expansion(nu, m).support()
+        col = plethysm_expansion(nu, m, "column").support()
+        want = {
+            "min-phi": (minimal_constituents_phi(m, nu), dominance_minimal_elements(row)),
+            "max-phi": (maximal_constituents_phi(m, nu), dominance_maximal_elements(row)),
+            "min-psi": (minimal_constituents_psi(m, nu), dominance_minimal_elements(col)),
+        }
+        checks = verify(m, nu)
+        assert len(checks) == len(want)
+        for name, rule, oracle in checks:
+            report, filtered = want[name]
+            assert rule == set(report.labels)
+            assert oracle == filtered
+
+    def test_degree_above_the_guard_is_refused(self):
+        with pytest.raises(GuardExceededError):
+            verify(2, P("3,2"), guard=9)
 
 
 class TestAntichain:

@@ -135,6 +135,18 @@ class TestUniqueClassifications:
                     assert unique_maximal_classification(m, nu) == want_max, (m, nu)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_empty_nu_is_refused(m):
+    for call in (
+        lambda: lex_least_constituent(m, Partition(), "phi"),
+        lambda: lex_greatest_constituent(m, Partition(), "phi"),
+        lambda: unique_minimal_classification(m, Partition()),
+        lambda: unique_maximal_classification(m, Partition()),
+    ):
+        with pytest.raises(ValueError, match="nu must be a nonempty partition"):
+            call()
+
+
 class TestRectangular:
     def test_degenerate(self):
         rc = rectangular_certificate(3, 3, 1, BlockKind.SET)
