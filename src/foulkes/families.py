@@ -132,6 +132,15 @@ class Family:
         self.kind = kind
         self.blocks = ordered
 
+    @classmethod
+    def _trusted(cls, m: int, kind: BlockKind, blocks: tuple[Block, ...]) -> "Family":
+        """A family of blocks already valid, distinct and in colex order."""
+        fam = object.__new__(cls)
+        fam.m = m
+        fam.kind = kind
+        fam.blocks = blocks
+        return fam
+
     @property
     def size(self) -> int:
         """Number of blocks; the family has shape (m^size)."""
@@ -324,7 +333,7 @@ def _closed_families(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
         path[depth:] = [b]
         have.add(b)
         if depth + 1 == n:
-            out.append(Family(m, kind, path))
+            out.append(Family._trusted(m, kind, tuple(path)))
             continue
         if b not in above:
             above[b] = [(u, lower_covers(u, kind)) for u in _upper_covers(b, kind)]

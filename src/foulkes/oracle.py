@@ -3,9 +3,14 @@
 The main engine expands both factors in the power-sum basis, substitutes
 p_r o p_s = p_{rs}, and reads off Schur coefficients with symmetric-group
 character values computed by the border-strip (Murnaghan-Nakayama) recursion.
-All arithmetic is in integers: the power-sum coefficients are scaled by the
-order n! m!^n of the wreath product S_m wr S_n, which makes them integral, and
-each Schur coefficient is one exact division by that order.
+The recursion runs on bead masks: a partition is one integer whose set bits
+are its beta numbers (first-column hook lengths), so finding the strips of a
+length, their signs and the partition left by each are a few bit operations
+on one word (the abacus of Loehr-Remmel, "A computational and combinatorial
+expose of plethystic calculus", 2011).  All arithmetic is in integers: the
+power-sum coefficients are scaled by the order n! m!^n of the wreath product
+S_m wr S_n, which makes them integral, and each Schur coefficient is one
+exact division by that order.
 
 A second, slower engine (:func:`monomial_expansion`) counts semistandard
 fillings by degree-m blocks and peels Schur coefficients off the monomial
@@ -74,42 +79,55 @@ def class_size(rho: Partition) -> int:
     return factorial(rho.weight) // z_order(rho)
 
 
-_CHAR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+_CHAR_CACHE: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
-def _border_strip_char(lam: tuple[int, ...], rho: tuple[int, ...], memo=_CHAR_CACHE) -> int:
-    """Character value by repeated border-strip removal, memoized in ``memo``.
+def _beads(parts: tuple[int, ...]) -> int:
+    """The bead mask of a partition: bit ``lam_j + (len - 1 - j)`` set for each j.
 
-    The strips below the top level are memoized in ``_CHAR_CACHE``.  ``rho``
-    must be weakly decreasing; the largest cycle is stripped first, which
-    keeps the branching small.  Strips are found on the beta-number
-    (first-column hook length) encoding: removing a strip of length r moves
-    one beta number down by r, and the sign is (-1)^(beta numbers jumped).
+    Parts must be positive, so bit 0 is clear unless the mask is 0: every
+    partition has exactly one mask.
     """
-    key = (lam, rho)
-    cached = memo.get(key)
+    length = len(parts)
+    mask = 0
+    for j, p in enumerate(parts):
+        mask |= 1 << (p + length - 1 - j)
+    return mask
+
+
+def _border_strip_char(mask: int, rho: tuple[int, ...]) -> int:
+    """Character value chi^lam(rho) by border-strip removal on the bead mask of lam.
+
+    ``mask`` is :func:`_beads` of lam and ``rho`` is weakly decreasing; the
+    largest cycle is stripped first, which keeps the branching small.  A
+    strip of length r moves a bead from b down to the empty position c = b - r,
+    so the strips are the set bits of ``(mask & ~(mask << r)) >> r`` (at c),
+    and its sign is (-1) to the number of beads strictly between c and b.  A
+    bead that lands at 0 joins the run of one-bits at the bottom, which are
+    zero parts; shifting them out keeps the mask in normal form.  Every value
+    is memoized in ``_CHAR_CACHE`` under ``(mask, rho)``, the only memo of
+    the recursion.
+    """
+    if not rho:
+        return 1
+    key = (mask, rho)
+    cached = _CHAR_CACHE.get(key)
     if cached is not None:
         return cached
-    if not rho:
-        memo[key] = 1
-        return 1
     r, rest = rho[0], rho[1:]
-    length = len(lam)
-    beta = [lam[j] + (length - 1 - j) for j in range(length)]
-    beta_set = set(beta)
+    between = (1 << (r - 1)) - 1
     total = 0
-    for b in beta:
-        c = b - r
-        if c < 0 or c in beta_set:
-            continue
-        leg = sum(1 for x in beta if c < x < b)
-        nb = sorted((beta_set - {b}) | {c}, reverse=True)
-        mu = tuple(
-            v - (length - 1 - j) for j, v in enumerate(nb) if v - (length - 1 - j) > 0
-        )
-        term = _border_strip_char(mu, rest)
-        total += term if leg % 2 == 0 else -term
-    memo[key] = total
+    strips = (mask & ~(mask << r)) >> r
+    while strips:
+        low = strips & -strips
+        strips ^= low
+        c = low.bit_length() - 1
+        nxt = mask ^ low ^ (low << r)
+        if nxt & 1:
+            nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
+        term = _border_strip_char(nxt, rest)
+        total += -term if ((mask >> (c + 1)) & between).bit_count() & 1 else term
+    _CHAR_CACHE[key] = total
     return total
 
 
@@ -119,15 +137,16 @@ def character_value(lam: Partition, rho: Partition) -> int:
         raise ValueError(
             f"character arguments must have equal weight: |{lam}| != |{rho}|"
         )
-    return _border_strip_char(lam.parts, rho.parts)
+    return _border_strip_char(_beads(lam.parts), rho.parts)
 
 
 class CharacterTable:
     """Character values for one degree, with optional on-disk persistence.
 
-    In memory, ``values`` is the memo of the values read through the table,
-    keyed like ``_CHAR_CACHE`` by ``(lam.parts, rho.parts)``.  On disk the keys
-    are text, in JSON with a version header:
+    In memory, ``values`` holds the values read through the table, keyed by
+    ``(lam.parts, rho.parts)``; the strips below each value are memoized by
+    bead mask in ``_CHAR_CACHE``, not in the table.  On disk the keys are
+    text, in JSON with a version header:
     ``{"schema": 1, "degree": n, "values": {"<lam>|<rho>": int, ...}}``
     where partitions are comma-separated part lists.  Loading rejects a
     degree or a value that is not an integer, a key not of two partitions of
@@ -146,7 +165,14 @@ class CharacterTable:
     def value(self, lam: Partition, rho: Partition) -> int:
         if lam.weight != self.degree or rho.weight != self.degree:
             raise ValueError(f"table holds degree {self.degree} only")
-        return _border_strip_char(lam.parts, rho.parts, self.values)
+        return self._value(lam.parts, rho.parts)
+
+    def _value(self, lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+        key = (lam, rho)
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = _border_strip_char(_beads(lam), rho)
+        return value
 
     def build_full(self) -> None:
         """Populate every (lam, rho) pair of this degree."""
@@ -358,13 +384,18 @@ def _power_sum_coefficients(
     return tuple(sorted((tau, w) for tau, w in acc.items() if w))
 
 
-def _coefficient(terms, scale: int, lam: Partition, memo: dict) -> int:
+def _coefficient(terms, scale: int, lam: Partition, table: CharacterTable | None = None) -> int:
     """<s_lam, plethysm> from the power-sum weights ``terms`` scaled by ``scale``.
 
-    Raises :class:`InternalConsistencyError` unless the value is a
-    nonnegative integer.
+    The character values are read through ``table`` if one is given, else
+    straight from the bead memo.  Raises :class:`InternalConsistencyError`
+    unless the value is a nonnegative integer.
     """
-    total = sum(w * _border_strip_char(lam.parts, tau, memo) for tau, w in terms)
+    if table is None:
+        mask = _beads(lam.parts)
+        total = sum(w * _border_strip_char(mask, tau) for tau, w in terms)
+    else:
+        total = sum(w * table._value(lam.parts, tau) for tau, w in terms)
     value, rem = divmod(total, scale)
     if rem or value < 0:
         raise InternalConsistencyError(
@@ -405,7 +436,7 @@ def plethysm_expansion(
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
     scale = _wreath_order(nu.weight, m)
-    coeffs = {lam: _coefficient(terms, scale, lam, _CHAR_CACHE) for lam in partitions_of(degree)}
+    coeffs = {lam: _coefficient(terms, scale, lam) for lam in partitions_of(degree)}
     expansion = SchurExpansion(degree, coeffs)
     _check_dimension(expansion, nu, m)
     return expansion
@@ -447,8 +478,7 @@ def multiplicity(
             stacklevel=2,
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
-    memo = _CHAR_CACHE if table is None else table.values
-    return _coefficient(terms, _wreath_order(nu.weight, m), lam, memo)
+    return _coefficient(terms, _wreath_order(nu.weight, m), lam, table)
 
 
 def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:

@@ -282,6 +282,18 @@ class TestEnumeration:
     def test_count_at_former_cliff(self):
         assert sum(1 for _ in enumerate_closed_families(4, 20, SET)) == 1068
 
+    def test_search_families_equal_validated_families(self):
+        # The search builds its families without validation or the colex
+        # sort, so both must leave its blocks unchanged.
+        for kind in (SET, MULTI):
+            for m in range(1, 5):
+                for n in range(0, 11):
+                    for fam in enumerate_closed_families(m, n, kind):
+                        checked = Family(m, kind, fam.blocks)
+                        assert fam == checked and hash(fam) == hash(checked), (kind, m, n)
+                        assert type(fam.blocks) is tuple and fam.blocks == checked.blocks
+                        assert all(type(b) is tuple for b in fam.blocks)
+
 
 class TestMinimalTuples:
     def test_golden_example_set(self):

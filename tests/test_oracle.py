@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -74,6 +75,83 @@ class TestCharacterValues:
         }
         for rho, want in values.items():
             assert character_value(P("4,1"), P(rho)) == want
+
+
+def _beta_list_char(lam, rho, memo):
+    """chi^lam(rho) by the earlier tuple/beta-list recursion, memoized in ``memo``.
+
+    The reference the bead-mask kernel is checked against.  ``rho`` must be
+    weakly decreasing; strips are found on the beta numbers
+    lam_j + (len - 1 - j): removing a strip of length r moves one beta number
+    down by r, and the sign is (-1)^(beta numbers jumped).
+    """
+    key = (lam, rho)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if not rho:
+        memo[key] = 1
+        return 1
+    r, rest = rho[0], rho[1:]
+    length = len(lam)
+    beta = [lam[j] + (length - 1 - j) for j in range(length)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        c = b - r
+        if c < 0 or c in beta_set:
+            continue
+        leg = sum(1 for x in beta if c < x < b)
+        nb = sorted((beta_set - {b}) | {c}, reverse=True)
+        mu = tuple(
+            v - (length - 1 - j) for j, v in enumerate(nb) if v - (length - 1 - j) > 0
+        )
+        term = _beta_list_char(mu, rest, memo)
+        total += term if leg % 2 == 0 else -term
+    memo[key] = total
+    return total
+
+
+class TestBeadMaskKernel:
+    def test_matches_beta_list_recursion_up_to_degree_12(self):
+        oracle._CHAR_CACHE.clear()
+        memo = {}
+        for n in range(13):
+            parts = list(partitions_of(n))
+            for lam in parts:
+                for rho in parts:
+                    want = _beta_list_char(lam.parts, rho.parts, memo)
+                    assert character_value(lam, rho) == want, (str(lam), str(rho))
+        # Every mask the recursion memoized is in normal form: no zero parts.
+        assert all(mask & 1 == 0 for mask, _ in oracle._CHAR_CACHE)
+
+    def test_matches_beta_list_recursion_at_degrees_20_to_24(self):
+        # Labels from the band the single-coefficient benchmark draws from:
+        # 4 to 8 parts, first part at most 10.
+        rng = random.Random(20240)
+        memo = {}
+        for n in range(20, 25):
+            classes = list(partitions_of(n))
+            band = [lam for lam in classes if 4 <= len(lam) <= 8 and lam.parts[0] <= 10]
+            for _ in range(60):
+                lam, rho = rng.choice(band), rng.choice(classes)
+                want = _beta_list_char(lam.parts, rho.parts, memo)
+                assert character_value(lam, rho) == want, (str(lam), str(rho))
+
+    def test_empty_row_column_and_hook_labels(self):
+        assert oracle._beads(()) == 0
+        assert character_value(Partition([]), Partition([])) == 1
+        rng = random.Random(7)
+        memo = {}
+        for n in range(1, 31):
+            classes = list(partitions_of(n))
+            for rho in rng.sample(classes, min(len(classes), 12)):
+                for k in range(n):
+                    hook = Partition([n - k] + [1] * k)
+                    want = _beta_list_char(hook.parts, rho.parts, memo)
+                    assert character_value(hook, rho) == want, (str(hook), str(rho))
+                assert character_value(Partition([n]), rho) == 1
+                assert character_value(Partition([1] * n), rho) == (-1) ** (n - len(rho))
 
 
 class TestCharacterTable:
@@ -170,14 +248,21 @@ class TestCharacterTable:
         with pytest.warns(RuntimeWarning, match="characters-n0.json"):
             assert CharacterTable.load_or_create(0, tmp_path).values == {}
 
-    def test_values_live_in_the_table_only(self):
-        key = ((4, 2, 1), (3, 2, 2))
-        oracle._CHAR_CACHE.pop(key, None)
+    def test_table_keys_and_bead_memo_keys(self):
+        # The table holds the partition keys it was asked for and nothing
+        # below them; the recursion memo is keyed by bead masks only.
+        oracle._CHAR_CACHE.clear()
         table = CharacterTable(7)
-        want = table.value(P("4,2,1"), P("3,2,2"))
-        assert table.values == {key: want}
-        assert key not in oracle._CHAR_CACHE
-        assert want == character_value(P("4,2,1"), P("3,2,2"))
+        asked = [(P("4,2,1"), P("3,2,2")), (P("3,3,1"), P("2,2,1,1,1"))]
+        values = [table.value(lam, rho) for lam, rho in asked]
+        assert table.values == {
+            (lam.parts, rho.parts): v for (lam, rho), v in zip(asked, values)
+        }
+        assert oracle._CHAR_CACHE
+        assert all(type(mask) is int for mask, _ in oracle._CHAR_CACHE)
+        oracle._CHAR_CACHE.clear()
+        for (lam, rho), v in zip(asked, values):
+            assert table.value(lam, rho) == v == character_value(lam, rho)
 
 
 class TestSchurExpansion:
