@@ -65,16 +65,35 @@ from .partitions import (
     parse_partition,
     partitions_of,
 )
-from .special import (
-    AgaokaData,
-    RectangularCertificate,
-    agaoka_lex_least,
-    lex_greatest_constituent,
-    lex_least_constituent,
-    rectangular_certificate,
-    theta_decomposition,
-    unique_maximal_classification,
-    unique_minimal_classification,
-)
 
 __version__ = "0.1.0"
+
+# The corollaries in ``special`` serve two CLI commands only, so the module is
+# imported on first use of it or of one of its names (PEP 562).
+_SPECIAL = frozenset(
+    {
+        "AgaokaData",
+        "RectangularCertificate",
+        "agaoka_lex_least",
+        "lex_greatest_constituent",
+        "lex_least_constituent",
+        "rectangular_certificate",
+        "theta_decomposition",
+        "unique_maximal_classification",
+        "unique_minimal_classification",
+    }
+)
+__all__ = [n for n in globals() if not n.startswith("_")] + ["special", *sorted(_SPECIAL)]
+
+
+def __getattr__(name: str):
+    if name != "special" and name not in _SPECIAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    special = import_module(".special", __name__)
+    return special if name == "special" else getattr(special, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

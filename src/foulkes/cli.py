@@ -41,7 +41,6 @@ from .oracle import (
     plethysm_expansion,
 )
 from .partitions import parse_partition, partitions_of
-from .special import agaoka_lex_least, theta_decomposition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -187,6 +186,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_agaoka(args) -> int:
+    # ``special`` is imported here and in _cmd_theta, the only commands that use it.
+    from .special import agaoka_lex_least
+
     data = agaoka_lex_least(args.m, args.n, BlockKind(args.kind))
     payload = {
         "schema": SCHEMA,
@@ -209,6 +211,8 @@ def _cmd_agaoka(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    from .special import theta_decomposition
+
     expansion = theta_decomposition(args.n)
     payload = {"schema": SCHEMA, "command": "theta", "n": args.n, **expansion.to_json_dict()}
     lines = [f"theta n={args.n} degree={expansion.degree}"]

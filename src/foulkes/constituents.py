@@ -10,7 +10,6 @@ The table ``_RULES`` holds the four cases; all even/odd-m bookkeeping
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
@@ -50,28 +49,65 @@ class Extremum(str, Enum):
     MAXIMAL = "maximal"
 
 
-@dataclass(frozen=True)
-class CharacterSpec:
+class _Record:
+    """An immutable record whose fields are its ``__slots__``, in order.
+
+    Records are equal when they are of one class with equal fields, hash as
+    the tuple of their fields, and show every field not in ``_unshown`` in
+    their repr.  Each subclass's ``__init__`` takes the fields in slot order
+    and stores them with :meth:`_set`.
+    """
+
+    __slots__ = ()
+    _unshown: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n not in self._unshown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CharacterSpec(_Record):
     """One character phi^(m^n)_nu or psi^(m^n)_nu."""
 
-    m: int
-    nu: Partition
-    flavor: CharacterFlavor = CharacterFlavor.PHI
+    __slots__ = ("m", "nu", "flavor")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, nu: Partition, flavor: CharacterFlavor = CharacterFlavor.PHI):
+        if m < 1:
             raise ValueError("m must be at least 1")
-        if self.nu.weight < 1:
+        if nu.weight < 1:
             raise ValueError("nu must be a nonempty partition")
-        object.__setattr__(self, "flavor", CharacterFlavor(self.flavor))
+        self._set(m, nu, CharacterFlavor(flavor))
 
     @property
     def degree(self) -> int:
         return self.m * self.nu.weight
 
 
-@dataclass(frozen=True)
-class ConstituentReport:
+class ConstituentReport(_Record):
     """Extremal labels of one character together with witness tuples.
 
     Labels are pairwise dominance-incomparable and sorted in descending
@@ -79,10 +115,17 @@ class ConstituentReport:
     conjugates to its label; for minimal reports it equals the label.
     """
 
-    spec: CharacterSpec
-    extremum: Extremum
-    labels: tuple[Partition, ...]
-    witnesses: Mapping[Partition, FamilyTuple] = field(repr=False)
+    __slots__ = ("spec", "extremum", "labels", "witnesses")
+    _unshown = ("witnesses",)
+
+    def __init__(
+        self,
+        spec: CharacterSpec,
+        extremum: Extremum,
+        labels: tuple[Partition, ...],
+        witnesses: Mapping[Partition, FamilyTuple],
+    ):
+        self._set(spec, extremum, labels, witnesses)
 
 
 def kappa_partition(m: int, nu: Partition) -> Partition:

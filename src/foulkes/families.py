@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .partitions import Partition, dominance_maximal_elements
+from .partitions import Partition, _extremal_parts
 
 __all__ = [
     "BlockKind",
@@ -387,6 +387,13 @@ def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _component(m: int, n: int, kind: BlockKind) -> tuple[tuple[Family, ...], list[tuple[int, ...]]]:
+    """The closed families of shape (m^n) in key order, with their count vectors."""
+    fams = tuple(sorted(_closed_families(m, n, kind), key=lambda f: f.blocks))
+    return fams, [_count_vector(f) for f in fams]
+
+
+@lru_cache(maxsize=None)
 def _minimal_tuple_types(
     m: int, shapes: tuple[int, ...], kind: BlockKind
 ) -> dict[Partition, FamilyTuple]:
@@ -394,17 +401,16 @@ def _minimal_tuple_types(
     # minimal type is a dominance-maximal vector.  Prefixes and families are
     # visited in key order, so the first prefix met of a vector is its
     # lexicographically least, and the least witness of a type extends the
-    # least prefix of its own prefix vector.
+    # least prefix of its own prefix vector.  The vectors of one step share
+    # a weight and stay tuples; only the final types become partitions.
     kept: dict[tuple[int, ...], tuple[Family, ...]] = {(): ()}
     for nj in shapes:
-        fams = sorted(_closed_families(m, nj, kind), key=lambda f: f.blocks)
-        vectors = [_count_vector(f) for f in fams]
+        fams, vectors = _component(m, nj, kind)
         best: dict[tuple[int, ...], tuple[Family, ...]] = {}
         for counts, prefix in sorted(kept.items(), key=lambda item: [f.blocks for f in item[1]]):
             for fam, vec in zip(fams, vectors):
                 best.setdefault(_add_vectors(counts, vec), prefix + (fam,))
-        top = dominance_maximal_elements(Partition(counts) for counts in best)
-        kept = {p.parts: best[p.parts] for p in top}
+        kept = {counts: best[counts] for counts in _extremal_parts(best, minimal=False)}
     types = {Partition(counts).conjugate(): prefix for counts, prefix in kept.items()}
     return {ty: FamilyTuple(types[ty]) for ty in sorted(types, reverse=True)}
 

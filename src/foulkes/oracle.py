@@ -171,7 +171,13 @@ class CharacterTable:
         key = (lam, rho)
         value = self.values.get(key)
         if value is None:
-            value = self.values[key] = _border_strip_char(_beads(lam), rho)
+            memo_key = (_beads(lam), rho)
+            value = _CHAR_CACHE.get(memo_key)
+            if value is None:
+                value = _border_strip_char(*memo_key)
+                # The table keeps this value; the memo keeps only the strips below it.
+                _CHAR_CACHE.pop(memo_key, None)
+            self.values[key] = value
         return value
 
     def build_full(self) -> None:

@@ -155,27 +155,25 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     )
 
 
-def _dominance_extremal(partitions: Iterable[Partition], minimal: bool) -> set[Partition]:
-    """The dominance-minimal (or maximal) members of a set of partitions.
+def _extremal_parts(parts: Iterable[tuple[int, ...]], minimal: bool) -> list[tuple[int, ...]]:
+    """The dominance-minimal (or maximal) members of a set of part tuples.
 
-    Lexicographic order extends dominance, so after one sort every member
-    that would beat a candidate comes before it, and then some extremal
-    member already kept beats it too: each member is compared with the kept
-    ones only.  With prefix sums padded to a common length (a partition's
-    sums reach its weight and stay there), weak dominance is ``>=`` entry by
-    entry, and a strictly dominating member has the larger sum of sums, so
-    only kept members on the right side of that total are compared.
+    The tuples must be partitions of one weight.  Lexicographic order
+    extends dominance, so after one sort every member that would beat a
+    candidate comes before it, and then some extremal member already kept
+    beats it too: each member is compared with the kept ones only.  With
+    prefix sums padded to a common length (a partition's sums reach its
+    weight and stay there), weak dominance is ``>=`` entry by entry, and a
+    strictly dominating member has the larger sum of sums, so only kept
+    members on the right side of that total are compared.
     """
-    items = sorted(set(partitions), key=lambda p: p.parts, reverse=not minimal)
-    weights = {p.weight for p in items}
-    if len(weights) > 1:
-        raise ValueError(f"mixed weights in partition set: {sorted(weights)}")
+    items = sorted(set(parts), reverse=not minimal)
     width = max(map(len, items), default=0)
-    kept: list[Partition] = []
+    kept: list[tuple[int, ...]] = []
     totals: list[int] = []  # ascending
     kept_sums: list[tuple[int, ...]] = []  # in the order of totals
     for p in items:
-        sums = tuple(accumulate(p.parts + (0,) * (width - len(p))))
+        sums = tuple(accumulate(p + (0,) * (width - len(p))))
         total = sum(sums)
         # any(all(map(ge, sums, q)) for q in the kept sums of smaller total),
         # or the mirror image, without a Python frame per pair.
@@ -190,7 +188,16 @@ def _dominance_extremal(partitions: Iterable[Partition], minimal: bool) -> set[P
             at = bisect_right(totals, total)
             totals.insert(at, total)
             kept_sums.insert(at, sums)
-    return set(kept)
+    return kept
+
+
+def _dominance_extremal(partitions: Iterable[Partition], minimal: bool) -> set[Partition]:
+    """The dominance-minimal (or maximal) members of a set of partitions."""
+    by_parts = {p.parts: p for p in partitions}
+    weights = {p.weight for p in by_parts.values()}
+    if len(weights) > 1:
+        raise ValueError(f"mixed weights in partition set: {sorted(weights)}")
+    return {by_parts[parts] for parts in _extremal_parts(by_parts, minimal)}
 
 
 def dominance_minimal_elements(partitions: Iterable[Partition]) -> set[Partition]:

@@ -9,7 +9,6 @@ the complete decomposition of s_(1^n) o s_(2) into hook-doubled labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .constituents import (
@@ -17,6 +16,7 @@ from .constituents import (
     CharacterSpec,
     Extremum,
     _RULES,
+    _Record,
     _shapes,
     certificate_from_closed_tuple,
 )
@@ -54,8 +54,7 @@ def _multichoose(q: int, t: int) -> int:
     return comb(q + t - 1, t)
 
 
-@dataclass(frozen=True)
-class AgaokaData:
+class AgaokaData(_Record):
     """Cascade data behind the lexicographically least single-family type.
 
     ``indices`` are the cascade values p_1 > ... > p_r (sets) or
@@ -65,13 +64,19 @@ class AgaokaData:
     contributions C(p_i - 1, m - i) resp. multichoose(q_i + 1, m - i).
     """
 
-    kind: BlockKind
-    m: int
-    n: int
-    indices: tuple[int, ...]
-    residuals: tuple[int, ...]
-    widths: tuple[int, ...]
-    assembled: Partition
+    __slots__ = ("kind", "m", "n", "indices", "residuals", "widths", "assembled")
+
+    def __init__(
+        self,
+        kind: BlockKind,
+        m: int,
+        n: int,
+        indices: tuple[int, ...],
+        residuals: tuple[int, ...],
+        widths: tuple[int, ...],
+        assembled: Partition,
+    ):
+        self._set(kind, m, n, indices, residuals, widths, assembled)
 
 
 def agaoka_lex_least(m: int, n: int, kind: BlockKind | str) -> AgaokaData:
@@ -229,14 +234,13 @@ def unique_maximal_classification(m: int, nu: Partition) -> Partition | None:
     return None
 
 
-@dataclass(frozen=True)
-class RectangularCertificate:
+class RectangularCertificate(_Record):
     """A twisted character guaranteed to contain a rectangular label."""
 
-    kind: BlockKind
-    nu: Partition
-    rectangle: Partition
-    witness: FamilyTuple
+    __slots__ = ("kind", "nu", "rectangle", "witness")
+
+    def __init__(self, kind: BlockKind, nu: Partition, rectangle: Partition, witness: FamilyTuple):
+        self._set(kind, nu, rectangle, witness)
 
 
 def rectangular_certificate(a: int, m: int, k: int, kind: BlockKind | str) -> RectangularCertificate:

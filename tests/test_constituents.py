@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,8 @@ from foulkes.constituents import (
     _RULES,
     CharacterFlavor,
     CharacterSpec,
+    ConstituentReport,
+    Extremum,
     certificate_from_closed_tuple,
     kappa_partition,
     maximal_constituents_phi,
@@ -17,7 +21,7 @@ from foulkes.constituents import (
     verify,
 )
 from foulkes.errors import GuardExceededError
-from foulkes.families import Family, FamilyTuple, down_set_family, tuple_type
+from foulkes.families import BlockKind, Family, FamilyTuple, down_set_family, tuple_type
 from foulkes.oracle import multiplicity, plethysm_expansion
 from foulkes.partitions import (
     DominanceRelation,
@@ -28,6 +32,7 @@ from foulkes.partitions import (
     parse_partition,
     partitions_of,
 )
+from foulkes.special import AgaokaData, RectangularCertificate
 
 P = parse_partition
 
@@ -43,6 +48,84 @@ class TestSpec:
     def test_kappa(self):
         assert kappa_partition(2, P("2,1,1")) == P("2,1,1")
         assert kappa_partition(3, P("2,1,1")) == P("3,1")
+
+
+SPEC = CharacterSpec(2, P("2,1"))
+PAIR = FamilyTuple([Family(2, "set", [(1, 2), (1, 3), (2, 3)])] * 2)
+# Each record built by keyword, the same built positionally, the same with
+# one field changed, and the repr.
+RECORDS = [
+    (
+        CharacterSpec(m=2, nu=P("2,1"), flavor="psi"),
+        CharacterSpec(2, P("2,1"), CharacterFlavor.PSI),
+        CharacterSpec(2, P("2,1")),
+        "CharacterSpec(m=2, nu=Partition([2, 1]), flavor=<CharacterFlavor.PSI: 'psi'>)",
+    ),
+    (
+        ConstituentReport(
+            spec=SPEC, extremum=Extremum.MINIMAL, labels=(P("3,3"),), witnesses={}
+        ),
+        ConstituentReport(SPEC, Extremum.MINIMAL, (P("3,3"),), {}),
+        ConstituentReport(SPEC, Extremum.MINIMAL, (P("3,3"),), {P("3,3"): PAIR}),
+        "ConstituentReport(spec=CharacterSpec(m=2, nu=Partition([2, 1]), "
+        "flavor=<CharacterFlavor.PHI: 'phi'>), extremum=<Extremum.MINIMAL: 'minimal'>, "
+        "labels=(Partition([3, 3]),))",
+    ),
+    (
+        AgaokaData(
+            kind=BlockKind.SET, m=2, n=4, indices=(3, 1), residuals=(1, 0), widths=(2, 1),
+            assembled=P("4,3,1"),
+        ),
+        AgaokaData(BlockKind.SET, 2, 4, (3, 1), (1, 0), (2, 1), P("4,3,1")),
+        AgaokaData(BlockKind.MULTISET, 2, 4, (3, 1), (1, 0), (2, 1), P("4,3,1")),
+        "AgaokaData(kind=<BlockKind.SET: 'set'>, m=2, n=4, indices=(3, 1), "
+        "residuals=(1, 0), widths=(2, 1), assembled=Partition([4, 3, 1]))",
+    ),
+    (
+        RectangularCertificate(
+            kind=BlockKind.SET, nu=P("2,2,2"), rectangle=P("3,3,3,3"), witness=PAIR
+        ),
+        RectangularCertificate(BlockKind.SET, P("2,2,2"), P("3,3,3,3"), PAIR),
+        RectangularCertificate(BlockKind.SET, P("2,2,2"), P("4,4,4"), PAIR),
+        "RectangularCertificate(kind=<BlockKind.SET: 'set'>, nu=Partition([2, 2, 2]), "
+        "rectangle=Partition([3, 3, 3, 3]), witness=FamilyTuple([Family(m=2, kind='set', "
+        "blocks=[(1, 2), (1, 3), (2, 3)]), Family(m=2, kind='set', "
+        "blocks=[(1, 2), (1, 3), (2, 3)])]))",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, same, other, text", RECORDS, ids=lambda r: type(r).__name__)
+class TestRecords:
+    def test_equality(self, record, same, other, text):
+        assert record == same and not record != same
+        assert record != other and not record == other
+        assert record != () and record != text
+
+    def test_hash_is_over_every_field(self, record, same, other, text):
+        if isinstance(record, ConstituentReport):
+            with pytest.raises(TypeError):  # the witnesses are a dict
+                hash(record)
+        else:
+            assert hash(record) == hash(same)
+            assert len({record, same, other}) == 2
+
+    def test_repr(self, record, same, other, text):
+        assert repr(record) == repr(same) == text
+
+    def test_frozen(self, record, same, other, text):
+        field = text[text.index("(") + 1 : text.index("=")]  # the first field
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            setattr(record, "extra", None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert record == same
+
+    def test_copies_are_equal(self, record, same, other, text):
+        assert copy.copy(record) == copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 class TestMinimalPhi:

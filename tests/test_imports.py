@@ -1,16 +1,23 @@
-"""Import hygiene: every name a library module imports is used or re-exported.
+"""Import hygiene and import cost.
 
 Each ``src/foulkes/*.py`` module but ``__init__.py`` is parsed with ``ast``;
 a name bound by ``import`` or ``from ... import`` must appear as a name in the
-module's code or be listed in its ``__all__``.
+module's code or be listed in its ``__all__``.  Importing the package loads
+neither ``dataclasses`` nor ``foulkes.special``, whose names load on first use.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import foulkes
+from foulkes import special
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "foulkes"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -43,3 +50,41 @@ def test_no_unused_imports(path):
 def test_a_stale_import_is_found():
     source = "from .partitions import Partition, parse_partition\nparse_partition('1')\n"
     assert unused_imports(source) == {"Partition"}
+
+
+# Run with -S and only the source tree on the path, so that nothing but the
+# package itself decides which modules are loaded.
+START_UP = """
+import contextlib, io, sys
+import foulkes
+print(sorted(m for m in ("dataclasses", "inspect", "foulkes.special") if m in sys.modules))
+from foulkes.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["expand", "--m", "2", "--nu", "2,1"])
+print("foulkes.special" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["theta", "--n", "3"])
+print("foulkes.special" in sys.modules)
+"""
+
+
+def test_import_loads_no_dataclasses_and_no_corollaries():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines() == ["[]", "False", "True"]
+
+
+@pytest.mark.parametrize("name", special.__all__)
+def test_corollaries_resolve_from_the_package(name):
+    namespace: dict = {}
+    exec(f"from foulkes import {name}", namespace)
+    assert getattr(foulkes, name) is getattr(special, name) is namespace[name]
+    assert name in dir(foulkes) and name in foulkes.__all__
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        foulkes.nothing

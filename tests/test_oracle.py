@@ -264,6 +264,22 @@ class TestCharacterTable:
         for (lam, rho), v in zip(asked, values):
             assert table.value(lam, rho) == v == character_value(lam, rho)
 
+    def test_table_values_are_not_kept_twice(self):
+        # A value computed for a table is stored in the table only; the memo
+        # keeps the strips below it, and an entry it held before stays.
+        oracle._CHAR_CACHE.clear()
+        table = CharacterTable(12)
+        multiplicity(P("3,1"), 3, P("6,3,2,1"), table=table)
+        assert table.values and oracle._CHAR_CACHE
+        top = {(oracle._beads(lam), rho) for lam, rho in table.values}
+        assert top.isdisjoint(oracle._CHAR_CACHE)
+        for (lam, rho), v in table.values.items():
+            assert v == character_value(Partition(lam), Partition(rho))
+        lam, rho = P("4,2,1"), P("3,2,2")
+        v = character_value(lam, rho)
+        assert CharacterTable(7).value(lam, rho) == v
+        assert oracle._CHAR_CACHE[oracle._beads(lam.parts), rho.parts] == v
+
 
 class TestSchurExpansion:
     def test_validation(self):

@@ -5,6 +5,7 @@ import pytest
 from foulkes.partitions import (
     DominanceRelation,
     Partition,
+    _extremal_parts,
     conjugate_join,
     diagonal_hook_lengths,
     dimension,
@@ -162,6 +163,10 @@ class TestExtremalElements:
             }
             assert dominance_minimal_elements(sample) == minimal, sample
             assert dominance_maximal_elements(iter(sample)) == maximal, sample
+            # The tuple-level core behind both filters, as the fold calls it.
+            for extremal, want in ((True, minimal), (False, maximal)):
+                got = _extremal_parts((p.parts for p in sample), extremal)
+                assert sorted(got) == sorted(p.parts for p in want), sample
 
 
 class TestConjugateJoin:
