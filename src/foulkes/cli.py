@@ -135,7 +135,7 @@ def _cmd_verify(args) -> int:
             raise ValueError("--seed-sweep requires --n")
         if args.nu is not None:
             raise ValueError("--seed-sweep verifies every nu of weight --n; drop --nu")
-        nus = list(partitions_of(args.n))
+        nus = partitions_of(args.n)  # lazy: the guard refuses (n) before the rest is built
     else:
         if args.nu is None:
             raise ValueError("verify needs --nu (or --seed-sweep with --n)")

@@ -20,11 +20,11 @@ import itertools
 from bisect import insort
 from collections import Counter
 from enum import Enum
-from functools import lru_cache
-from operator import add
+from functools import lru_cache, reduce
+from operator import ge
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .partitions import Partition, _extremal_parts
+from .partitions import Partition, _add_vectors, _extremal_parts
 
 __all__ = [
     "BlockKind",
@@ -117,7 +117,7 @@ class Family:
     identical serializations.
     """
 
-    __slots__ = ("m", "kind", "blocks")
+    __slots__ = ("m", "kind", "blocks", "_counts")
 
     def __init__(self, m: int, kind: BlockKind | str, blocks: Iterable[Iterable[int]]):
         if m < 1:
@@ -200,24 +200,25 @@ class FamilyTuple:
 def occurrence_counts(obj: Family | FamilyTuple) -> Counter[int]:
     """Total occurrences of each positive integer across all blocks."""
     families = obj.families if isinstance(obj, FamilyTuple) else (obj,)
-    counts: Counter[int] = Counter()
-    for fam in families:
-        for block in fam.blocks:
-            counts.update(block)
-    return counts
+    blocks = itertools.chain.from_iterable(f.blocks for f in families)
+    return Counter(itertools.chain.from_iterable(blocks))
 
 
-def _type_from_counts(counts: Mapping[int, int]) -> Partition | None:
-    top = max(counts, default=0)
-    seq = [counts.get(i, 0) for i in range(1, top + 1)]
-    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)) or (seq and seq[-1] == 0):
-        return None
-    return Partition(seq).conjugate()
+def _vector(fam: Family) -> tuple[int, ...]:
+    """The counts of 1, 2, ..., the largest element, counted on first use and kept.
+
+    As long as the largest element: see the size bound in :func:`tuple_type`.
+    The slot stays unset until then, so a fresh family pickles without it.
+    """
+    if getattr(fam, "_counts", None) is None:
+        counts = occurrence_counts(fam)
+        fam._counts = tuple(map(counts.__getitem__, range(1, max(counts, default=0) + 1)))
+    return fam._counts
 
 
 def family_type(fam: Family) -> Partition | None:
     """The partition whose conjugate lists the occurrence counts, if defined."""
-    return _type_from_counts(occurrence_counts(fam))
+    return tuple_type(FamilyTuple((fam,)))
 
 
 def tuple_type(t: FamilyTuple) -> Partition | None:
@@ -226,7 +227,15 @@ def tuple_type(t: FamilyTuple) -> Partition | None:
     Returns ``None`` when the count sequence is not weakly decreasing (not
     every tuple possesses a type).
     """
-    return _type_from_counts(occurrence_counts(t))
+    # Every value up to the largest element must occur, so that element (last
+    # in colex order) is at most the element count; checked before any vector.
+    top = max((f.blocks[-1][-1] for f in t.families if f.blocks), default=0)
+    if top > t.m * sum(t.shapes):
+        return None
+    counts = reduce(_add_vectors, map(_vector, t.families), ())
+    if not all(map(ge, counts, counts[1:])):
+        return None
+    return Partition(counts).conjugate()
 
 
 def is_closed(fam: Family) -> bool:
@@ -375,22 +384,10 @@ def enumerate_minimal_tuple_types(
     return dict(_minimal_tuple_types(m, tuple(shapes), kind))
 
 
-def _count_vector(fam: Family) -> tuple[int, ...]:
-    counts = occurrence_counts(fam)
-    return tuple(counts[i] for i in range(1, max(counts, default=0) + 1))
-
-
-def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(map(add, a, b)) + a[len(b) :]
-
-
 @lru_cache(maxsize=None)
-def _component(m: int, n: int, kind: BlockKind) -> tuple[tuple[Family, ...], list[tuple[int, ...]]]:
-    """The closed families of shape (m^n) in key order, with their count vectors."""
-    fams = tuple(sorted(_closed_families(m, n, kind), key=lambda f: f.blocks))
-    return fams, [_count_vector(f) for f in fams]
+def _component(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
+    """The closed families of shape (m^n) in key order."""
+    return tuple(sorted(_closed_families(m, n, kind), key=lambda f: f.blocks))
 
 
 @lru_cache(maxsize=None)
@@ -405,7 +402,8 @@ def _minimal_tuple_types(
     # a weight and stay tuples; only the final types become partitions.
     kept: dict[tuple[int, ...], tuple[Family, ...]] = {(): ()}
     for nj in shapes:
-        fams, vectors = _component(m, nj, kind)
+        fams = _component(m, nj, kind)
+        vectors = list(map(_vector, fams))
         best: dict[tuple[int, ...], tuple[Family, ...]] = {}
         for counts, prefix in sorted(kept.items(), key=lambda item: [f.blocks for f in item[1]]):
             for fam, vec in zip(fams, vectors):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from functools import total_ordering
+from functools import reduce, total_ordering
 from itertools import accumulate, repeat
 from math import factorial
-from operator import ge
+from operator import add, ge
 from operator import index as _as_int
 from typing import Iterable, Iterator, Sequence
 
@@ -210,6 +210,13 @@ def dominance_maximal_elements(partitions: Iterable[Partition]) -> set[Partition
     return _dominance_extremal(partitions, minimal=False)
 
 
+def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Entrywise sum of two count vectors, the shorter one padded with zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(add, a, b)) + a[len(b) :]
+
+
 def conjugate_join(partitions: Sequence[Partition]) -> Partition:
     """Combine partitions by adding column lengths.
 
@@ -217,14 +224,8 @@ def conjugate_join(partitions: Sequence[Partition]) -> Partition:
     conjugates of the inputs.  Occurrence counts of combined family tuples
     add, so their types combine exactly this way.
     """
-    cols: list[int] = []
-    for p in partitions:
-        for i, c in enumerate(p.conjugate().parts):
-            if i < len(cols):
-                cols[i] += c
-            else:
-                cols.append(c)
-    return Partition(cols).conjugate()
+    columns = reduce(_add_vectors, (p.conjugate().parts for p in partitions), ())
+    return Partition(columns).conjugate()
 
 
 def diagonal_hook_lengths(lam: Partition) -> tuple[int, ...]:
@@ -286,11 +287,10 @@ def double_from_distinct(alpha: Partition) -> Partition:
     return lam
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of ``n``, in descending lexicographic order."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    bound = n if max_part is None else min(max_part, n)
     buf: list[int] = []
 
     def rec(remaining: int, top: int) -> Iterator[Partition]:
@@ -302,7 +302,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield from rec(remaining - p, p)
             buf.pop()
 
-    yield from rec(n, bound)
+    yield from rec(n, n)
 
 
 def distinct_part_partitions_of(n: int) -> Iterator[Partition]:

@@ -203,6 +203,33 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and "--nu" in err
 
+    def test_sweep_past_the_guard_is_refused_before_enumerating(self, capsys, monkeypatch):
+        import foulkes.cli as cli
+
+        drawn = []
+        real = cli.partitions_of
+
+        def counting(n):
+            for nu in real(n):
+                drawn.append(nu)
+                yield nu
+
+        monkeypatch.setattr(cli, "partitions_of", counting)
+        code, out, err = run(capsys, "verify", "--m", "2", "--seed-sweep", "--n", "9")
+        assert code == EXIT_GUARD
+        assert out == "" and "guard" in err
+        assert len(drawn) <= 1  # (9) is drawn first, and degree 18 is past the guard
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [("0", "nu must be a nonempty partition"), ("-1", "cannot partition a negative integer")],
+    )
+    def test_sweep_of_no_partitions_is_usage_error(self, capsys, n, message):
+        code, out, err = run(capsys, "verify", "--m", "2", "--seed-sweep", "--n", n)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_json_payload(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--m", "2", "--nu", "2", "--format", "json"
@@ -307,6 +334,17 @@ class TestOtherCommands:
         )
         assert code == EXIT_OK
         assert json.loads(out)["label"] == [3, 2, 1]
+
+    def test_certificate_of_a_huge_element_is_not_closed(self, capsys):
+        code, out, err = run(
+            capsys,
+            "certificate",
+            "--m", "2", "--nu", "1",
+            "--tuple", '{"m":2,"kind":"set","families":[[[1,99999999999999999999]]]}',
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: certificate requires a closed tuple\n"
 
     def test_certificate_shape_mismatch_is_usage_error(self, capsys):
         code, _, err = run(

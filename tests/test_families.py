@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -186,17 +187,80 @@ class TestTypes:
     def test_occurrence_counts_sum(self):
         from foulkes.families import occurrence_counts
 
+        def reference(families):
+            # a plain dict count and the conjugate of the dense count vector
+            counts = {}
+            for fam in families:
+                for block in fam.blocks:
+                    for x in block:
+                        counts[x] = counts.get(x, 0) + 1
+            seq = [counts.get(i, 0) for i in range(1, max(counts, default=0) + 1)]
+            if any(a < b for a, b in zip(seq, seq[1:])):
+                return counts, None
+            cols = [sum(1 for c in seq if c >= j) for j in range(1, (seq or [0])[0] + 1)]
+            return counts, Partition(cols)
+
+        closed = [
+            FamilyTuple([fam])
+            for kind in (SET, MULTI)
+            for m in range(1, 5)
+            for n in range(0, 9)
+            for fam in enumerate_closed_families(m, n, kind)
+        ]
         rng = random.Random(5)
-        for _ in range(50):
+        drawn = []
+        for _ in range(300):
             kind = rng.choice((SET, MULTI))
             m = rng.randint(1, 3)
             fams = []
             for _ in range(rng.randint(1, 3)):
                 pool = _bounded_blocks(m, 6, kind)
                 fams.append(Family(m, kind, rng.sample(pool, rng.randint(1, 4))))
-            t = FamilyTuple(fams)
+            drawn.append(FamilyTuple(fams))
+        assert sum(not is_closed(f) for t in drawn for f in t.families) > 300
+        for t in closed + drawn:
+            want_counts, want_type = reference(t.families)
             counts = occurrence_counts(t)
+            assert counts == want_counts
             assert sum(counts.values()) == t.m * sum(t.shapes)
+            assert tuple_type(t) == want_type, t
+            if len(t.families) == 1:
+                assert occurrence_counts(t.families[0]) == want_counts
+                assert family_type(t.families[0]) == want_type
+
+    def test_huge_element_has_no_type_at_once(self):
+        # a type needs every value up to the largest element to occur, so a
+        # block holding 10**20 is refused before any count vector is built
+        fam = Family(2, SET, [(1, 10**20)])
+        assert family_type(fam) is None
+        assert tuple_type(FamilyTuple([fam, fam])) is None
+        with pytest.raises(ValueError):
+            is_minimal_tuple(FamilyTuple([fam]))
+
+    def test_size_bound_is_over_the_whole_tuple(self):
+        # {(1,5)} alone has no type, but with all 2-subsets of {1,..,4} the
+        # counts are 4,3,3,3,1
+        lone = Family(2, SET, [(1, 5)])
+        assert family_type(lone) is None
+        pairs = Family(2, SET, itertools.combinations(range(1, 5), 2))
+        assert tuple_type(FamilyTuple([lone, pairs])) == P("5,4,4,1")
+        assert tuple_type(FamilyTuple([pairs, lone])) == P("5,4,4,1")
+
+    def test_pickle_round_trip_keeps_the_type(self):
+        fam = Family(2, SET, [(1, 2), (1, 3)])
+        # pickled with protocol 4 by a version whose families held no count vector
+        older = (
+            b"\x80\x04\x95h\x00\x00\x00\x00\x00\x00\x00\x8c\x10foulkes.families\x94"
+            b"\x8c\x06Family\x94\x93\x94)\x81\x94N}\x94(\x8c\x01m\x94K\x02\x8c\x04kind"
+            b"\x94h\x00\x8c\tBlockKind\x94\x93\x94\x8c\x03set\x94\x85\x94R\x94\x8c\x06"
+            b"blocks\x94K\x01K\x02\x86\x94K\x01K\x03\x86\x94\x86\x94u\x86\x94b."
+        )
+        assert pickle.dumps(fam, protocol=4) == older
+        assert family_type(fam) == P("3,1")
+        for data in (older, pickle.dumps(fam)):
+            copy = pickle.loads(data)
+            assert copy == fam and hash(copy) == hash(fam) and repr(copy) == repr(fam)
+            assert family_type(copy) == P("3,1")
 
     def test_closed_families_always_have_types(self):
         for kind in (SET, MULTI):
