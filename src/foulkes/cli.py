@@ -31,7 +31,6 @@ from .families import (
     FamilyTuple,
     enumerate_closed_families,
     family_type,
-    is_minimal_tuple,
     tuple_from_json,
     tuple_to_json,
 )
@@ -40,7 +39,7 @@ from .oracle import (
     PlethysmFlavor,
     plethysm_expansion,
 )
-from .partitions import parse_partition, partitions_of
+from .partitions import dominance_minimal_elements, parse_partition, partitions_of
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,12 +59,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, command: str, payload: dict, text_lines: list[str], code: int = EXIT_OK) -> int:
+    """Print the payload under the schema envelope, or the text lines; return ``code``."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"schema": SCHEMA, "command": command, **payload}, indent=2))
     else:
         for line in text_lines:
             print(line)
+    return code
+
+
+def _emit_expansion(args, command: str, fields: dict, header: str, expansion) -> int:
+    """Emit a Schur expansion: one ``label: multiplicity`` line per constituent."""
+    lines = [f"{header} degree={expansion.degree}"]
+    lines.extend(f"  {lab}: {mult}" for lab, mult in expansion.items())
+    return _emit(args, command, {**fields, **expansion.to_json_dict()}, lines)
 
 
 def _label_list(labels) -> list[list[int]]:
@@ -86,8 +94,6 @@ def _cmd_constituents(args, extremum: str) -> int:
     report = _report(args.m, nu, flavor, Extremum(extremum))
     command = f"{extremum[:3]}-constituents"
     payload = {
-        "schema": SCHEMA,
-        "command": command,
         "character": flavor.value,
         "m": args.m,
         "nu": list(nu.parts),
@@ -107,26 +113,16 @@ def _cmd_constituents(args, extremum: str) -> int:
             f"  {lab}  witness: {_render_tuple(report.witnesses[lab])}"
             for lab in report.labels
         )
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit(args, command, payload, lines)
 
 
 def _cmd_expand(args) -> int:
     nu = parse_partition(args.nu)
     flavor = PlethysmFlavor(args.flavor)
     expansion = plethysm_expansion(nu, args.m, flavor, guard=args.guard)
-    payload = {
-        "schema": SCHEMA,
-        "command": "expand",
-        "m": args.m,
-        "nu": list(nu.parts),
-        "flavor": flavor.value,
-        **expansion.to_json_dict(),
-    }
-    lines = [f"expand flavor={flavor.value} m={args.m} nu={nu} degree={expansion.degree}"]
-    lines.extend(f"  {lab}: {mult}" for lab, mult in expansion.items())
-    _emit(args, payload, lines)
-    return EXIT_OK
+    fields = {"m": args.m, "nu": list(nu.parts), "flavor": flavor.value}
+    header = f"expand flavor={flavor.value} m={args.m} nu={nu}"
+    return _emit_expansion(args, "expand", fields, header, expansion)
 
 
 def _cmd_verify(args) -> int:
@@ -162,13 +158,7 @@ def _cmd_verify(args) -> int:
             }
         )
     agree = all(case["agree"] for case in cases)
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "m": args.m,
-        "cases": cases,
-        "agree": agree,
-    }
+    payload = {"m": args.m, "cases": cases, "agree": agree}
     lines = []
     for case in cases:
         nu_text = ",".join(map(str, case["nu"]))
@@ -181,8 +171,7 @@ def _cmd_verify(args) -> int:
                 line += f" oracle=[{oracle_shown}]"
             lines.append(line)
     lines.append(f"verdict: {'AGREE' if agree else 'MISMATCH'}")
-    _emit(args, payload, lines)
-    return EXIT_OK if agree else EXIT_MISMATCH
+    return _emit(args, "verify", payload, lines, EXIT_OK if agree else EXIT_MISMATCH)
 
 
 def _cmd_agaoka(args) -> int:
@@ -191,8 +180,6 @@ def _cmd_agaoka(args) -> int:
 
     data = agaoka_lex_least(args.m, args.n, BlockKind(args.kind))
     payload = {
-        "schema": SCHEMA,
-        "command": "agaoka",
         "m": args.m,
         "n": args.n,
         "kind": data.kind.value,
@@ -206,52 +193,47 @@ def _cmd_agaoka(args) -> int:
         f"  indices={list(data.indices)} residuals={list(data.residuals)} widths={list(data.widths)}",
         f"  lex-least type: {data.assembled}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit(args, "agaoka", payload, lines)
 
 
 def _cmd_theta(args) -> int:
     from .special import theta_decomposition
 
     expansion = theta_decomposition(args.n)
-    payload = {"schema": SCHEMA, "command": "theta", "n": args.n, **expansion.to_json_dict()}
-    lines = [f"theta n={args.n} degree={expansion.degree}"]
-    lines.extend(f"  {lab}: {mult}" for lab, mult in expansion.items())
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit_expansion(args, "theta", {"n": args.n}, f"theta n={args.n}", expansion)
 
 
 def _cmd_families(args) -> int:
     kind = BlockKind(args.kind)
-    rows = []
-    for fam in enumerate_closed_families(args.m, args.n, kind):
-        ty = family_type(fam)
-        minimal = is_minimal_tuple(FamilyTuple([fam]))
-        rows.append((fam, ty, minimal))
+    fams = list(enumerate_closed_families(args.m, args.n, kind))
+    # A closed family always has a type, and a one-component tuple is minimal
+    # exactly when its type is dominance-minimal among all closed families of
+    # its shape, which this listing holds.
+    types = list(map(family_type, fams))
+    minimal = dominance_minimal_elements(types)
     payload = {
-        "schema": SCHEMA,
-        "command": "families",
         "m": args.m,
         "n": args.n,
         "kind": kind.value,
         "families": [
             {
                 "blocks": [list(b) for b in fam.blocks],
-                "type": list(ty.parts) if ty is not None else None,
-                "minimal": minimal,
+                "type": list(ty.parts),
+                "minimal": ty in minimal,
             }
-            for fam, ty, minimal in rows
+            for fam, ty in zip(fams, types)
         ],
     }
-    lines = [f"closed families of shape ({args.m}^{args.n}) kind={kind.value}: {len(rows)}"]
-    for fam, ty, minimal in rows:
-        mark = "  [minimal]" if minimal else ""
+    lines = [f"closed families of shape ({args.m}^{args.n}) kind={kind.value}: {len(fams)}"]
+    for fam, ty in zip(fams, types):
+        mark = "  [minimal]" if ty in minimal else ""
         lines.append(f"  {_render_family(fam)}  type={ty}{mark}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit(args, "families", payload, lines)
 
 
 def _cmd_certificate(args) -> int:
+    if args.tuple is not None and args.tuple_file is not None:
+        raise ValueError("--tuple and --tuple-file both give the tuple; pass only one")
     if args.tuple_file:
         with open(args.tuple_file, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -264,8 +246,6 @@ def _cmd_certificate(args) -> int:
     spec = CharacterSpec(args.m, nu, CharacterFlavor(args.character))
     label = certificate_from_closed_tuple(spec, t)
     payload = {
-        "schema": SCHEMA,
-        "command": "certificate",
         "character": spec.flavor.value,
         "m": args.m,
         "nu": list(nu.parts),
@@ -276,8 +256,7 @@ def _cmd_certificate(args) -> int:
         f"certificate character={spec.flavor.value} m={args.m} nu={nu}",
         f"  constituent with multiplicity >= 1: {label}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit(args, "certificate", payload, lines)
 
 
 def build_parser() -> _Parser:

@@ -385,12 +385,6 @@ def enumerate_minimal_tuple_types(
 
 
 @lru_cache(maxsize=None)
-def _component(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
-    """The closed families of shape (m^n) in key order."""
-    return tuple(sorted(_closed_families(m, n, kind), key=lambda f: f.blocks))
-
-
-@lru_cache(maxsize=None)
 def _minimal_tuple_types(
     m: int, shapes: tuple[int, ...], kind: BlockKind
 ) -> dict[Partition, FamilyTuple]:
@@ -402,7 +396,7 @@ def _minimal_tuple_types(
     # a weight and stay tuples; only the final types become partitions.
     kept: dict[tuple[int, ...], tuple[Family, ...]] = {(): ()}
     for nj in shapes:
-        fams = _component(m, nj, kind)
+        fams = sorted(_closed_families(m, nj, kind), key=lambda f: f.blocks)
         vectors = list(map(_vector, fams))
         best: dict[tuple[int, ...], tuple[Family, ...]] = {}
         for counts, prefix in sorted(kept.items(), key=lambda item: [f.blocks for f in item[1]]):

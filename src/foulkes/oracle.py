@@ -26,13 +26,13 @@ import warnings
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from operator import lt
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from .errors import GuardExceededError, InternalConsistencyError
-from .families import BlockKind, _colex_bounded
 from .partitions import (
     DominanceRelation,
     Partition,
@@ -225,7 +225,7 @@ class CharacterTable:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "CharacterTable":
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if payload.get("schema") != cls.SCHEMA:
             raise ValueError(f"unsupported character-table schema in {path}")
         degree = payload["degree"]
@@ -262,7 +262,7 @@ class CharacterTable:
             if path.exists():
                 try:
                     table = cls.load(path)
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                     reason = f"{type(exc).__name__}: {exc}"
                 else:
                     if table.degree == degree:
@@ -504,12 +504,10 @@ def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:
 
 
 def _block_alphabet(m: int, flavor: PlethysmFlavor, gamma: tuple[int, ...]) -> list[tuple[int, ...]]:
-    k = len(gamma)
-    if flavor is PlethysmFlavor.COLUMN and m > k:
-        return []
-    kind = BlockKind.SET if flavor is PlethysmFlavor.COLUMN else BlockKind.MULTISET
+    """The m-element sets (COLUMN) or multisets (ROW) over 1..len(gamma) that fit in gamma."""
+    blocks = combinations if flavor is PlethysmFlavor.COLUMN else combinations_with_replacement
     out = []
-    for b in _colex_bounded(m, k, kind):
+    for b in blocks(range(1, len(gamma) + 1), m):
         counts = Counter(b)
         if all(counts[v] <= gamma[v - 1] for v in counts):
             out.append(b)
@@ -522,9 +520,9 @@ def _plethystic_tableau_count(
     """Number of semistandard fillings of shape nu by degree-m blocks with
     total variable content gamma.
 
-    The block alphabet is totally ordered by colex; any total order yields
-    the same monomial coefficient because Schur polynomials are symmetric in
-    the alphabet.
+    The block alphabet is totally ordered by its list order; any total
+    order yields the same monomial coefficient because Schur polynomials
+    are symmetric in the alphabet.
     """
     if not nu:
         return 1 if not gamma else 0

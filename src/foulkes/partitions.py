@@ -289,24 +289,20 @@ def double_from_distinct(alpha: Partition) -> Partition:
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of ``n``, in descending lexicographic order."""
-    if n < 0:
-        raise ValueError("cannot partition a negative integer")
-    buf: list[int] = []
-
-    def rec(remaining: int, top: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield Partition(buf)
-            return
-        for p in range(min(remaining, top), 0, -1):
-            buf.append(p)
-            yield from rec(remaining - p, p)
-            buf.pop()
-
-    yield from rec(n, n)
+    return _partitions_with_gap(n, 0)
 
 
 def distinct_part_partitions_of(n: int) -> Iterator[Partition]:
     """Partitions of ``n`` with strictly decreasing parts, descending lex order."""
+    return _partitions_with_gap(n, 1)
+
+
+def _partitions_with_gap(n: int, gap: int) -> Iterator[Partition]:
+    """Partitions of ``n`` whose consecutive parts differ by at least ``gap``.
+
+    Descending lexicographic order.  A generator, so a negative ``n`` is
+    refused on the first ``next``.
+    """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     buf: list[int] = []
@@ -317,7 +313,7 @@ def distinct_part_partitions_of(n: int) -> Iterator[Partition]:
             return
         for p in range(min(remaining, top), 0, -1):
             buf.append(p)
-            yield from rec(remaining - p, p - 1)
+            yield from rec(remaining - p, p - gap)
             buf.pop()
 
     yield from rec(n, n)

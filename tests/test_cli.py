@@ -11,6 +11,7 @@ from foulkes.cli import (
     EXIT_USAGE,
     main,
 )
+from foulkes.families import Family, FamilyTuple, is_minimal_tuple
 
 
 def run(capsys, *argv):
@@ -288,6 +289,19 @@ class TestOtherCommands:
         types = {tuple(f["type"]) for f in data["families"]}
         assert (4, 3, 1) in types
         assert any(f["minimal"] for f in data["families"])
+        # the listing marks a family from its own types; the library decides
+        # each one-component tuple on its own
+        for kind in ("set", "multiset"):
+            for m in range(1, 5):
+                for n in range(9):
+                    code, out, _ = run(
+                        capsys, "families", "--m", str(m), "--n", str(n), "--kind", kind,
+                        "--format", "json",
+                    )
+                    assert code == EXIT_OK
+                    for row in json.loads(out)["families"]:
+                        fam = Family(m, kind, row["blocks"])
+                        assert row["minimal"] == is_minimal_tuple(FamilyTuple([fam])), (m, n)
 
     def test_families_empty_shape_is_minimal(self, capsys):
         # the one family of shape (m^0) is the empty family, a minimal tuple
@@ -345,6 +359,20 @@ class TestOtherCommands:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: certificate requires a closed tuple\n"
+
+    def test_certificate_refuses_both_tuple_options(self, capsys, tmp_path):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"m": 2, "kind": "set", "families": [[[1, 2]]]}))
+        code, out, err = run(
+            capsys,
+            "certificate",
+            "--m", "2", "--nu", "1",
+            "--tuple", '{"m":2,"kind":"set","families":[[[1,2]]]}',
+            "--tuple-file", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "--tuple " in err and "--tuple-file" in err
 
     def test_certificate_shape_mismatch_is_usage_error(self, capsys):
         code, _, err = run(

@@ -2,8 +2,10 @@
 
 Each ``src/foulkes/*.py`` module but ``__init__.py`` is parsed with ``ast``;
 a name bound by ``import`` or ``from ... import`` must appear as a name in the
-module's code or be listed in its ``__all__``.  Importing the package loads
-neither ``dataclasses`` nor ``foulkes.special``, whose names load on first use.
+module's code or be listed in its ``__all__``.  The oracle, the independent
+judge of the rules, imports nothing of the rule modules.  Importing the
+package loads neither ``dataclasses`` nor ``foulkes.special``, whose names
+load on first use.
 """
 
 from __future__ import annotations
@@ -50,6 +52,25 @@ def test_no_unused_imports(path):
 def test_a_stale_import_is_found():
     source = "from .partitions import Partition, parse_partition\nparse_partition('1')\n"
     assert unused_imports(source) == {"Partition"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports from; the package imports itself relatively."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_the_oracle_imports_no_rule_code():
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"partitions", "errors"}
+
+
+def test_package_imports_are_found():
+    source = "from .families import BlockKind\nfrom . import special\nimport json\n"
+    assert package_imports(source) == {"families", "special"}
 
 
 # Run with -S and only the source tree on the path, so that nothing but the

@@ -203,6 +203,7 @@ class TestCharacterTable:
             '{"schema": 1, "degree": "4", "values": {}}',
             # int(true) is 1, which matches the degree only in a degree-1 file
             (1, '{"schema": 1, "degree": true, "values": {}}'),
+            pytest.param("[" * 10**6 + "]" * 10**6, id="deep-nesting"),
         ],
     )
     def test_unusable_cache_file_is_ignored(self, tmp_path, content):

@@ -236,9 +236,9 @@ class TestEnumeration:
 
     def test_distinct_parts(self):
         assert list(distinct_part_partitions_of(4)) == [P("4"), P("3,1")]
-        for n in range(1, 12):
-            for alpha in distinct_part_partitions_of(n):
-                assert len(set(alpha.parts)) == len(alpha.parts)
+        for n in range(26):
+            strict = [p for p in partitions_of(n) if len(set(p.parts)) == len(p.parts)]
+            assert list(distinct_part_partitions_of(n)) == strict
 
     def test_partitions_of_zero(self):
         assert list(partitions_of(0)) == [Partition()]
