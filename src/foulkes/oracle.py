@@ -1,13 +1,17 @@
 """Independent ground truth: exact Schur expansions of s_nu o s_(m) and s_nu o s_(1^m).
 
-The main engine expands both factors in the power-sum basis, substitutes
-p_r o p_s = p_{rs}, and reads off Schur coefficients with symmetric-group
-character values computed by the border-strip (Murnaghan-Nakayama) recursion.
-The recursion runs on bead masks: a partition is one integer whose set bits
-are its beta numbers (first-column hook lengths), so finding the strips of a
-length, their signs and the partition left by each are a few bit operations
-on one word (the abacus of Loehr-Remmel, "A computational and combinatorial
-expose of plethystic calculus", 2011).  All arithmetic is in integers: the
+The main engine expands both factors in the power-sum basis and substitutes
+p_r o p_s = p_{rs}; the Murnaghan-Nakayama rule turns the power sums into
+Schur functions.  It runs on bead masks: a partition is one integer whose set
+bits are its beta numbers (first-column hook lengths), so finding the border
+strips of a length, their signs and the partition each leaves are a few bit
+operations on one word (the abacus of Loehr-Remmel, "A computational and
+combinatorial expose of plethystic calculus", 2011).  The rule runs in two
+directions.  A full expansion adds strips: it multiplies by one p_r at a time
+from s_() up, over the trie of the power-sum terms, and reads every label's
+coefficient from the one vector that results.  A single coefficient, and a
+:class:`CharacterTable`, remove strips: each character value chi^lam(rho) is
+its own recursion on lam's mask.  All arithmetic is in integers: the
 power-sum coefficients are scaled by the order n! m!^n of the wreath product
 S_m wr S_n, which makes them integral, and each Schur coefficient is one
 exact division by that order.
@@ -26,7 +30,7 @@ import warnings
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import factorial
 from operator import lt
 from pathlib import Path
@@ -93,6 +97,16 @@ def _beads(parts: tuple[int, ...]) -> int:
     for j, p in enumerate(parts):
         mask |= 1 << (p + length - 1 - j)
     return mask
+
+
+def _unbeads(mask: int) -> tuple[int, ...]:
+    """The parts of the partition whose bead mask is ``mask``; inverts :func:`_beads`."""
+    parts = []
+    while mask:
+        top = mask.bit_length() - 1
+        mask ^= 1 << top
+        parts.append(top - mask.bit_count())
+    return tuple(parts)
 
 
 def _border_strip_char(mask: int, rho: tuple[int, ...]) -> int:
@@ -254,15 +268,17 @@ class CharacterTable:
     def load_or_create(cls, degree: int, cache_dir: str | os.PathLike | None) -> "CharacterTable":
         """The cached table of this degree, else an empty one.
 
-        A cache file that :meth:`load` rejects or that holds another degree
-        is ignored with a ``RuntimeWarning`` naming the file.
+        A cache file that cannot be read, that :meth:`load` rejects or that
+        holds another degree is ignored with a ``RuntimeWarning`` naming it.
         """
         if cache_dir is not None:
             path = cls.cache_path(degree, cache_dir)
             if path.exists():
                 try:
                     table = cls.load(path)
-                except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                except (
+                    OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError
+                ) as exc:
                     reason = f"{type(exc).__name__}: {exc}"
                 else:
                     if table.degree == degree:
@@ -390,18 +406,54 @@ def _power_sum_coefficients(
     return tuple(sorted((tau, w) for tau, w in acc.items() if w))
 
 
-def _coefficient(terms, scale: int, lam: Partition, table: CharacterTable | None = None) -> int:
-    """<s_lam, plethysm> from the power-sum weights ``terms`` scaled by ``scale``.
+def _times_power_sum(vec: Mapping[int, int], r: int, out: dict[int, int]) -> dict[int, int]:
+    """Add the Schur vector ``vec`` ({bead mask: coefficient}) times p_r to ``out``.
 
-    The character values are read through ``table`` if one is given, else
-    straight from the bead memo.  Raises :class:`InternalConsistencyError`
-    unless the value is a nonnegative integer.
+    The mirror of the strip removal in :func:`_border_strip_char`: r zero
+    parts (beads at 0..r-1) make room for every strip of length r, a strip
+    moves a bead from b up to the empty position b + r, so the strips are the
+    set bits of ``padded & ~(padded >> r)`` (at b), and its sign is (-1) to
+    the number of beads strictly between b and b + r.  Zero parts left over
+    are shifted out as in the removal.  Returns ``out``.
     """
-    if table is None:
-        mask = _beads(lam.parts)
-        total = sum(w * _border_strip_char(mask, tau) for tau, w in terms)
-    else:
-        total = sum(w * table._value(lam.parts, tau) for tau, w in terms)
+    between = (1 << (r - 1)) - 1
+    for mask, coeff in vec.items():
+        padded = (mask << r) | ((1 << r) - 1)
+        strips = padded & ~(padded >> r)
+        while strips:
+            low = strips & -strips
+            strips ^= low
+            b = low.bit_length() - 1
+            nxt = padded ^ low ^ (low << r)
+            if nxt & 1:
+                nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
+            term = -coeff if ((padded >> (b + 1)) & between).bit_count() & 1 else coeff
+            out[nxt] = out.get(nxt, 0) + term
+    return out
+
+
+def _schur_vector(terms, depth: int = 0) -> dict[int, int]:
+    """sum w p_{tau[depth:]} over the power-sum ``terms`` (tau, w), in the Schur basis.
+
+    The p_r commute, so a tau may list its parts in any order.  ``terms`` is
+    sorted and its taus share their first ``depth`` parts, so those with the
+    same part r at ``depth`` are consecutive: their tails are summed first
+    and multiplied by p_r once (Horner's rule on the trie of the taus).  A
+    tau that ends at ``depth`` adds its weight to s_() at mask 0.  Parts in
+    increasing order share the most work: the many small parts form the
+    shared prefixes, and the few large ones the tails, whose vectors are small.
+    """
+    vec: dict[int, int] = {}
+    for r, run in groupby(terms, lambda term: term[0][depth] if len(term[0]) > depth else 0):
+        if r:
+            _times_power_sum(_schur_vector(list(run), depth + 1), r, vec)
+        else:
+            vec[0] = sum(w for _, w in run)
+    return vec
+
+
+def _quotient(total: int, scale: int, lam: Partition) -> int:
+    """<s_lam, plethysm> from ``total`` = scale times it; raises unless a nonnegative integer."""
     value, rem = divmod(total, scale)
     if rem or value < 0:
         raise InternalConsistencyError(
@@ -440,9 +492,14 @@ def plethysm_expansion(
         raise GuardExceededError(
             f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
         )
-    terms = _power_sum_coefficients(nu.parts, m, flavor)
     scale = _wreath_order(nu.weight, m)
-    coeffs = {lam: _coefficient(terms, scale, lam) for lam in partitions_of(degree)}
+    terms = sorted((tau[::-1], w) for tau, w in _power_sum_coefficients(nu.parts, m, flavor))
+    coeffs: dict[Partition, int] = {}
+    # Labels missing from the vector, or at 0 in it, have coefficient 0.
+    for mask, total in _schur_vector(terms).items():
+        if total:
+            lam = Partition(_unbeads(mask))
+            coeffs[lam] = _quotient(total, scale, lam)
     expansion = SchurExpansion(degree, coeffs)
     _check_dimension(expansion, nu, m)
     return expansion
@@ -484,7 +541,12 @@ def multiplicity(
             stacklevel=2,
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
-    return _coefficient(terms, _wreath_order(nu.weight, m), lam, table)
+    if table is None:
+        mask = _beads(lam.parts)
+        total = sum(w * _border_strip_char(mask, tau) for tau, w in terms)
+    else:
+        total = sum(w * table._value(lam.parts, tau) for tau, w in terms)
+    return _quotient(total, _wreath_order(nu.weight, m), lam)
 
 
 def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:

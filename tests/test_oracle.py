@@ -214,6 +214,13 @@ class TestCharacterTable:
             table = CharacterTable.load_or_create(degree, tmp_path)
         assert table.degree == degree and table.values == {}
 
+    def test_unreadable_cache_path_is_ignored(self, tmp_path):
+        path = CharacterTable.cache_path(4, tmp_path)
+        path.mkdir()
+        with pytest.warns(RuntimeWarning, match=path.name):
+            table = CharacterTable.load_or_create(4, tmp_path)
+        assert table.degree == 4 and table.values == {}
+
     def test_save_replaces_the_file_whole(self, tmp_path):
         (tmp_path / "characters-n4.json").write_text("{not json")
         table = CharacterTable(4)
@@ -332,6 +339,52 @@ class TestPlethysmExpansion:
                     for flavor in PlethysmFlavor:
                         e = plethysm_expansion(nu, m, flavor)
                         assert e.total_dimension() == expected_dimension(nu, m)
+
+
+class TestForwardAssembly:
+    """The full expansion adds border strips; ``multiplicity`` removes them."""
+
+    def test_matches_the_per_label_backward_path(self):
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for nu in partitions_of(n):
+                    for flavor in PlethysmFlavor:
+                        e = plethysm_expansion(nu, m, flavor)
+                        for lam in partitions_of(m * n):
+                            assert e[lam] == multiplicity(nu, m, lam, flavor), (
+                                m, str(nu), flavor, str(lam)
+                            )
+
+    def test_p1_fold_gives_the_dimensions(self):
+        vec = {0: 1}
+        for n in range(1, 11):
+            vec = oracle._times_power_sum(vec, 1, {})
+            assert vec == {oracle._beads(lam.parts): dimension(lam) for lam in partitions_of(n)}
+            for mask in vec:
+                assert oracle._beads(oracle._unbeads(mask)) == mask
+
+    def test_pn_of_one_gives_the_signed_hooks(self):
+        for n in range(1, 13):
+            hooks = {oracle._beads((n - k,) + (1,) * k): (-1) ** k for k in range(n)}
+            assert oracle._times_power_sum({0: 1}, n, {}) == hooks
+
+    @pytest.mark.parametrize("nu", ["2,1", "4,4"])
+    def test_poisoned_power_sum_weight_is_caught(self, monkeypatch, nu):
+        nu, m = P(nu), 2
+        terms = oracle._power_sum_coefficients(nu.parts, m, PlethysmFlavor.ROW)
+        for i in range(len(terms)):
+            poisoned = terms[:i] + ((terms[i][0], terms[i][1] + 1),) + terms[i + 1:]
+            monkeypatch.setattr(oracle, "_power_sum_coefficients", lambda *_: poisoned)
+            with pytest.raises(InternalConsistencyError):
+                plethysm_expansion(nu, m)
+
+    def test_expansion_computes_no_character_value_of_its_degree(self):
+        # Only the power-sum weights read character values, of degree |nu|.
+        oracle._CHAR_CACHE.clear()
+        oracle._power_sum_coefficients.cache_clear()
+        plethysm_expansion(P("3,2,1"), 2)
+        weights = {sum(oracle._unbeads(mask)) for mask, _ in oracle._CHAR_CACHE}
+        assert 6 in weights and 12 not in weights
 
 
 def _rational_power_sum_coefficients(nu, m, flavor):
