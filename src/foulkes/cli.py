@@ -324,7 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         print(f"error: input refused as too large ({type(exc).__name__})", file=sys.stderr)
         return EXIT_GUARD
     except InternalConsistencyError as exc:

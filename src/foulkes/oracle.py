@@ -10,11 +10,12 @@ combinatorial expose of plethystic calculus", 2011).  The rule runs in two
 directions.  A full expansion adds strips: it multiplies by one p_r at a time
 from s_() up, over the trie of the power-sum terms, and reads every label's
 coefficient from the one vector that results.  A single coefficient, and a
-:class:`CharacterTable`, remove strips: each character value chi^lam(rho) is
-its own recursion on lam's mask.  All arithmetic is in integers: the
-power-sum coefficients are scaled by the order n! m!^n of the wreath product
-S_m wr S_n, which makes them integral, and each Schur coefficient is one
-exact division by that order.
+:class:`CharacterTable`, remove strips: chi^lam(rho) is a recursion on lam's
+mask down the suffixes of rho, memoized in one ``{bead mask: value}`` dict per
+suffix, so a repeated partition costs one dict lookup.  All arithmetic is in
+integers: the power-sum coefficients are scaled by the order n! m!^n of the
+wreath product S_m wr S_n, which makes them integral, and each Schur
+coefficient is one exact division by that order.
 
 A second, slower engine (:func:`monomial_expansion`) counts semistandard
 fillings by degree-m blocks and peels Schur coefficients off the monomial
@@ -83,9 +84,6 @@ def class_size(rho: Partition) -> int:
     return factorial(rho.weight) // z_order(rho)
 
 
-_CHAR_CACHE: dict[tuple[int, tuple[int, ...]], int] = {}
-
-
 def _beads(parts: tuple[int, ...]) -> int:
     """The bead mask of a partition: bit ``lam_j + (len - 1 - j)`` set for each j.
 
@@ -109,40 +107,67 @@ def _unbeads(mask: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _border_strip_char(mask: int, rho: tuple[int, ...]) -> int:
-    """Character value chi^lam(rho) by border-strip removal on the bead mask of lam.
+# The character memo, one node per suffix rho of a cycle type: (rho[0], the
+# sign mask of a strip of that length, the node of rho[1:], {bead mask of lam:
+# chi^lam(rho)}).  The empty suffix holds only the empty partition, at mask 0.
+_EMPTY_SUFFIX: tuple = (0, 0, None, {0: 1})
+_CHAR_CACHE: dict[tuple[int, ...], tuple] = {}
 
-    ``mask`` is :func:`_beads` of lam and ``rho`` is weakly decreasing; the
-    largest cycle is stripped first, which keeps the branching small.  A
-    strip of length r moves a bead from b down to the empty position c = b - r,
-    so the strips are the set bits of ``(mask & ~(mask << r)) >> r`` (at c),
-    and its sign is (-1) to the number of beads strictly between c and b.  A
-    bead that lands at 0 joins the run of one-bits at the bottom, which are
-    zero parts; shifting them out keeps the mask in normal form.  Every value
-    is memoized in ``_CHAR_CACHE`` under ``(mask, rho)``, the only memo of
-    the recursion.
+
+def _suffix_node(rho: tuple[int, ...]) -> tuple:
+    """The memo node of the weakly decreasing ``rho``, interned with its suffixes."""
+    node = _CHAR_CACHE.get(rho)
+    if node is None:
+        node = _EMPTY_SUFFIX
+        for i in range(len(rho) - 1, -1, -1):
+            r = rho[i]
+            node = _CHAR_CACHE.setdefault(rho[i:], (r, (1 << (r - 1)) - 1, node, {}))
+    return node
+
+
+def _strip_sum(mask: int, node: tuple) -> int:
+    """chi^lam(rho) by border-strip removal, for the bead ``mask`` of lam and rho's ``node``.
+
+    The first part r of rho, its largest, is stripped first, which keeps the
+    branching small.  A strip of length r moves a bead from b down to the
+    empty position c = b - r, so the strips are the set bits of
+    ``(mask & ~(mask << r)) >> r`` (at c), and its sign is (-1) to the number
+    of beads strictly between c and b.  A bead that lands at 0 joins the run
+    of one-bits at the bottom, which are zero parts; shifting them out keeps
+    the mask in normal form.  The value of each partition left is read from,
+    or stored in, the memo of the child node; the value returned is stored by
+    the caller, which may keep it elsewhere.
     """
-    if not rho:
-        return 1
-    key = (mask, rho)
-    cached = _CHAR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    r, rest = rho[0], rho[1:]
-    between = (1 << (r - 1)) - 1
+    r, between, child, _ = node
+    memo = child[3]
     total = 0
     strips = (mask & ~(mask << r)) >> r
     while strips:
         low = strips & -strips
         strips ^= low
-        c = low.bit_length() - 1
         nxt = mask ^ low ^ (low << r)
         if nxt & 1:
             nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
-        term = _border_strip_char(nxt, rest)
-        total += -term if ((mask >> (c + 1)) & between).bit_count() & 1 else term
-    _CHAR_CACHE[key] = total
+        term = memo.get(nxt)
+        if term is None:
+            term = memo[nxt] = _strip_sum(nxt, child)
+        # low.bit_length() is c + 1.
+        if (mask >> low.bit_length() & between).bit_count() & 1:
+            total -= term
+        else:
+            total += term
     return total
+
+
+def _character(mask: int, rho: tuple[int, ...], keep: bool = True) -> int:
+    """chi^lam(rho) for the bead ``mask`` of lam; memoized at rho's node if ``keep``."""
+    node = _suffix_node(rho)
+    value = node[3].get(mask)
+    if value is None:
+        value = _strip_sum(mask, node)
+        if keep:
+            node[3][mask] = value
+    return value
 
 
 def character_value(lam: Partition, rho: Partition) -> int:
@@ -151,16 +176,18 @@ def character_value(lam: Partition, rho: Partition) -> int:
         raise ValueError(
             f"character arguments must have equal weight: |{lam}| != |{rho}|"
         )
-    return _border_strip_char(_beads(lam.parts), rho.parts)
+    return _character(_beads(lam.parts), rho.parts)
 
 
 class CharacterTable:
     """Character values for one degree, with optional on-disk persistence.
 
     In memory, ``values`` holds the values read through the table, keyed by
-    ``(lam.parts, rho.parts)``; the strips below each value are memoized by
-    bead mask in ``_CHAR_CACHE``, not in the table.  On disk the keys are
-    text, in JSON with a version header:
+    ``(lam.parts, rho.parts)``.  A value the table lacks is computed by the
+    border-strip recursion, whose memo (one ``{bead mask: value}`` dict per
+    suffix of rho) keeps the values below it, at the proper suffixes of rho,
+    but not the value itself.  On disk the keys are text, in JSON with a
+    version header:
     ``{"schema": 1, "degree": n, "values": {"<lam>|<rho>": int, ...}}``
     where partitions are comma-separated part lists.  Loading rejects a
     degree or a value that is not an integer, a key not of two partitions of
@@ -181,17 +208,14 @@ class CharacterTable:
             raise ValueError(f"table holds degree {self.degree} only")
         return self._value(lam.parts, rho.parts)
 
-    def _value(self, lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    def _value(self, lam: tuple[int, ...], rho: tuple[int, ...], mask: int | None = None) -> int:
+        """chi^lam(rho); ``mask``, if given, is :func:`_beads` of lam."""
         key = (lam, rho)
         value = self.values.get(key)
         if value is None:
-            memo_key = (_beads(lam), rho)
-            value = _CHAR_CACHE.get(memo_key)
-            if value is None:
-                value = _border_strip_char(*memo_key)
-                # The table keeps this value; the memo keeps only the strips below it.
-                _CHAR_CACHE.pop(memo_key, None)
-            self.values[key] = value
+            # The table keeps this value; the memo keeps only the values below it.
+            mask = _beads(lam) if mask is None else mask
+            value = self.values[key] = _character(mask, rho, keep=False)
         return value
 
     def build_full(self) -> None:
@@ -409,7 +433,7 @@ def _power_sum_coefficients(
 def _times_power_sum(vec: Mapping[int, int], r: int, out: dict[int, int]) -> dict[int, int]:
     """Add the Schur vector ``vec`` ({bead mask: coefficient}) times p_r to ``out``.
 
-    The mirror of the strip removal in :func:`_border_strip_char`: r zero
+    The mirror of the strip removal in :func:`_strip_sum`: r zero
     parts (beads at 0..r-1) make room for every strip of length r, a strip
     moves a bead from b up to the empty position b + r, so the strips are the
     set bits of ``padded & ~(padded >> r)`` (at b), and its sign is (-1) to
@@ -541,11 +565,11 @@ def multiplicity(
             stacklevel=2,
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
+    mask = _beads(lam.parts)
     if table is None:
-        mask = _beads(lam.parts)
-        total = sum(w * _border_strip_char(mask, tau) for tau, w in terms)
+        total = sum(w * _character(mask, tau) for tau, w in terms)
     else:
-        total = sum(w * table._value(lam.parts, tau) for tau, w in terms)
+        total = sum(w * table._value(lam.parts, tau, mask) for tau, w in terms)
     return _quotient(total, _wreath_order(nu.weight, m), lam)
 
 

@@ -147,6 +147,16 @@ class TestRefusals:
         assert err.startswith("error: ") and "too large" in err
         assert "Traceback" not in err
 
+    def test_oversized_part_is_refused_without_traceback(self):
+        # A part past the platform's index size cannot be the length of a list.
+        code, out, err = run_process(
+            "min-constituents", "--m", "2", "--nu", "99999999999999999999"
+        )
+        assert code == EXIT_GUARD
+        assert out == ""
+        assert err.startswith("error: ") and "input refused as too large" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "tuple_json",
         [

@@ -112,6 +112,15 @@ def _beta_list_char(lam, rho, memo):
     return total
 
 
+def _memo_entries():
+    """(suffix, bead mask, value) for every value the character memo holds."""
+    return [
+        (rho, mask, v)
+        for rho, node in oracle._CHAR_CACHE.items()
+        for mask, v in node[3].items()
+    ]
+
+
 class TestBeadMaskKernel:
     def test_matches_beta_list_recursion_up_to_degree_12(self):
         oracle._CHAR_CACHE.clear()
@@ -123,7 +132,9 @@ class TestBeadMaskKernel:
                     want = _beta_list_char(lam.parts, rho.parts, memo)
                     assert character_value(lam, rho) == want, (str(lam), str(rho))
         # Every mask the recursion memoized is in normal form: no zero parts.
-        assert all(mask & 1 == 0 for mask, _ in oracle._CHAR_CACHE)
+        entries = _memo_entries()
+        assert entries
+        assert all(mask & 1 == 0 for _, mask, _ in entries)
 
     def test_matches_beta_list_recursion_at_degrees_20_to_24(self):
         # Labels from the band the single-coefficient benchmark draws from:
@@ -266,8 +277,9 @@ class TestCharacterTable:
         assert table.values == {
             (lam.parts, rho.parts): v for (lam, rho), v in zip(asked, values)
         }
-        assert oracle._CHAR_CACHE
-        assert all(type(mask) is int for mask, _ in oracle._CHAR_CACHE)
+        entries = _memo_entries()
+        assert entries
+        assert all(type(mask) is int for _, mask, _ in entries)
         oracle._CHAR_CACHE.clear()
         for (lam, rho), v in zip(asked, values):
             assert table.value(lam, rho) == v == character_value(lam, rho)
@@ -278,15 +290,15 @@ class TestCharacterTable:
         oracle._CHAR_CACHE.clear()
         table = CharacterTable(12)
         multiplicity(P("3,1"), 3, P("6,3,2,1"), table=table)
-        assert table.values and oracle._CHAR_CACHE
+        assert table.values and _memo_entries()
         top = {(oracle._beads(lam), rho) for lam, rho in table.values}
-        assert top.isdisjoint(oracle._CHAR_CACHE)
+        assert top.isdisjoint((mask, rho) for rho, mask, _ in _memo_entries())
         for (lam, rho), v in table.values.items():
             assert v == character_value(Partition(lam), Partition(rho))
         lam, rho = P("4,2,1"), P("3,2,2")
         v = character_value(lam, rho)
         assert CharacterTable(7).value(lam, rho) == v
-        assert oracle._CHAR_CACHE[oracle._beads(lam.parts), rho.parts] == v
+        assert oracle._CHAR_CACHE[rho.parts][3][oracle._beads(lam.parts)] == v
 
 
 class TestSchurExpansion:
@@ -345,15 +357,26 @@ class TestForwardAssembly:
     """The full expansion adds border strips; ``multiplicity`` removes them."""
 
     def test_matches_the_per_label_backward_path(self):
+        # Four paths to each coefficient: the expansion, and multiplicity with
+        # a fresh table, without a table and with the same table warm.  The
+        # memo is cleared per case, so each backward path computes its values.
         for m in range(1, 13):
             for n in range(1, 12 // m + 1):
+                labels = list(partitions_of(m * n))
                 for nu in partitions_of(n):
                     for flavor in PlethysmFlavor:
+                        oracle._CHAR_CACHE.clear()
                         e = plethysm_expansion(nu, m, flavor)
-                        for lam in partitions_of(m * n):
-                            assert e[lam] == multiplicity(nu, m, lam, flavor), (
-                                m, str(nu), flavor, str(lam)
-                            )
+                        table = CharacterTable(m * n)
+                        fresh = [multiplicity(nu, m, lam, flavor, table=table) for lam in labels]
+                        taus = [tau for tau, _ in oracle._power_sum_coefficients(nu.parts, m, flavor)]
+                        asked = {(lam.parts, tau) for lam in labels for tau in taus}
+                        assert set(table.values) == asked
+                        for lam, v in zip(labels, fresh):
+                            assert e[lam] == v == multiplicity(nu, m, lam, flavor) == multiplicity(
+                                nu, m, lam, flavor, table=table
+                            ), (m, str(nu), flavor, str(lam))
+                        assert set(table.values) == asked
 
     def test_p1_fold_gives_the_dimensions(self):
         vec = {0: 1}
@@ -383,8 +406,38 @@ class TestForwardAssembly:
         oracle._CHAR_CACHE.clear()
         oracle._power_sum_coefficients.cache_clear()
         plethysm_expansion(P("3,2,1"), 2)
-        weights = {sum(oracle._unbeads(mask)) for mask, _ in oracle._CHAR_CACHE}
+        weights = {sum(oracle._unbeads(mask)) for _, mask, _ in _memo_entries()}
         assert 6 in weights and 12 not in weights
+
+
+class TestSuffixMemo:
+    """The character memo: one node per cycle type suffix, keyed by bead mask below it."""
+
+    def test_nodes_and_entries_are_well_formed(self):
+        oracle._CHAR_CACHE.clear()
+        for n in range(9):
+            classes = list(partitions_of(n))
+            for lam in classes:
+                for rho in classes:
+                    character_value(lam, rho)
+        multiplicity(P("3,1"), 3, P("6,3,2,1"), table=CharacterTable(12))
+        with pytest.warns(RuntimeWarning, match="single-coefficient"):
+            multiplicity(P("2,2"), 5, P("8,6,4,2"), PlethysmFlavor.COLUMN)
+        assert oracle._EMPTY_SUFFIX[3] == {0: 1}
+        memo = {}
+        weights = set()
+        for rho, (r, between, child, values) in oracle._CHAR_CACHE.items():
+            assert rho and rho[-1] >= 1 and list(rho) == sorted(rho, reverse=True)
+            assert r == rho[0] and between == (1 << (r - 1)) - 1
+            assert child is oracle._CHAR_CACHE.get(rho[1:], oracle._EMPTY_SUFFIX)
+            for mask, v in values.items():
+                assert type(mask) is int and mask & 1 == 0, (rho, mask)
+                lam = oracle._unbeads(mask)
+                assert sum(lam) == sum(rho), (rho, mask)
+                weights.add(sum(rho))
+                if sum(rho) <= 12:
+                    assert v == _beta_list_char(lam, rho, memo), (rho, lam)
+        assert {8, 12, 20} <= weights
 
 
 def _rational_power_sum_coefficients(nu, m, flavor):
