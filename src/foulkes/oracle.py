@@ -9,10 +9,12 @@ operations on one word (the abacus of Loehr-Remmel, "A computational and
 combinatorial expose of plethystic calculus", 2011).  The rule runs in two
 directions.  A full expansion adds strips: it multiplies by one p_r at a time
 from s_() up, over the trie of the power-sum terms, and reads every label's
-coefficient from the one vector that results.  A single coefficient, and a
-:class:`CharacterTable`, remove strips: chi^lam(rho) is a recursion on lam's
-mask down the suffixes of rho, memoized in one ``{bead mask: value}`` dict per
-suffix, so a repeated partition costs one dict lookup.  All arithmetic is in
+coefficient from the one vector that results.  A single coefficient removes
+strips: chi^lam(rho) is a recursion on lam's mask down the suffixes of rho,
+memoized in one ``{bead mask: value}`` dict per suffix, so a repeated
+partition costs one dict lookup.  That memo is the one store of character
+values; a :class:`CharacterTable` is a degree and a file format, which saves
+the memo's values of its degree and seeds it from a file.  All arithmetic is in
 integers: the power-sum coefficients are scaled by the order n! m!^n of the
 wreath product S_m wr S_n, which makes them integral, and each Schur
 coefficient is one exact division by that order.
@@ -136,7 +138,7 @@ def _strip_sum(mask: int, node: tuple) -> int:
     of one-bits at the bottom, which are zero parts; shifting them out keeps
     the mask in normal form.  The value of each partition left is read from,
     or stored in, the memo of the child node; the value returned is stored by
-    the caller, which may keep it elsewhere.
+    the caller, at rho's node.
     """
     r, between, child, _ = node
     memo = child[3]
@@ -159,14 +161,12 @@ def _strip_sum(mask: int, node: tuple) -> int:
     return total
 
 
-def _character(mask: int, rho: tuple[int, ...], keep: bool = True) -> int:
-    """chi^lam(rho) for the bead ``mask`` of lam; memoized at rho's node if ``keep``."""
+def _character(mask: int, rho: tuple[int, ...]) -> int:
+    """chi^lam(rho) for the bead ``mask`` of lam, memoized at rho's node."""
     node = _suffix_node(rho)
     value = node[3].get(mask)
     if value is None:
-        value = _strip_sum(mask, node)
-        if keep:
-            node[3][mask] = value
+        value = node[3][mask] = _strip_sum(mask, node)
     return value
 
 
@@ -180,19 +180,18 @@ def character_value(lam: Partition, rho: Partition) -> int:
 
 
 class CharacterTable:
-    """Character values for one degree, with optional on-disk persistence.
+    """Character values of one degree on disk: a degree and a file format.
 
-    In memory, ``values`` holds the values read through the table, keyed by
-    ``(lam.parts, rho.parts)``.  A value the table lacks is computed by the
-    border-strip recursion, whose memo (one ``{bead mask: value}`` dict per
-    suffix of rho) keeps the values below it, at the proper suffixes of rho,
-    but not the value itself.  On disk the keys are text, in JSON with a
-    version header:
+    The values live in the character memo only.  ``values`` is a snapshot,
+    built on each access, of the memo's values of this degree, keyed by
+    ``(lam.parts, rho.parts)``, and :meth:`save` writes it: every value of
+    the degree the process holds.  On disk the keys are text, in JSON:
     ``{"schema": 1, "degree": n, "values": {"<lam>|<rho>": int, ...}}``
     where partitions are comma-separated part lists.  Loading rejects a
     degree or a value that is not an integer, a key not of two partitions of
-    the degree, and a wrong value at the identity class (the dimension) or at
-    lam = (n) (1).
+    the degree, a wrong value at the identity class (the dimension) or at
+    lam = (n) (1), and a value other than one already held for its pair.  A
+    file that passes seeds the memo, and every later call trusts it.
     """
 
     SCHEMA = 1
@@ -201,22 +200,19 @@ class CharacterTable:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.degree = degree
-        self.values: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    @property
+    def values(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        return {
+            (_unbeads(mask), rho): v
+            for rho, node in _CHAR_CACHE.items() if sum(rho) == self.degree
+            for mask, v in node[3].items()
+        }
 
     def value(self, lam: Partition, rho: Partition) -> int:
         if lam.weight != self.degree or rho.weight != self.degree:
             raise ValueError(f"table holds degree {self.degree} only")
-        return self._value(lam.parts, rho.parts)
-
-    def _value(self, lam: tuple[int, ...], rho: tuple[int, ...], mask: int | None = None) -> int:
-        """chi^lam(rho); ``mask``, if given, is :func:`_beads` of lam."""
-        key = (lam, rho)
-        value = self.values.get(key)
-        if value is None:
-            # The table keeps this value; the memo keeps only the values below it.
-            mask = _beads(lam) if mask is None else mask
-            value = self.values[key] = _character(mask, rho, keep=False)
-        return value
+        return _character(_beads(lam.parts), rho.parts)
 
     def build_full(self) -> None:
         """Populate every (lam, rho) pair of this degree."""
@@ -263,26 +259,37 @@ class CharacterTable:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "CharacterTable":
+        return cls._load(path, None)
+
+    @classmethod
+    def _load(cls, path: str | os.PathLike, want: int | None) -> "CharacterTable":
+        """:meth:`load`, also rejecting a degree other than ``want`` if given; all or nothing."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if payload.get("schema") != cls.SCHEMA:
             raise ValueError(f"unsupported character-table schema in {path}")
         degree = payload["degree"]
         if type(degree) is not int:
             raise ValueError(f"degree {degree!r} in {path} is not an integer")
-        table = cls(degree)
-        identity = (1,) * table.degree
+        if want is not None and degree != want:
+            raise ValueError(f"degree {degree} in {path} is not {want}")
+        entries: dict[tuple[tuple[int, ...], int], int] = {}
         for key, v in payload["values"].items():
             lam, rho = (tuple(map(int, p.split(","))) if p else () for p in key.split("|"))
             for ps in (lam, rho):
-                if sum(ps) != table.degree or any(map(lt, ps, ps[1:])) or (ps and ps[-1] < 1):
-                    raise ValueError(f"entry {key!r} is not two partitions of {table.degree}")
+                if sum(ps) != degree or any(map(lt, ps, ps[1:])) or (ps and ps[-1] < 1):
+                    raise ValueError(f"entry {key!r} is not two partitions of {degree}")
             if type(v) is not int:
                 raise ValueError(f"entry {key!r} holds {v!r}, not an integer")
-            # The identity class gives the dimension; lam = (n) is the trivial character.
-            if (rho == identity and v != dimension(Partition(lam))) or (len(lam) <= 1 and v != 1):
+            # rho = (1^n) gives the dimension; lam = (n) is the trivial character.
+            if (len(rho) == degree and v != dimension(Partition(lam))) or (len(lam) <= 1 and v != 1):
                 raise ValueError(f"entry {key!r} holds {v}, not the character value")
-            table.values[(lam, rho)] = v
-        return table
+            mask = _beads(lam)
+            if entries.get((rho, mask), _CHAR_CACHE.get(rho, _EMPTY_SUFFIX)[3].get(mask, v)) != v:
+                raise ValueError(f"entry {key!r} holds {v}, not the value already held for it")
+            entries[rho, mask] = v
+        for (rho, mask), v in entries.items():
+            _suffix_node(rho)[3].setdefault(mask, v)
+        return cls(degree)
 
     @staticmethod
     def cache_path(degree: int, cache_dir: str | os.PathLike) -> Path:
@@ -299,20 +306,15 @@ class CharacterTable:
             path = cls.cache_path(degree, cache_dir)
             if path.exists():
                 try:
-                    table = cls.load(path)
+                    return cls._load(path, degree)
                 except (
                     OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError
                 ) as exc:
-                    reason = f"{type(exc).__name__}: {exc}"
-                else:
-                    if table.degree == degree:
-                        return table
-                    reason = f"it holds degree {table.degree}"
-                warnings.warn(
-                    f"ignoring the character cache {path}: {reason}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                    warnings.warn(
+                        f"ignoring the character cache {path}: {type(exc).__name__}: {exc}",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
         return cls(degree)
 
     def save_to(self, cache_dir: str | os.PathLike) -> Path:
@@ -541,8 +543,8 @@ def multiplicity(
     """Single Schur coefficient without expanding the whole degree.
 
     Permitted past the guard up to degree ``SINGLE_COEFFICIENT_LIMIT`` with a
-    runtime warning.  The character values are read through ``table`` if one
-    is given; it must be of this degree.
+    runtime warning.  ``table``, if given, is only checked to be of this
+    degree: every character value is read from, or stored in, the one memo.
     """
     flavor = PlethysmFlavor(flavor)
     if m < 1:
@@ -566,10 +568,7 @@ def multiplicity(
         )
     terms = _power_sum_coefficients(nu.parts, m, flavor)
     mask = _beads(lam.parts)
-    if table is None:
-        total = sum(w * _character(mask, tau) for tau, w in terms)
-    else:
-        total = sum(w * table._value(lam.parts, tau, mask) for tau, w in terms)
+    total = sum(w * _character(mask, tau) for tau, w in terms)
     return _quotient(total, _wreath_order(nu.weight, m), lam)
 
 

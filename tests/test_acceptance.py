@@ -11,6 +11,7 @@ import warnings
 from collections import Counter
 from math import factorial
 
+from foulkes import oracle
 from foulkes.constituents import (
     maximal_constituents_phi,
     minimal_constituents_phi,
@@ -174,17 +175,25 @@ def test_criterion_5_omega_involution():
 
 
 def test_criterion_6_degree_24_certificate(tmp_path):
-    def body():
-        table = CharacterTable.load_or_create(24, tmp_path)
+    def coefficient(table):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            value = multiplicity(
-                P("4,4"), 3, Partition([4] * 6), PlethysmFlavor.ROW, table=table
-            )
+            return multiplicity(P("4,4"), 3, Partition([4] * 6), PlethysmFlavor.ROW, table=table)
+
+    def body():
+        table = CharacterTable.load_or_create(24, tmp_path)
+        value = coefficient(table)
         assert value >= 1
         table.save_to(tmp_path)
-        reloaded = CharacterTable.load_or_create(24, tmp_path)
-        assert reloaded.values == table.values and reloaded.values
+        saved = table.values
+        # The memo is the only store, so only a cleared memo shows what the file holds.
+        oracle._CHAR_CACHE.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = CharacterTable.load_or_create(24, tmp_path)
+        assert reloaded.values == saved and saved
+        assert coefficient(reloaded) == value
+        assert reloaded.values == saved
 
     _criterion(6, "degree-24 single coefficient >= 1 with persistent cache", 600.0, body)
 

@@ -182,12 +182,14 @@ class TestCharacterTable:
         assert loaded.values == table.values
 
     def test_load_or_create(self, tmp_path):
+        oracle._CHAR_CACHE.clear()
         fresh = CharacterTable.load_or_create(4, tmp_path)
         assert fresh.values == {}
-        fresh.value(P("2,2"), P("2,1,1"))
+        v = fresh.value(P("2,2"), P("2,1,1"))
         fresh.save_to(tmp_path)
+        oracle._CHAR_CACHE.clear()
         again = CharacterTable.load_or_create(4, tmp_path)
-        assert again.values == fresh.values
+        assert again.values == {((2, 2), (2, 1, 1)): v}
 
     @pytest.mark.parametrize(
         "content",
@@ -215,22 +217,60 @@ class TestCharacterTable:
             # int(true) is 1, which matches the degree only in a degree-1 file
             (1, '{"schema": 1, "degree": true, "values": {}}'),
             pytest.param("[" * 10**6 + "]" * 10**6, id="deep-nesting"),
+            pytest.param('{"schema": 1, "degree": 1000000000000000, "values": {}}', id="huge-degree"),
+            # chi^(3,1)(2,2) is -1, held before the load; the good entries before it stay out
+            pytest.param(
+                '{"schema": 1, "degree": 4, "values": {"2,2|2,1,1": 0, "4|2,2": 1, "3,1|2,2": 1}}',
+                id="disagrees-with-a-held-value",
+            ),
+            pytest.param(
+                '{"schema": 1, "degree": 5, "values": {"3,2|3,1,1": -1, "5|5": 1}}', id="other-degree"
+            ),
+            pytest.param(
+                '{"schema": 1, "degree": 4, "values": {"2,2|2,2": 2, "2,02|2,2": -2}}',
+                id="one-pair-spelt-twice",
+            ),
         ],
     )
     def test_unusable_cache_file_is_ignored(self, tmp_path, content):
         degree, content = content if isinstance(content, tuple) else (4, content)
         path = CharacterTable.cache_path(degree, tmp_path)
         path.write_text(content)
+        oracle._CHAR_CACHE.clear()
+        assert character_value(P("3,1"), P("2,2")) == -1
+        before = _memo_entries()
         with pytest.warns(RuntimeWarning, match=path.name):
             table = CharacterTable.load_or_create(degree, tmp_path)
-        assert table.degree == degree and table.values == {}
+        assert table.degree == degree and _memo_entries() == before
 
     def test_unreadable_cache_path_is_ignored(self, tmp_path):
         path = CharacterTable.cache_path(4, tmp_path)
         path.mkdir()
+        character_value(P("3,1"), P("2,2"))
+        before = _memo_entries()
         with pytest.warns(RuntimeWarning, match=path.name):
             table = CharacterTable.load_or_create(4, tmp_path)
-        assert table.degree == 4 and table.values == {}
+        assert table.degree == 4 and _memo_entries() == before
+
+    def test_load_checks_every_entry_before_it_seeds(self, tmp_path):
+        path = tmp_path / "n4.json"
+        path.write_text(
+            '{"schema": 1, "degree": 4, "values": {"2,2|2,1,1": 0, "2,2|2,2": 2, "3,1|2,2": 1}}'
+        )
+        oracle._CHAR_CACHE.clear()
+        held = character_value(P("3,1"), P("2,2"))
+        before = _memo_entries()
+        with pytest.raises(ValueError, match=r"'3,1\|2,2' holds 1"):
+            CharacterTable.load(path)
+        assert _memo_entries() == before
+        assert oracle._CHAR_CACHE[(2, 2)][3][oracle._beads((3, 1))] == held == -1
+
+    def test_huge_degree_loads_at_once(self, tmp_path):
+        # The identity class is recognised by its length, so no (1,) * degree is built.
+        path = CharacterTable.cache_path(10**15, tmp_path)
+        path.write_text('{"schema": 1, "degree": 1000000000000000, "values": {}}')
+        table = CharacterTable.load(path)
+        assert table.degree == 10**15 and table.values == {}
 
     def test_save_replaces_the_file_whole(self, tmp_path):
         (tmp_path / "characters-n4.json").write_text("{not json")
@@ -284,21 +324,41 @@ class TestCharacterTable:
         for (lam, rho), v in zip(asked, values):
             assert table.value(lam, rho) == v == character_value(lam, rho)
 
-    def test_table_values_are_not_kept_twice(self):
-        # A value computed for a table is stored in the table only; the memo
-        # keeps the strips below it, and an entry it held before stays.
+    def test_table_values_are_not_kept_twice(self, tmp_path, monkeypatch):
+        # A table holds its degree only: a value read through it, through
+        # character_value or from a loaded file is held once, at its node.
+        assert vars(CharacterTable(7)) == {"degree": 7}
         oracle._CHAR_CACHE.clear()
         table = CharacterTable(12)
-        multiplicity(P("3,1"), 3, P("6,3,2,1"), table=table)
-        assert table.values and _memo_entries()
-        top = {(oracle._beads(lam), rho) for lam, rho in table.values}
-        assert top.isdisjoint((mask, rho) for rho, mask, _ in _memo_entries())
-        for (lam, rho), v in table.values.items():
-            assert v == character_value(Partition(lam), Partition(rho))
+        lam = P("6,3,2,1")
+        multiplicity(P("3,1"), 3, lam, table=table)
+        assert vars(table) == {"degree": 12}
+        taus = [tau for tau, _ in oracle._power_sum_coefficients((3, 1), 3, PlethysmFlavor.ROW)]
+        assert table.values == {
+            (lam.parts, tau): oracle._CHAR_CACHE[tau][3][oracle._beads(lam.parts)] for tau in taus
+        }
+        for (mu, rho), v in table.values.items():
+            assert v == _beta_list_char(mu, rho, {})
+        # A value character_value stored is the one a table reads, and a saved
+        # file seeds the memo, from which both read without computing.
         lam, rho = P("4,2,1"), P("3,2,2")
         v = character_value(lam, rho)
-        assert CharacterTable(7).value(lam, rho) == v
         assert oracle._CHAR_CACHE[rho.parts][3][oracle._beads(lam.parts)] == v
+        seven = CharacterTable(7)
+        assert seven.value(lam, rho) == v and seven.values[lam.parts, rho.parts] == v
+        seven.build_full()
+        seven.save_to(tmp_path)
+        saved = seven.values
+        oracle._CHAR_CACHE.clear()
+        loaded = CharacterTable.load_or_create(7, tmp_path)
+        assert sorted(_memo_entries()) == sorted(
+            (rho, oracle._beads(mu), v) for (mu, rho), v in saved.items()
+        )
+        monkeypatch.setattr(oracle, "_strip_sum", None)
+        for (mu, rho), v in saved.items():
+            assert loaded.value(Partition(mu), Partition(rho)) == v
+            assert character_value(Partition(mu), Partition(rho)) == v
+        assert loaded.values == saved
 
 
 class TestSchurExpansion:
@@ -357,9 +417,10 @@ class TestForwardAssembly:
     """The full expansion adds border strips; ``multiplicity`` removes them."""
 
     def test_matches_the_per_label_backward_path(self):
-        # Four paths to each coefficient: the expansion, and multiplicity with
-        # a fresh table, without a table and with the same table warm.  The
-        # memo is cleared per case, so each backward path computes its values.
+        # Three paths to each coefficient: the expansion, and multiplicity
+        # cold (the memo is cleared per case, so it computes its values) and
+        # warm, with and without a table.  Every value asked is then held at
+        # its node.
         for m in range(1, 13):
             for n in range(1, 12 // m + 1):
                 labels = list(partitions_of(m * n))
@@ -368,15 +429,14 @@ class TestForwardAssembly:
                         oracle._CHAR_CACHE.clear()
                         e = plethysm_expansion(nu, m, flavor)
                         table = CharacterTable(m * n)
-                        fresh = [multiplicity(nu, m, lam, flavor, table=table) for lam in labels]
-                        taus = [tau for tau, _ in oracle._power_sum_coefficients(nu.parts, m, flavor)]
-                        asked = {(lam.parts, tau) for lam in labels for tau in taus}
-                        assert set(table.values) == asked
-                        for lam, v in zip(labels, fresh):
+                        cold = [multiplicity(nu, m, lam, flavor, table=table) for lam in labels]
+                        for lam, v in zip(labels, cold):
                             assert e[lam] == v == multiplicity(nu, m, lam, flavor) == multiplicity(
                                 nu, m, lam, flavor, table=table
                             ), (m, str(nu), flavor, str(lam))
-                        assert set(table.values) == asked
+                        for tau, _ in oracle._power_sum_coefficients(nu.parts, m, flavor):
+                            held = oracle._CHAR_CACHE[tau][3]
+                            assert all(oracle._beads(lam.parts) in held for lam in labels)
 
     def test_p1_fold_gives_the_dimensions(self):
         vec = {0: 1}
@@ -486,12 +546,17 @@ class TestPowerSumKernel:
     def test_off_by_one_table_value_is_caught(self):
         nu, m, lam = P("2,1"), 2, P("4,2")
         want = multiplicity(nu, m, lam)
+        mask = oracle._beads(lam.parts)
         for tau, _ in oracle._power_sum_coefficients(nu.parts, m, PlethysmFlavor.ROW):
             table = CharacterTable(6)
             assert multiplicity(nu, m, lam, table=table) == want
-            table.values[(lam.parts, tau)] += 1
-            with pytest.raises(InternalConsistencyError, match=r"\(4,2\)"):
-                multiplicity(nu, m, lam, table=table)
+            held = oracle._CHAR_CACHE[tau][3]
+            held[mask] += 1
+            try:
+                with pytest.raises(InternalConsistencyError, match=r"\(4,2\)"):
+                    multiplicity(nu, m, lam, table=table)
+            finally:
+                held[mask] -= 1
 
 
 class TestMultiplicity:
