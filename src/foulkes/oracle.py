@@ -13,8 +13,9 @@ coefficient from the one vector that results.  A single coefficient removes
 strips: chi^lam(rho) is a recursion on lam's mask down the suffixes of rho,
 memoized in one ``{bead mask: value}`` dict per suffix, so a repeated
 partition costs one dict lookup.  That memo is the one store of character
-values; a :class:`CharacterTable` is a degree and a file format, which saves
-the memo's values of its degree and seeds it from a file.  All arithmetic is in
+values; a :class:`CharacterTable` is a degree and a file format, whose
+``save_to`` writes the memo's values of its degree to a file and whose
+``load_or_create`` seeds the memo from one.  All arithmetic is in
 integers: the power-sum coefficients are scaled by the order n! m!^n of the
 wreath product S_m wr S_n, which makes them integral, and each Schur
 coefficient is one exact division by that order.
@@ -179,26 +180,30 @@ def character_value(lam: Partition, rho: Partition) -> int:
     return _character(_beads(lam.parts), rho.parts)
 
 
+_TABLE_FILE = "characters-n{}.json"
+
+
 class CharacterTable:
     """Character values of one degree on disk: a degree and a file format.
 
     The values live in the character memo only.  ``values`` is a snapshot,
     built on each access, of the memo's values of this degree, keyed by
-    ``(lam.parts, rho.parts)``, and :meth:`save` writes it: every value of
-    the degree the process holds.  On disk the keys are text, in JSON:
-    ``{"schema": 1, "degree": n, "values": {"<lam>|<rho>": int, ...}}``
-    where partitions are comma-separated part lists.  Loading rejects a
-    degree or a value that is not an integer, a key not of two partitions of
-    the degree, a wrong value at the identity class (the dimension) or at
-    lam = (n) (1), and a value other than one already held for its pair.  A
-    file that passes seeds the memo, and every later call trusts it.
+    ``(lam.parts, rho.parts)``, and :meth:`save_to` writes it to the file
+    ``characters-n<degree>.json`` of a directory, which :meth:`load_or_create`
+    reads.  In JSON: ``{"schema": 1, "degree": n, "values": {"<lam>|<rho>":
+    int, ...}}`` where partitions are comma-separated part lists.  Loading
+    rejects a degree other than the file name's, a value that is not an
+    integer, a key not of two partitions of the degree, a wrong value at the
+    identity class (the dimension) or at lam = (n) (1), and a value other
+    than one already held for its pair.  A file that passes seeds the memo,
+    and every later call trusts it.
     """
 
     SCHEMA = 1
 
     def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"degree must be a nonnegative int, not {degree!r}")
         self.degree = degree
 
     @property
@@ -209,18 +214,6 @@ class CharacterTable:
             for mask, v in node[3].items()
         }
 
-    def value(self, lam: Partition, rho: Partition) -> int:
-        if lam.weight != self.degree or rho.weight != self.degree:
-            raise ValueError(f"table holds degree {self.degree} only")
-        return _character(_beads(lam.parts), rho.parts)
-
-    def build_full(self) -> None:
-        """Populate every (lam, rho) pair of this degree."""
-        parts = list(partitions_of(self.degree))
-        for lam in parts:
-            for rho in parts:
-                self.value(lam, rho)
-
     def verify_orthogonality(self) -> None:
         """Check column orthogonality exactly; raise on any failure."""
         parts = list(partitions_of(self.degree))
@@ -228,7 +221,7 @@ class CharacterTable:
         for i, lam in enumerate(parts):
             for mu in parts[i:]:
                 acc = sum(
-                    class_size(rho) * self.value(lam, rho) * self.value(mu, rho)
+                    class_size(rho) * character_value(lam, rho) * character_value(mu, rho)
                     for rho in parts
                 )
                 want = nfac if lam == mu else 0
@@ -237,7 +230,30 @@ class CharacterTable:
                         f"orthogonality fails at ({lam}), ({mu}): {acc} != {want}"
                     )
 
-    def save(self, path: str | os.PathLike) -> None:
+    @classmethod
+    def load_or_create(cls, degree: int, cache_dir: str | os.PathLike | None) -> "CharacterTable":
+        """The table of this degree, its values seeded from ``cache_dir`` if the file there passes.
+
+        A cache file that cannot be read, that fails a check or that holds
+        another degree is ignored with a ``RuntimeWarning`` naming it.
+        """
+        table = cls(degree)
+        path = None if cache_dir is None else Path(cache_dir) / _TABLE_FILE.format(degree)
+        if path is not None and path.exists():
+            try:
+                _load(path, degree)
+            except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                warnings.warn(
+                    f"ignoring the character cache {path}: {type(exc).__name__}: {exc}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+        return table
+
+    def save_to(self, cache_dir: str | os.PathLike) -> Path:
+        """Write ``values`` to this degree's file in ``cache_dir``; return the file's path."""
+        path = Path(cache_dir) / _TABLE_FILE.format(self.degree)
+        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": self.SCHEMA,
             "degree": self.degree,
@@ -248,7 +264,6 @@ class CharacterTable:
         }
         # Write a file of this process next to the target and rename it over
         # the target, so that no reader sees a half-written cache.
-        path = Path(path)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             tmp.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
@@ -256,72 +271,36 @@ class CharacterTable:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "CharacterTable":
-        return cls._load(path, None)
-
-    @classmethod
-    def _load(cls, path: str | os.PathLike, want: int | None) -> "CharacterTable":
-        """:meth:`load`, also rejecting a degree other than ``want`` if given; all or nothing."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("schema") != cls.SCHEMA:
-            raise ValueError(f"unsupported character-table schema in {path}")
-        degree = payload["degree"]
-        if type(degree) is not int:
-            raise ValueError(f"degree {degree!r} in {path} is not an integer")
-        if want is not None and degree != want:
-            raise ValueError(f"degree {degree} in {path} is not {want}")
-        entries: dict[tuple[tuple[int, ...], int], int] = {}
-        for key, v in payload["values"].items():
-            lam, rho = (tuple(map(int, p.split(","))) if p else () for p in key.split("|"))
-            for ps in (lam, rho):
-                if sum(ps) != degree or any(map(lt, ps, ps[1:])) or (ps and ps[-1] < 1):
-                    raise ValueError(f"entry {key!r} is not two partitions of {degree}")
-            if type(v) is not int:
-                raise ValueError(f"entry {key!r} holds {v!r}, not an integer")
-            # rho = (1^n) gives the dimension; lam = (n) is the trivial character.
-            if (len(rho) == degree and v != dimension(Partition(lam))) or (len(lam) <= 1 and v != 1):
-                raise ValueError(f"entry {key!r} holds {v}, not the character value")
-            mask = _beads(lam)
-            if entries.get((rho, mask), _CHAR_CACHE.get(rho, _EMPTY_SUFFIX)[3].get(mask, v)) != v:
-                raise ValueError(f"entry {key!r} holds {v}, not the value already held for it")
-            entries[rho, mask] = v
-        for (rho, mask), v in entries.items():
-            _suffix_node(rho)[3].setdefault(mask, v)
-        return cls(degree)
-
-    @staticmethod
-    def cache_path(degree: int, cache_dir: str | os.PathLike) -> Path:
-        return Path(cache_dir) / f"characters-n{degree}.json"
-
-    @classmethod
-    def load_or_create(cls, degree: int, cache_dir: str | os.PathLike | None) -> "CharacterTable":
-        """The cached table of this degree, else an empty one.
-
-        A cache file that cannot be read, that :meth:`load` rejects or that
-        holds another degree is ignored with a ``RuntimeWarning`` naming it.
-        """
-        if cache_dir is not None:
-            path = cls.cache_path(degree, cache_dir)
-            if path.exists():
-                try:
-                    return cls._load(path, degree)
-                except (
-                    OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError
-                ) as exc:
-                    warnings.warn(
-                        f"ignoring the character cache {path}: {type(exc).__name__}: {exc}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-        return cls(degree)
-
-    def save_to(self, cache_dir: str | os.PathLike) -> Path:
-        path = self.cache_path(self.degree, cache_dir)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self.save(path)
         return path
+
+
+def _load(path: Path, want: int) -> None:
+    """Seed the memo from the degree-``want`` file ``path``, all or nothing, or raise."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if payload.get("schema") != CharacterTable.SCHEMA:
+        raise ValueError(f"unsupported character-table schema in {path}")
+    degree = payload["degree"]
+    if type(degree) is not int:
+        raise ValueError(f"degree {degree!r} in {path} is not an integer")
+    if degree != want:
+        raise ValueError(f"degree {degree} in {path} is not {want}")
+    entries: dict[tuple[tuple[int, ...], int], int] = {}
+    for key, v in payload["values"].items():
+        lam, rho = (tuple(map(int, p.split(","))) if p else () for p in key.split("|"))
+        for ps in (lam, rho):
+            if sum(ps) != degree or any(map(lt, ps, ps[1:])) or (ps and ps[-1] < 1):
+                raise ValueError(f"entry {key!r} is not two partitions of {degree}")
+        if type(v) is not int:
+            raise ValueError(f"entry {key!r} holds {v!r}, not an integer")
+        # rho = (1^n) gives the dimension; lam = (n) is the trivial character.
+        if (len(rho) == degree and v != dimension(Partition(lam))) or (len(lam) <= 1 and v != 1):
+            raise ValueError(f"entry {key!r} holds {v}, not the character value")
+        mask = _beads(lam)
+        if entries.get((rho, mask), _CHAR_CACHE.get(rho, _EMPTY_SUFFIX)[3].get(mask, v)) != v:
+            raise ValueError(f"entry {key!r} holds {v}, not the value already held for it")
+        entries[rho, mask] = v
+    for (rho, mask), v in entries.items():
+        _suffix_node(rho)[3].setdefault(mask, v)
 
 
 class SchurExpansion:
@@ -555,11 +534,9 @@ def multiplicity(
     if table is not None and table.degree != degree:
         raise ValueError(f"table holds degree {table.degree} only")
     if degree > guard:
-        if degree > max(guard, SINGLE_COEFFICIENT_LIMIT):
-            raise GuardExceededError(
-                f"degree {degree} exceeds the single-coefficient limit "
-                f"{max(guard, SINGLE_COEFFICIENT_LIMIT)}"
-            )
+        limit = max(guard, SINGLE_COEFFICIENT_LIMIT)
+        if degree > limit:
+            raise GuardExceededError(f"degree {degree} exceeds the single-coefficient limit {limit}")
         warnings.warn(
             f"single-coefficient mode at degree {degree} beyond the guard {guard}; "
             "this may take a while",

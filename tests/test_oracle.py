@@ -23,7 +23,7 @@ from foulkes.oracle import (
 )
 from foulkes.partitions import Partition, dimension, parse_partition, partitions_of
 
-# A full degree-4 table as ``CharacterTable.save`` writes it.
+# A full degree-4 table as ``CharacterTable.save_to`` writes it.
 GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "characters-n4.json"
 
 P = parse_partition
@@ -165,27 +165,35 @@ class TestBeadMaskKernel:
                 assert character_value(Partition([1] * n), rho) == (-1) ** (n - len(rho))
 
 
+def _fill(degree):
+    """Compute every character value of the degree, so the memo holds them all."""
+    classes = list(partitions_of(degree))
+    for lam in classes:
+        for rho in classes:
+            character_value(lam, rho)
+
+
 class TestCharacterTable:
     def test_orthogonality_small(self):
         for n in range(1, 9):
-            table = CharacterTable(n)
-            table.build_full()
-            table.verify_orthogonality()
+            CharacterTable(n).verify_orthogonality()
 
     def test_save_load_round_trip(self, tmp_path):
         table = CharacterTable(5)
-        table.build_full()
+        _fill(5)
         path = table.save_to(tmp_path)
         assert path.name == "characters-n5.json"
-        loaded = CharacterTable.load(path)
+        saved = table.values
+        oracle._CHAR_CACHE.clear()
+        loaded = CharacterTable.load_or_create(5, tmp_path)
         assert loaded.degree == 5
-        assert loaded.values == table.values
+        assert loaded.values == saved
 
     def test_load_or_create(self, tmp_path):
         oracle._CHAR_CACHE.clear()
         fresh = CharacterTable.load_or_create(4, tmp_path)
         assert fresh.values == {}
-        v = fresh.value(P("2,2"), P("2,1,1"))
+        v = character_value(P("2,2"), P("2,1,1"))
         fresh.save_to(tmp_path)
         oracle._CHAR_CACHE.clear()
         again = CharacterTable.load_or_create(4, tmp_path)
@@ -234,7 +242,7 @@ class TestCharacterTable:
     )
     def test_unusable_cache_file_is_ignored(self, tmp_path, content):
         degree, content = content if isinstance(content, tuple) else (4, content)
-        path = CharacterTable.cache_path(degree, tmp_path)
+        path = tmp_path / f"characters-n{degree}.json"
         path.write_text(content)
         oracle._CHAR_CACHE.clear()
         assert character_value(P("3,1"), P("2,2")) == -1
@@ -244,7 +252,7 @@ class TestCharacterTable:
         assert table.degree == degree and _memo_entries() == before
 
     def test_unreadable_cache_path_is_ignored(self, tmp_path):
-        path = CharacterTable.cache_path(4, tmp_path)
+        path = tmp_path / "characters-n4.json"
         path.mkdir()
         character_value(P("3,1"), P("2,2"))
         before = _memo_entries()
@@ -253,29 +261,29 @@ class TestCharacterTable:
         assert table.degree == 4 and _memo_entries() == before
 
     def test_load_checks_every_entry_before_it_seeds(self, tmp_path):
-        path = tmp_path / "n4.json"
-        path.write_text(
+        (tmp_path / "characters-n4.json").write_text(
             '{"schema": 1, "degree": 4, "values": {"2,2|2,1,1": 0, "2,2|2,2": 2, "3,1|2,2": 1}}'
         )
         oracle._CHAR_CACHE.clear()
         held = character_value(P("3,1"), P("2,2"))
         before = _memo_entries()
-        with pytest.raises(ValueError, match=r"'3,1\|2,2' holds 1"):
-            CharacterTable.load(path)
+        with pytest.warns(RuntimeWarning, match=r"'3,1\|2,2' holds 1"):
+            CharacterTable.load_or_create(4, tmp_path)
         assert _memo_entries() == before
         assert oracle._CHAR_CACHE[(2, 2)][3][oracle._beads((3, 1))] == held == -1
 
     def test_huge_degree_loads_at_once(self, tmp_path):
         # The identity class is recognised by its length, so no (1,) * degree is built.
-        path = CharacterTable.cache_path(10**15, tmp_path)
-        path.write_text('{"schema": 1, "degree": 1000000000000000, "values": {}}')
-        table = CharacterTable.load(path)
+        (tmp_path / f"characters-n{10**15}.json").write_text(
+            '{"schema": 1, "degree": 1000000000000000, "values": {}}'
+        )
+        table = CharacterTable.load_or_create(10**15, tmp_path)
         assert table.degree == 10**15 and table.values == {}
 
     def test_save_replaces_the_file_whole(self, tmp_path):
         (tmp_path / "characters-n4.json").write_text("{not json")
         table = CharacterTable(4)
-        table.build_full()
+        _fill(4)
         table.save_to(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["characters-n4.json"]
         assert CharacterTable.load_or_create(4, tmp_path).values == table.values
@@ -283,22 +291,49 @@ class TestCharacterTable:
     def test_degree_checked(self):
         table = CharacterTable(4)
         with pytest.raises(ValueError):
-            table.value(P("2,1"), P("2,1"))
+            character_value(P("2,1"), P("4"))
         with pytest.raises(ValueError, match="degree 4 only"):
             multiplicity(P("2,1"), 2, P("6"), table=table)
 
+    @pytest.mark.parametrize("degree", [2.0, 4.0, True, False, "4", None, -1])
+    def test_degree_must_be_a_nonnegative_int(self, tmp_path, degree):
+        # 2.0 and True would name files characters-n2.0.json and
+        # characters-nTrue.json, which load_or_create never reads.
+        with pytest.raises(ValueError, match="nonnegative int"):
+            CharacterTable(degree)
+        with pytest.raises(ValueError, match="nonnegative int"):
+            CharacterTable.load_or_create(degree, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_degree_is_checked_before_the_disk(self, tmp_path):
+        # A directory at the would-be path would be warned about if it were
+        # read; a warning fails this test (filterwarnings = error).
+        (tmp_path / "characters-n-1.json").mkdir()
+        with pytest.raises(ValueError, match="nonnegative int"):
+            CharacterTable.load_or_create(-1, tmp_path)
+
+    def test_surface_the_benchmark_binds(self):
+        # The benchmark wraps load_or_create through the class dict and
+        # save_to, reads values, and passes a table to multiplicity.
+        assert isinstance(CharacterTable.__dict__["load_or_create"], classmethod)
+        assert callable(CharacterTable.save_to)
+        assert isinstance(CharacterTable.__dict__["values"], property)
+        nu, lam = P("2,1"), P("4,2")
+        assert multiplicity(nu, 2, lam, table=CharacterTable(6)) == multiplicity(nu, 2, lam)
+
     def test_save_writes_the_recorded_layout(self, tmp_path):
         table = CharacterTable(4)
-        table.build_full()
-        table.save(tmp_path / "n4.json")
-        assert (tmp_path / "n4.json").read_text() == GOLDEN_N4.read_text()
+        _fill(4)
+        path = table.save_to(tmp_path)
+        assert path.read_text() == GOLDEN_N4.read_text()
 
     def test_recorded_file_loads(self):
-        table = CharacterTable.load(GOLDEN_N4)
+        oracle._CHAR_CACHE.clear()
+        table = CharacterTable.load_or_create(4, GOLDEN_N4.parent)
         assert table.degree == 4 and len(table.values) == 25
-        for lam in partitions_of(4):
-            for rho in partitions_of(4):
-                assert table.value(lam, rho) == character_value(lam, rho)
+        memo = {}
+        for (lam, rho), v in table.values.items():
+            assert v == _beta_list_char(lam, rho, memo), (lam, rho)
 
     def test_poisoned_degree_zero_file_is_ignored(self, tmp_path):
         (tmp_path / "characters-n0.json").write_text(
@@ -313,7 +348,7 @@ class TestCharacterTable:
         oracle._CHAR_CACHE.clear()
         table = CharacterTable(7)
         asked = [(P("4,2,1"), P("3,2,2")), (P("3,3,1"), P("2,2,1,1,1"))]
-        values = [table.value(lam, rho) for lam, rho in asked]
+        values = [character_value(lam, rho) for lam, rho in asked]
         assert table.values == {
             (lam.parts, rho.parts): v for (lam, rho), v in zip(asked, values)
         }
@@ -322,7 +357,7 @@ class TestCharacterTable:
         assert all(type(mask) is int for _, mask, _ in entries)
         oracle._CHAR_CACHE.clear()
         for (lam, rho), v in zip(asked, values):
-            assert table.value(lam, rho) == v == character_value(lam, rho)
+            assert character_value(lam, rho) == v
 
     def test_table_values_are_not_kept_twice(self, tmp_path, monkeypatch):
         # A table holds its degree only: a value read through it, through
@@ -339,14 +374,14 @@ class TestCharacterTable:
         }
         for (mu, rho), v in table.values.items():
             assert v == _beta_list_char(mu, rho, {})
-        # A value character_value stored is the one a table reads, and a saved
-        # file seeds the memo, from which both read without computing.
+        # A value character_value stored is the one a table's snapshot holds,
+        # and a saved file seeds the memo, from which it reads without computing.
         lam, rho = P("4,2,1"), P("3,2,2")
         v = character_value(lam, rho)
         assert oracle._CHAR_CACHE[rho.parts][3][oracle._beads(lam.parts)] == v
         seven = CharacterTable(7)
-        assert seven.value(lam, rho) == v and seven.values[lam.parts, rho.parts] == v
-        seven.build_full()
+        assert seven.values[lam.parts, rho.parts] == v
+        _fill(7)
         seven.save_to(tmp_path)
         saved = seven.values
         oracle._CHAR_CACHE.clear()
@@ -356,7 +391,6 @@ class TestCharacterTable:
         )
         monkeypatch.setattr(oracle, "_strip_sum", None)
         for (mu, rho), v in saved.items():
-            assert loaded.value(Partition(mu), Partition(rho)) == v
             assert character_value(Partition(mu), Partition(rho)) == v
         assert loaded.values == saved
 
