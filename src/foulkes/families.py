@@ -332,7 +332,8 @@ def _closed_families(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
     # ground-set bound has at least n blocks below it, so it is completed
     # only at a leaf and never added.
     out: list[Family] = []
-    stack: list[tuple[int, Block, list[Block]]] = [(0, next(_colex_bounded(m, m, kind)), [])]
+    least = tuple(range(1, m + 1)) if kind is BlockKind.SET else (1,) * m
+    stack: list[tuple[int, Block, list[Block]]] = [(0, least, [])]
     above: dict[Block, list[tuple[Block, list[Block]]]] = {}  # upper covers, their lower covers
     path: list[Block] = []
     have: set[Block] = set()  # the blocks of path

@@ -22,8 +22,9 @@ coefficient is one exact division by that order.
 
 A second, slower engine (:func:`monomial_expansion`) counts semistandard
 fillings by degree-m blocks and peels Schur coefficients off the monomial
-counts by dominance triangularity.  It shares no code path with the power-sum
-engine and exists to cross-check it at small degree.
+counts by dominance triangularity; its Kostka numbers are the same count at
+m = 1, whose fillings are the semistandard tableaux.  It shares no code path
+with the power-sum engine and exists to cross-check it at small degree.
 """
 
 from __future__ import annotations
@@ -231,15 +232,15 @@ class CharacterTable:
                     )
 
     @classmethod
-    def load_or_create(cls, degree: int, cache_dir: str | os.PathLike | None) -> "CharacterTable":
+    def load_or_create(cls, degree: int, cache_dir: str | os.PathLike) -> "CharacterTable":
         """The table of this degree, its values seeded from ``cache_dir`` if the file there passes.
 
         A cache file that cannot be read, that fails a check or that holds
         another degree is ignored with a ``RuntimeWarning`` naming it.
         """
         table = cls(degree)
-        path = None if cache_dir is None else Path(cache_dir) / _TABLE_FILE.format(degree)
-        if path is not None and path.exists():
+        path = Path(cache_dir) / _TABLE_FILE.format(degree)
+        if path.exists():
             try:
                 _load(path, degree)
             except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
@@ -588,83 +589,51 @@ def _plethystic_tableau_count(
     """
     if not nu:
         return 1 if not gamma else 0
-    alphabet = _block_alphabet(m, flavor, gamma)
-    if not alphabet:
-        return 0
-    elem_lists = [tuple(Counter(b).items()) for b in alphabet]
-    cells: list[tuple[int, int]] = []  # (left neighbor index, upper neighbor index)
-    index_of: dict[tuple[int, int], int] = {}
+    alphabet = [tuple(Counter(b).items()) for b in _block_alphabet(m, flavor, gamma)]
+    last = [-1] * len(gamma)  # last[v - 1]: the last letter holding variable v
+    for e, letter in enumerate(alphabet):
+        for v, _ in letter:
+            last[v - 1] = e
+    # Cells in reading order: (left neighbor, upper neighbor, the row's first
+    # cell if a row follows and this is not it), -1 for none.
+    cells: list[tuple[int, int, int]] = []
     for i, row in enumerate(nu):
+        top = len(cells)
         for j in range(row):
-            left = index_of.get((i, j - 1), -1)
-            up = index_of.get((i - 1, j), -1)
-            index_of[(i, j)] = len(cells)
-            cells.append((left, up))
+            left = top + j - 1 if j else -1
+            up = top - nu[i - 1] + j if i else -1
+            first = top if j and i + 1 < len(nu) else -1
+            cells.append((left, up, first))
     budget = list(gamma)
-    entries = [0] * len(cells)
-    n_letters = len(alphabet)
+    entries = [0] * len(cells) + [-1]  # entries[-1] stands for no neighbor
 
     def fill(pos: int) -> int:
         if pos == len(cells):
             return 1
-        left, up = cells[pos]
-        start = 0
-        if left >= 0:
-            start = entries[left]
-        if up >= 0:
-            start = max(start, entries[up] + 1)
+        left, up, first = cells[pos]
+        start = max(entries[left], entries[up] + 1)
+        # Every cell left takes a letter at or past `low` (the rest of this row
+        # at or past `start`, later rows past this row's first entry), so a
+        # variable with budget left and no letter there ends the branch.
+        low = min(start, entries[first] + 1) if first >= 0 else start
+        for v, b in enumerate(budget):
+            if b and last[v] < low:
+                return 0
         total = 0
-        for e in range(start, n_letters):
-            ok = True
-            for v, c in elem_lists[e]:
+        for e in range(start, len(alphabet)):
+            for v, c in alphabet[e]:
                 if budget[v - 1] < c:
-                    ok = False
                     break
-            if not ok:
-                continue
-            for v, c in elem_lists[e]:
-                budget[v - 1] -= c
-            entries[pos] = e
-            total += fill(pos + 1)
-            for v, c in elem_lists[e]:
-                budget[v - 1] += c
+            else:
+                for v, c in alphabet[e]:
+                    budget[v - 1] -= c
+                entries[pos] = e
+                total += fill(pos + 1)
+                for v, c in alphabet[e]:
+                    budget[v - 1] += c
         return total
 
     return fill(0)
-
-
-def _horizontal_strip_predecessors(shape: tuple[int, ...], size: int) -> Iterator[tuple[int, ...]]:
-    """Partitions mu inside shape with shape/mu a horizontal strip of the size."""
-    rows = len(shape)
-    buf: list[int] = []
-
-    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if i == rows:
-            if remaining == 0:
-                yield tuple(p for p in buf if p)
-            return
-        lo = shape[i + 1] if i + 1 < rows else 0
-        hi = shape[i] if i == 0 else min(shape[i], buf[-1])
-        for mu_i in range(hi, lo - 1, -1):
-            removed = shape[i] - mu_i
-            if removed > remaining:
-                break
-            buf.append(mu_i)
-            yield from rec(i + 1, remaining - removed)
-            buf.pop()
-
-    yield from rec(0, size)
-
-
-@lru_cache(maxsize=None)
-def _kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
-    """Number of semistandard tableaux of the shape with the given content."""
-    if not content:
-        return 1 if not shape else 0
-    total = 0
-    for smaller in _horizontal_strip_predecessors(shape, content[-1]):
-        total += _kostka(smaller, content[:-1])
-    return total
 
 
 def monomial_expansion(
@@ -674,8 +643,9 @@ def monomial_expansion(
 
     Counts plethystic fillings to get the coefficient of x^gamma for each
     partition gamma, then peels off Schur coefficients in descending
-    lexicographic order using Kostka triangularity with respect to dominance.
-    Independent of the character-theoretic engine; intended for small degree.
+    lexicographic order using Kostka triangularity with respect to dominance;
+    the Kostka number K_{kappa,lam} is the same count at m = 1.  Independent
+    of the character-theoretic engine; intended for small degree.
     """
     flavor = PlethysmFlavor(flavor)
     if m < 1:
@@ -691,7 +661,7 @@ def monomial_expansion(
         c = mono.get(lam, 0)
         for kappa, ck in coeffs.items():
             if dominance_compare(kappa, lam) is DominanceRelation.STRICTLY_ABOVE:
-                c -= ck * _kostka(kappa.parts, lam.parts)
+                c -= ck * _plethystic_tableau_count(kappa.parts, 1, PlethysmFlavor.ROW, lam.parts)
         if c < 0:
             raise InternalConsistencyError(
                 f"monomial peel produced a negative coefficient at ({lam})"

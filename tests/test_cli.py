@@ -327,6 +327,34 @@ class TestOtherCommands:
         assert lines[0] == "closed families of shape (1^2000) kind=set: 1"
         assert len(lines) == 2 and lines[1].endswith("type=2000  [minimal]")
 
+    @pytest.mark.parametrize(
+        "argv, blocks",
+        [
+            (("families", "--m", "1200", "--n", "1"), [list(range(1, 1201))]),
+            (
+                ("families", "--m", "3000", "--n", "2", "--kind", "multiset"),
+                [[1] * 3000, [1] * 2999 + [2]],
+            ),
+        ],
+    )
+    def test_families_of_a_wide_block(self, argv, blocks):
+        # 1200 and 3000 elements a block: the least block is written whole,
+        # not found by a recursion one call deep per element
+        code, out, err = run_process(*argv, "--format", "json")
+        assert code == EXIT_OK and err == ""
+        families = json.loads(out)["families"]
+        assert [f["blocks"] for f in families] == [blocks]
+        assert families[0]["minimal"]
+
+    def test_constituents_of_a_wide_block(self):
+        code, out, err = run_process(
+            "min-constituents", "--m", "1200", "--nu", "1", "--format", "json"
+        )
+        assert code == EXIT_OK and err == ""
+        data = json.loads(out)
+        assert data["labels"] == [[1200]]
+        assert data["witnesses"]["1200"]["families"] == [[list(range(1, 1201))]]
+
     def test_certificate_inline(self, capsys):
         tuple_json = json.dumps(
             {

@@ -21,7 +21,7 @@ from foulkes.oracle import (
     plethysm_expansion,
     z_order,
 )
-from foulkes.partitions import Partition, dimension, parse_partition, partitions_of
+from foulkes.partitions import Partition, dimension, dominates, parse_partition, partitions_of
 
 # A full degree-4 table as ``CharacterTable.save_to`` writes it.
 GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "characters-n4.json"
@@ -689,3 +689,30 @@ class TestMonomialCrossOracle:
     def test_m_equals_one_spot_checks(self):
         for nu in (P("5,3,2"), P("4,4,1,1")):
             assert monomial_expansion(nu, 1).coefficients == {nu: 1}
+
+
+def _kostka(kappa: Partition, lam: Partition) -> int:
+    """K_{kappa,lam} read from the plethystic counter: at m = 1 a block is one letter."""
+    return oracle._plethystic_tableau_count(kappa.parts, 1, PlethysmFlavor.ROW, lam.parts)
+
+
+class TestKostkaCounter:
+    def test_standard_content_gives_the_dimension(self):
+        for n in range(9):
+            for lam in partitions_of(n):
+                assert _kostka(lam, Partition([1] * n)) == dimension(lam), str(lam)
+
+    def test_diagonal_is_one(self):
+        for n in range(9):
+            for lam in partitions_of(n):
+                assert _kostka(lam, lam) == 1, str(lam)
+
+    def test_zero_unless_dominant(self):
+        for n in range(1, 9):
+            for kappa, lam in product(partitions_of(n), repeat=2):
+                if not dominates(kappa, lam):
+                    assert _kostka(kappa, lam) == 0, (str(kappa), str(lam))
+
+    def test_small_values(self):
+        assert _kostka(P("3,2"), P("2,2,1")) == 2
+        assert _kostka(P("2,2"), P("1,1,1,1")) == 2
