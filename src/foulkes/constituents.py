@@ -49,65 +49,30 @@ class Extremum(str, Enum):
     MAXIMAL = "maximal"
 
 
-class _Record:
-    """An immutable record whose fields are its ``__slots__``, in order.
-
-    Records are equal when they are of one class with equal fields, hash as
-    the tuple of their fields, and show every field not in ``_unshown`` in
-    their repr.  Each subclass's ``__init__`` takes the fields in slot order
-    and stores them with :meth:`_set`.
-    """
-
-    __slots__ = ()
-    _unshown: tuple[str, ...] = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n not in self._unshown)
-        return f"{type(self).__qualname__}({', '.join(shown)})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+class _SpecFields(NamedTuple):
+    m: int
+    nu: Partition
+    flavor: CharacterFlavor
 
 
-class CharacterSpec(_Record):
+class CharacterSpec(_SpecFields):
     """One character phi^(m^n)_nu or psi^(m^n)_nu."""
 
-    __slots__ = ("m", "nu", "flavor")
+    __slots__ = ()
 
-    def __init__(self, m: int, nu: Partition, flavor: CharacterFlavor = CharacterFlavor.PHI):
+    def __new__(cls, m: int, nu: Partition, flavor: CharacterFlavor = CharacterFlavor.PHI):
         if m < 1:
             raise ValueError("m must be at least 1")
         if nu.weight < 1:
             raise ValueError("nu must be a nonempty partition")
-        self._set(m, nu, CharacterFlavor(flavor))
+        return super().__new__(cls, m, nu, CharacterFlavor(flavor))
 
     @property
     def degree(self) -> int:
         return self.m * self.nu.weight
 
 
-class ConstituentReport(_Record):
+class ConstituentReport(NamedTuple):
     """Extremal labels of one character together with witness tuples.
 
     Labels are pairwise dominance-incomparable and sorted in descending
@@ -115,17 +80,16 @@ class ConstituentReport(_Record):
     conjugates to its label; for minimal reports it equals the label.
     """
 
-    __slots__ = ("spec", "extremum", "labels", "witnesses")
-    _unshown = ("witnesses",)
+    spec: CharacterSpec
+    extremum: Extremum
+    labels: tuple[Partition, ...]
+    witnesses: Mapping[Partition, FamilyTuple]
 
-    def __init__(
-        self,
-        spec: CharacterSpec,
-        extremum: Extremum,
-        labels: tuple[Partition, ...],
-        witnesses: Mapping[Partition, FamilyTuple],
-    ):
-        self._set(spec, extremum, labels, witnesses)
+    def __repr__(self) -> str:  # the witnesses are left out
+        return (
+            f"ConstituentReport(spec={self.spec!r}, extremum={self.extremum!r}, "
+            f"labels={self.labels!r})"
+        )
 
 
 def kappa_partition(m: int, nu: Partition) -> Partition:

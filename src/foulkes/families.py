@@ -303,13 +303,22 @@ def down_set_family(m: int, kind: BlockKind | str, generators: Iterable[Iterable
 
 def _colex_bounded(k: int, top: int, kind: BlockKind) -> Iterator[Block]:
     """All k-element blocks over {1, ..., top}, in colexicographic order."""
-    if k == 0:
-        yield ()
+    strict = kind is BlockKind.SET
+    least = list(range(1, k + 1)) if strict else [1] * k
+    if k and least[-1] > top:
         return
-    strict = 1 if kind is BlockKind.SET else 0
-    for mx in range(1 + strict * (k - 1), top + 1):
-        for rest in _colex_bounded(k - 1, mx - strict, kind):
-            yield rest + (mx,)
+    block = least[:]
+    while True:
+        yield tuple(block)
+        # The successor grows the lowest entry that stays below the entry
+        # above it (or within top) and resets the entries under it.
+        for r in range(k):
+            if block[r] < (block[r + 1] - strict if r + 1 < k else top):
+                block[r] += 1
+                block[:r] = least[:r]
+                break
+        else:
+            return
 
 
 def _ground_top(m: int, n: int, kind: BlockKind) -> int:
@@ -332,7 +341,7 @@ def _closed_families(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
     # ground-set bound has at least n blocks below it, so it is completed
     # only at a leaf and never added.
     out: list[Family] = []
-    least = tuple(range(1, m + 1)) if kind is BlockKind.SET else (1,) * m
+    least = next(_colex_bounded(m, m, kind))
     stack: list[tuple[int, Block, list[Block]]] = [(0, least, [])]
     above: dict[Block, list[tuple[Block, list[Block]]]] = {}  # upper covers, their lower covers
     path: list[Block] = []

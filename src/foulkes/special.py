@@ -10,13 +10,13 @@ the complete decomposition of s_(1^n) o s_(2) into hook-doubled labels.
 from __future__ import annotations
 
 from math import comb
+from typing import NamedTuple
 
 from .constituents import (
     CharacterFlavor,
     CharacterSpec,
     Extremum,
     _RULES,
-    _Record,
     _shapes,
     certificate_from_closed_tuple,
 )
@@ -54,7 +54,7 @@ def _multichoose(q: int, t: int) -> int:
     return comb(q + t - 1, t)
 
 
-class AgaokaData(_Record):
+class AgaokaData(NamedTuple):
     """Cascade data behind the lexicographically least single-family type.
 
     ``indices`` are the cascade values p_1 > ... > p_r (sets) or
@@ -64,30 +64,24 @@ class AgaokaData(_Record):
     contributions C(p_i - 1, m - i) resp. multichoose(q_i + 1, m - i).
     """
 
-    __slots__ = ("kind", "m", "n", "indices", "residuals", "widths", "assembled")
-
-    def __init__(
-        self,
-        kind: BlockKind,
-        m: int,
-        n: int,
-        indices: tuple[int, ...],
-        residuals: tuple[int, ...],
-        widths: tuple[int, ...],
-        assembled: Partition,
-    ):
-        self._set(kind, m, n, indices, residuals, widths, assembled)
+    kind: BlockKind
+    m: int
+    n: int
+    indices: tuple[int, ...]
+    residuals: tuple[int, ...]
+    widths: tuple[int, ...]
+    assembled: Partition
 
 
 def agaoka_lex_least(m: int, n: int, kind: BlockKind | str) -> AgaokaData:
     """Closed formula for the type of the colex initial segment of shape (m^n).
 
     Runs the greedy cascade extraction and assembles
-    ((p_1+1)^{a_1}, p_1^{b_1-a_1}, ..., p_r^{b_r}); adjacent equal part sizes
-    merge their exponents (which is how a negative b_i - a_i is absorbed when
-    p_i = p_{i+1} + 1).  In the multiset case equal q_i make the raw part list
-    non-monotone, so the parts are re-sorted at the end.  Equality with the
-    colex-segment type is the binding contract, tested code path vs code path.
+    ((p_1+1)^{a_1}, p_1^{b_1-a_1}, ..., p_r^{b_r}): the exponents of equal
+    part sizes are summed (which is how a negative b_i - a_i is absorbed when
+    p_i = p_{i+1} + 1, and how equal q_i of the multiset case combine), and
+    the sizes are sorted.  Equality with the colex-segment type is the binding
+    contract, tested code path vs code path.
     """
     kind = BlockKind(kind)
     if m < 1 or n < 1:
@@ -109,31 +103,15 @@ def agaoka_lex_least(m: int, n: int, kind: BlockKind | str) -> AgaokaData:
         widths.append(comb(p - 1, m - i) if kind is BlockKind.SET else _multichoose(p + 1, m - i))
         i += 1
 
-    pairs: list[tuple[int, int]] = []
+    totals: dict[int, int] = {}
     for p, a, b in zip(indices, residuals, widths):
-        pairs.append((p + 1, a))
-        pairs.append((p, b - a))
-    if kind is BlockKind.SET:
-        merged: list[list[int]] = []
-        for value, exponent in pairs:
-            if merged and merged[-1][0] == value:
-                merged[-1][1] += exponent
-            else:
-                merged.append([value, exponent])
-        merged = [[v, e] for v, e in merged if e]
-        if any(e < 0 for _, e in merged) or any(
-            merged[i][0] <= merged[i + 1][0] for i in range(len(merged) - 1)
-        ):
-            raise InternalConsistencyError(f"bad cascade assembly for m={m}, n={n}: {merged}")
-        parts = [v for v, e in merged for _ in range(e)]
-    else:
-        totals: dict[int, int] = {}
-        for value, exponent in pairs:
-            totals[value] = totals.get(value, 0) + exponent
-        if any(e < 0 for e in totals.values()):
-            raise InternalConsistencyError(f"bad cascade assembly for m={m}, n={n}: {totals}")
-        parts = [v for v in sorted(totals, reverse=True) for _ in range(totals[v])]
-    assembled = Partition(parts)
+        totals[p + 1] = totals.get(p + 1, 0) + a
+        totals[p] = totals.get(p, 0) + b - a
+    if any(e < 0 for e in totals.values()) or (
+        kind is BlockKind.SET and any(p <= q for p, q in zip(indices, indices[1:]))
+    ):
+        raise InternalConsistencyError(f"bad cascade assembly for m={m}, n={n}: {totals}")
+    assembled = Partition([v for v in sorted(totals, reverse=True) for _ in range(totals[v])])
     if assembled.weight != m * n:
         raise InternalConsistencyError(
             f"assembled type of shape ({m}^{n}) has weight {assembled.weight}"
@@ -234,13 +212,13 @@ def unique_maximal_classification(m: int, nu: Partition) -> Partition | None:
     return None
 
 
-class RectangularCertificate(_Record):
+class RectangularCertificate(NamedTuple):
     """A twisted character guaranteed to contain a rectangular label."""
 
-    __slots__ = ("kind", "nu", "rectangle", "witness")
-
-    def __init__(self, kind: BlockKind, nu: Partition, rectangle: Partition, witness: FamilyTuple):
-        self._set(kind, nu, rectangle, witness)
+    kind: BlockKind
+    nu: Partition
+    rectangle: Partition
+    witness: FamilyTuple
 
 
 def rectangular_certificate(a: int, m: int, k: int, kind: BlockKind | str) -> RectangularCertificate:

@@ -128,6 +128,75 @@ class TestRecords:
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+ONE = P("1")
+LONE = FamilyTuple([Family(1, "set", [(1,)])])
+EDGE = FamilyTuple([Family(2, "set", [(1, 2)])])
+# One record of each class, and its protocol-4 pickle as written by a version
+# whose records were slotted classes reduced to (class, field values).
+SLOTTED_PICKLES = [
+    (
+        CharacterSpec(2, P("2,1"), CharacterFlavor.PSI),
+        (
+            b"\x80\x04\x95\xa0\x00\x00\x00\x00\x00\x00\x00\x8c\x14foulkes.constituents\x94"
+            b"\x8c\rCharacterSpec\x94\x93\x94K\x02\x8c\x12foulkes.partitions\x94\x8c\tPartit"
+            b"ion\x94\x93\x94)\x81\x94N}\x94(\x8c\x05parts\x94K\x02K\x01\x86\x94\x8c\x06weig"
+            b"ht\x94K\x03\x8c\x05_conj\x94Nu\x86\x94bh\x00\x8c\x0fCharacterFlavor\x94\x93"
+            b"\x94\x8c\x03psi\x94\x85\x94R\x94\x87\x94R\x94."
+        ),
+    ),
+    (
+        ConstituentReport(CharacterSpec(1, ONE), Extremum.MINIMAL, (ONE,), {ONE: LONE}),
+        (
+            b"\x80\x04\x95r\x01\x00\x00\x00\x00\x00\x00\x8c\x14foulkes.constituents\x94\x8c"
+            b"\x11ConstituentReport\x94\x93\x94(h\x00\x8c\rCharacterSpec\x94\x93\x94K\x01"
+            b"\x8c\x12foulkes.partitions\x94\x8c\tPartition\x94\x93\x94)\x81\x94N}\x94(\x8c"
+            b"\x05parts\x94K\x01\x85\x94\x8c\x06weight\x94K\x01\x8c\x05_conj\x94Nu\x86\x94bh"
+            b"\x00\x8c\x0fCharacterFlavor\x94\x93\x94\x8c\x03phi\x94\x85\x94R\x94\x87\x94R"
+            b"\x94h\x00\x8c\x08Extremum\x94\x93\x94\x8c\x07minimal\x94\x85\x94R\x94h\x08\x85"
+            b"\x94}\x94h\x08\x8c\x10foulkes.families\x94\x8c\x0bFamilyTuple\x94\x93\x94)\x81"
+            b"\x94N}\x94(\x8c\x01m\x94K\x01\x8c\x04kind\x94h\x1d\x8c\tBlockKind\x94\x93\x94"
+            b"\x8c\x03set\x94\x85\x94R\x94\x8c\x08families\x94h\x1d\x8c\x06Family\x94\x93"
+            b"\x94)\x81\x94N}\x94(h\"K\x01h#h(\x8c\x06blocks\x94K\x01\x85\x94\x85\x94u\x86"
+            b"\x94b\x85\x94u\x86\x94bst\x94R\x94."
+        ),
+    ),
+    (
+        AgaokaData(BlockKind.SET, 2, 2, (2, 1), (1, 0), (1, 1), P("3,1")),
+        (
+            b"\x80\x04\x95\xb8\x00\x00\x00\x00\x00\x00\x00\x8c\x0ffoulkes.special\x94\x8c\nA"
+            b"gaokaData\x94\x93\x94(\x8c\x10foulkes.families\x94\x8c\tBlockKind\x94\x93\x94"
+            b"\x8c\x03set\x94\x85\x94R\x94K\x02K\x02K\x02K\x01\x86\x94K\x01K\x00\x86\x94K"
+            b"\x01K\x01\x86\x94\x8c\x12foulkes.partitions\x94\x8c\tPartition\x94\x93\x94)"
+            b"\x81\x94N}\x94(\x8c\x05parts\x94K\x03K\x01\x86\x94\x8c\x06weight\x94K\x04\x8c"
+            b"\x05_conj\x94Nu\x86\x94bt\x94R\x94."
+        ),
+    ),
+    (
+        RectangularCertificate(BlockKind.SET, ONE, P("2"), EDGE),
+        (
+            b"\x80\x04\x950\x01\x00\x00\x00\x00\x00\x00\x8c\x0ffoulkes.special\x94\x8c\x16Re"
+            b"ctangularCertificate\x94\x93\x94(\x8c\x10foulkes.families\x94\x8c\tBlockKind"
+            b"\x94\x93\x94\x8c\x03set\x94\x85\x94R\x94\x8c\x12foulkes.partitions\x94\x8c\tPa"
+            b"rtition\x94\x93\x94)\x81\x94N}\x94(\x8c\x05parts\x94K\x01\x85\x94\x8c\x06weigh"
+            b"t\x94K\x01\x8c\x05_conj\x94Nu\x86\x94bh\x0b)\x81\x94N}\x94(h\x0eK\x02\x85\x94h"
+            b"\x10K\x02h\x11Nu\x86\x94bh\x03\x8c\x0bFamilyTuple\x94\x93\x94)\x81\x94N}\x94("
+            b"\x8c\x01m\x94K\x02\x8c\x04kind\x94h\x08\x8c\x08families\x94h\x03\x8c\x06Family"
+            b"\x94\x93\x94)\x81\x94N}\x94(h\x1bK\x02h\x1ch\x08\x8c\x06blocks\x94K\x01K\x02"
+            b"\x86\x94\x85\x94u\x86\x94b\x85\x94u\x86\x94bt\x94R\x94."
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, data", SLOTTED_PICKLES, ids=[type(r).__name__ for r, _ in SLOTTED_PICKLES]
+)
+def test_slotted_pickles_still_load(record, data):
+    loaded = pickle.loads(data)
+    assert type(loaded) is type(record) and loaded == record
+    assert pickle.loads(pickle.dumps(loaded)) == record
+
+
 class TestMinimalPhi:
     def test_golden_example(self):
         rep = minimal_constituents_phi(2, P("2,1,1"))

@@ -526,6 +526,21 @@ class TestColexSegments:
         blocks = sorted(it.combinations(range(1, 9), 3), key=colex_key)[:12]
         assert colex_initial_segment(3, 12, SET) == Family(3, SET, blocks)
 
+    def test_blocks_match_sorted_combinations(self):
+        for kind, choose in (
+            (SET, itertools.combinations),
+            (MULTI, itertools.combinations_with_replacement),
+        ):
+            for k in range(6):
+                for top in range(10):
+                    expected = sorted(choose(range(1, top + 1), k), key=colex_key)
+                    assert list(_colex_bounded(k, top, kind)) == expected, (kind, k, top)
+
+    def test_a_wide_block(self):
+        # one block of 1200 elements: no recursion per element
+        assert colex_initial_segment(1200, 1, SET).blocks == (tuple(range(1, 1201)),)
+        assert colex_initial_segment(1200, 2, MULTI).blocks == ((1,) * 1200, (1,) * 1199 + (2,))
+
 
 class TestJson:
     def test_round_trip(self):

@@ -5,7 +5,8 @@ a name bound by ``import`` or ``from ... import`` must appear as a name in the
 module's code or be listed in its ``__all__``.  The oracle, the independent
 judge of the rules, imports nothing of the rule modules.  Importing the
 package loads neither ``dataclasses`` nor ``foulkes.special``, whose names
-load on first use.
+load on first use, and loading ``special`` brings in no ``dataclasses`` or
+``inspect`` either.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ print("foulkes.special" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     main(["theta", "--n", "3"])
 print("foulkes.special" in sys.modules)
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
 """
 
 
@@ -95,7 +97,7 @@ def test_import_loads_no_dataclasses_and_no_corollaries():
         [sys.executable, "-S", "-c", START_UP],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    assert proc.stdout.splitlines() == ["[]", "False", "True"]
+    assert proc.stdout.splitlines() == ["[]", "False", "True", "[]"]
 
 
 @pytest.mark.parametrize("name", special.__all__)

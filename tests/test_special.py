@@ -182,6 +182,11 @@ class TestRectangular:
             (2, 3, 4),
         )
 
+    def test_a_wide_block(self):
+        rc = rectangular_certificate(1200, 1200, 1, BlockKind.SET)
+        assert rc.nu == P("1") and rc.rectangle == Partition([1200])
+        assert rc.witness.families[0].blocks == (tuple(range(1, 1201)),)
+
     def test_rejects_a_below_m(self):
         with pytest.raises(ValueError):
             rectangular_certificate(2, 3, 1, BlockKind.SET)
