@@ -11,6 +11,7 @@ The table ``_RULES`` holds the four cases; all even/odd-m bookkeeping
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .families import (
@@ -128,7 +129,7 @@ def _report(
     rule = _RULES[flavor, extremum]
     found = enumerate_minimal_tuple_types(m, _shapes(rule, m, nu), rule.kind)
     witnesses = {(ty.conjugate() if rule.conjugate_label else ty): t for ty, t in found.items()}
-    labels = tuple(sorted(witnesses, reverse=True))
+    labels = tuple(sorted(witnesses, key=attrgetter("parts"), reverse=True))
     return ConstituentReport(spec, extremum, labels, witnesses)
 
 

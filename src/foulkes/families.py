@@ -21,7 +21,7 @@ from bisect import insort
 from collections import Counter
 from enum import Enum
 from functools import lru_cache, reduce
-from operator import ge
+from operator import add, attrgetter, ge
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, _add_vectors, _extremal_parts
@@ -205,10 +205,12 @@ def occurrence_counts(obj: Family | FamilyTuple) -> Counter[int]:
 
 
 def _vector(fam: Family) -> tuple[int, ...]:
-    """The counts of 1, 2, ..., the largest element, counted on first use and kept.
+    """The counts of 1, 2, ..., the largest element, kept in the family.
 
     As long as the largest element: see the size bound in :func:`tuple_type`.
-    The slot stays unset until then, so a fresh family pickles without it.
+    A family from the closed-family search carries them from the search.  One
+    a user built counts them on first use; the slot stays unset until then,
+    so a fresh family pickles without it.
     """
     if getattr(fam, "_counts", None) is None:
         counts = occurrence_counts(fam)
@@ -339,20 +341,30 @@ def _closed_families(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
     # family: an ideal of fewer than n blocks with largest element x can add
     # {1,..,m-1,x+1} (sets) or {1,..,1,x+1} (multisets).  A block past the
     # ground-set bound has at least n blocks below it, so it is completed
-    # only at a leaf and never added.
+    # only at a leaf and never added.  The count vector of the path follows
+    # its blocks in and out, and colex order puts its largest element in b.
     out: list[Family] = []
     least = next(_colex_bounded(m, m, kind))
     stack: list[tuple[int, Block, list[Block]]] = [(0, least, [])]
     above: dict[Block, list[tuple[Block, list[Block]]]] = {}  # upper covers, their lower covers
     path: list[Block] = []
     have: set[Block] = set()  # the blocks of path
+    counts = [0] * (_ground_top(m, n, kind) + 1)  # counts[x]: occurrences of x in path
     while stack:
         depth, b, frontier = stack.pop()
-        have.difference_update(path[depth:])
+        gone = path[depth:]
+        have.difference_update(gone)
+        for block in gone:
+            for x in block:
+                counts[x] -= 1
         path[depth:] = [b]
         have.add(b)
+        for x in b:
+            counts[x] += 1
         if depth + 1 == n:
-            out.append(Family._trusted(m, kind, tuple(path)))
+            fam = Family._trusted(m, kind, tuple(path))
+            fam._counts = tuple(counts[1 : b[-1] + 1])
+            out.append(fam)
             continue
         if b not in above:
             above[b] = [(u, lower_covers(u, kind)) for u in _upper_covers(b, kind)]
@@ -395,26 +407,89 @@ def enumerate_minimal_tuple_types(
 
 
 @lru_cache(maxsize=None)
+def _sorted_families(
+    m: int, n: int, kind: BlockKind
+) -> tuple[tuple[Family, ...], tuple[tuple[int, ...], ...]]:
+    """The closed families of shape (m^n) sorted by blocks, and their count vectors."""
+    fams = tuple(sorted(_closed_families(m, n, kind), key=attrgetter("blocks")))
+    return fams, tuple(map(_vector, fams))
+
+
+# The fold of every shape prefix met so far, as a trie per (m, kind): the
+# node of shapes[:k] maps a next shape nj to (the prefixes kept after
+# shapes[:k] + (nj,), the node of that prefix).  Kept prefixes are held as
+# {count vector: least witness}, in the order of the witnesses, the vectors
+# of one node padded with zeros to one length.  A witness is () for no
+# component, else the pair (witness of the prefix, last family), so a
+# prefix of k components costs one pair, not k references.
+_PREFIX_FOLDS: dict[tuple[int, BlockKind], dict] = {}
+
+
+def _fold(m: int, shapes: tuple[int, ...], kind: BlockKind) -> dict[tuple[int, ...], tuple]:
+    # Prefixes are held by count vector, the conjugate of their type, so a
+    # minimal type is a dominance-maximal vector.  The walk down the trie
+    # folds only the components past the longest prefix of shapes already
+    # folded, one at a time and without recursion, so reports sharing a
+    # prefix fold it once.
+    kept: dict[tuple[int, ...], tuple] = {(): ()}
+    node = _PREFIX_FOLDS.setdefault((m, kind), {})
+    for nj in shapes:
+        if nj not in node:
+            node[nj] = (_fold_step(kept, *_sorted_families(m, nj, kind)), {})
+        kept, node = node[nj]
+    return kept
+
+
+def _fold_step(
+    kept: dict[tuple[int, ...], tuple],
+    fams: tuple[Family, ...],
+    vectors: tuple[tuple[int, ...], ...],
+) -> dict[tuple[int, ...], tuple]:
+    """The dominance-maximal vectors of kept prefixes extended by one family.
+
+    A pair (prefix r, family i) is coded r*F + i, which orders the pairs as
+    their witnesses, and each vector keeps the least code that reaches it:
+    the least witness of a type extends the least prefix of its own prefix
+    vector.
+    """
+    width = max(len(next(iter(kept))), max(map(len, vectors)))
+    sums = [c + (0,) * (width - len(c)) for c in kept]
+    padded = [v + (0,) * (width - len(v)) for v in reversed(vectors)]
+    F = len(fams)
+    best: dict[tuple[int, ...], int] = {}
+    # The last code written for a vector stays, so codes go downward.
+    for r in reversed(range(len(sums))):
+        keys = map(tuple, map(map, itertools.repeat(add), itertools.repeat(sums[r]), padded))
+        best.update(zip(keys, range(r * F + F - 1, r * F - 1, -1)))
+    prefixes = list(kept.values())
+    out = {}
+    for counts in sorted(_extremal_parts(best, minimal=False), key=best.__getitem__):
+        r, i = divmod(best[counts], F)
+        out[counts] = (prefixes[r], fams[i])
+    return out
+
+
+def _witness_tuple(witness: tuple) -> FamilyTuple:
+    """The family tuple of a witness held as nested (prefix, last family) pairs."""
+    fams = []
+    while witness:
+        witness, fam = witness
+        fams.append(fam)
+    return FamilyTuple(fams[::-1])
+
+
+@lru_cache(maxsize=None)
 def _minimal_tuple_types(
     m: int, shapes: tuple[int, ...], kind: BlockKind
 ) -> dict[Partition, FamilyTuple]:
-    # Prefixes are held by count vector, the conjugate of their type, so a
-    # minimal type is a dominance-maximal vector.  Prefixes and families are
-    # visited in key order, so the first prefix met of a vector is its
-    # lexicographically least, and the least witness of a type extends the
-    # least prefix of its own prefix vector.  The vectors of one step share
-    # a weight and stay tuples; only the final types become partitions.
-    kept: dict[tuple[int, ...], tuple[Family, ...]] = {(): ()}
-    for nj in shapes:
-        fams = sorted(_closed_families(m, nj, kind), key=lambda f: f.blocks)
-        vectors = list(map(_vector, fams))
-        best: dict[tuple[int, ...], tuple[Family, ...]] = {}
-        for counts, prefix in sorted(kept.items(), key=lambda item: [f.blocks for f in item[1]]):
-            for fam, vec in zip(fams, vectors):
-                best.setdefault(_add_vectors(counts, vec), prefix + (fam,))
-        kept = {counts: best[counts] for counts in _extremal_parts(best, minimal=False)}
-    types = {Partition(counts).conjugate(): prefix for counts, prefix in kept.items()}
-    return {ty: FamilyTuple(types[ty]) for ty in sorted(types, reverse=True)}
+    # The vectors stay tuples through the fold; only the final types become
+    # partitions, their zero padding cut off.
+    types = {
+        Partition(counts[: len(counts) - counts.count(0)]).conjugate(): witness
+        for counts, witness in _fold(m, shapes, kind).items()
+    }
+    order = sorted(types, key=attrgetter("parts"), reverse=True)
+    return {ty: _witness_tuple(types[ty]) for ty in order}
 
 
 def is_minimal_tuple(t: FamilyTuple) -> bool:

@@ -49,12 +49,14 @@ class Partition:
     __slots__ = ("parts", "weight", "_conj")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(_as_int(p) for p in parts)
-        for i, p in enumerate(ps):
-            if p < 1:
-                raise ValueError(f"partition parts must be positive: {ps}")
-            if i and ps[i - 1] < p:
-                raise ValueError(f"partition parts must be weakly decreasing: {ps}")
+        ps = tuple(map(_as_int, parts))
+        if ps and (ps[-1] < 1 or not all(map(ge, ps, ps[1:]))):
+            # The first offending part names the fault.
+            for i, p in enumerate(ps):
+                if p < 1:
+                    raise ValueError(f"partition parts must be positive: {ps}")
+                if i and ps[i - 1] < p:
+                    raise ValueError(f"partition parts must be weakly decreasing: {ps}")
         self.parts = ps
         self.weight = sum(ps)
         self._conj: Partition | None = None
@@ -92,11 +94,18 @@ class Partition:
     def conjugate(self) -> "Partition":
         """The partition of column lengths of the Young diagram (memoized)."""
         if self._conj is None:
-            cols = [0] * (self.parts[0] if self.parts else 0)
-            for p in self.parts:
-                for j in range(p):
-                    cols[j] += 1
-            conj = Partition(cols)
+            # Columns done+1, ..., ps[length-1] are reached by exactly the
+            # first `length` parts.  A list, not a lazy repeat, so a part too
+            # large to hold fails at once.
+            ps = self.parts
+            cols: list[int] = []
+            done = 0
+            for length in range(len(ps), 0, -1):
+                cols += [length] * (ps[length - 1] - done)
+                done = ps[length - 1]
+            conj = object.__new__(Partition)  # the conjugate of a partition is one
+            conj.parts = tuple(cols)
+            conj.weight = self.weight
             conj._conj = self
             self._conj = conj
         return self._conj

@@ -157,6 +157,14 @@ class TestRefusals:
         assert err.startswith("error: ") and "input refused as too large" in err
         assert "Traceback" not in err
 
+    def test_deep_shape_tuple_is_answered(self):
+        # 1500 one-block components, each folded in one step of a loop.
+        code, out, err = run_process(
+            "min-constituents", "--m", "3", "--nu", ",".join(["1"] * 1500), "--no-witness"
+        )
+        assert code == EXIT_OK, err
+        assert [line.strip() for line in out.splitlines()[1:]] == [",".join(["3"] * 1500)]
+
     @pytest.mark.parametrize(
         "tuple_json",
         [

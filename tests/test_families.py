@@ -5,12 +5,17 @@ import random
 import pytest
 
 from foulkes.families import (
+    _PREFIX_FOLDS,
     BlockKind,
     Family,
     FamilyTuple,
+    _closed_families,
     _colex_bounded,
     _ground_top,
+    _minimal_tuple_types,
+    _sorted_families,
     _upper_covers,
+    _vector,
     closure,
     colex_initial_segment,
     colex_key,
@@ -22,6 +27,7 @@ from foulkes.families import (
     is_minimal_tuple,
     lower_covers,
     majorizes,
+    occurrence_counts,
     tuple_closure,
     tuple_from_json,
     tuple_is_closed,
@@ -42,6 +48,12 @@ MULTI = BlockKind.MULTISET
 
 def _bounded_blocks(m, n, kind):
     return tuple(_colex_bounded(m, _ground_top(m, n, kind), kind))
+
+
+def _clear_fold_memos():
+    _PREFIX_FOLDS.clear()
+    _sorted_families.cache_clear()
+    _minimal_tuple_types.cache_clear()
 
 
 class TestBlocks:
@@ -262,6 +274,26 @@ class TestTypes:
             assert copy == fam and hash(copy) == hash(fam) and repr(copy) == repr(fam)
             assert family_type(copy) == P("3,1")
 
+    def test_search_carries_the_dense_counts(self):
+        # A fresh search, so each vector was set by it and not by _vector.
+        _closed_families.cache_clear()
+        for kind in (SET, MULTI):
+            for m in range(1, 5):
+                for n in range(9):
+                    for fam in enumerate_closed_families(m, n, kind):
+                        counts = occurrence_counts(fam)
+                        dense = tuple(counts[x] for x in range(1, max(counts, default=0) + 1))
+                        if n:
+                            assert fam._counts == dense, fam
+                        assert _vector(fam) == dense, fam
+
+    def test_searched_family_pickles_with_its_type(self):
+        for kind in (SET, MULTI):
+            for fam in enumerate_closed_families(3, 5, kind):
+                copy = pickle.loads(pickle.dumps(fam))
+                assert copy == fam and _vector(copy) == _vector(fam)
+                assert family_type(copy) == family_type(fam)
+
     def test_closed_families_always_have_types(self):
         for kind in (SET, MULTI):
             for m in (1, 2, 3):
@@ -421,6 +453,34 @@ class TestMinimalTupleFold:
     def test_matches_cartesian_product(self, m, shapes, kind):
         got = enumerate_minimal_tuple_types(m, shapes, kind)
         assert list(got.items()) == self._brute_force(m, shapes, kind)
+
+    @pytest.mark.parametrize("kind", [SET, MULTI])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fold_does_not_depend_on_memo_state(self, m, kind):
+        # Shapes sharing prefixes, folded from cold memos in both orders.
+        order = [(3, 3), (3, 3, 3), (3, 3, 2)]
+        want = {shapes: self._brute_force(m, shapes, kind) for shapes in order}
+        for shapes_order in (order, order[::-1]):
+            _clear_fold_memos()
+            for shapes in shapes_order:
+                got = enumerate_minimal_tuple_types(m, shapes, kind)
+                assert list(got.items()) == want[shapes]
+            for shapes in shapes_order:
+                minimal = {ty for ty, _ in want[shapes]}
+                families = (enumerate_closed_families(m, nj, kind) for nj in shapes)
+                for combo in itertools.product(*families):
+                    t = FamilyTuple(combo)
+                    assert is_minimal_tuple(t) == (tuple_type(t) in minimal), t
+
+    @pytest.mark.parametrize("kind", [SET, MULTI])
+    def test_deep_shape_tuple_is_folded_without_recursion(self, kind):
+        # 1500 one-block components: the fold walks them one at a time.
+        _clear_fold_memos()
+        got = enumerate_minimal_tuple_types(3, (1,) * 1500, kind)
+        block = (1, 2, 3) if kind is SET else (1, 1, 1)
+        ty = Partition((3,) * 1500) if kind is SET else Partition((1,) * 4500)
+        assert list(got) == [ty]
+        assert got[ty] == FamilyTuple([Family(3, kind, [block])] * 1500)
 
     @pytest.mark.parametrize("shapes", [(11,), (11, 1)])
     def test_equal_types_keep_the_least_family(self, shapes):

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -38,6 +40,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    @pytest.mark.parametrize(
+        "parts, fault",
+        [
+            ((1, 2), "weakly decreasing"),
+            ((2, 0), "positive"),
+            ((2, -1), "positive"),
+            ((1, 2, 0), "weakly decreasing"),
+            ((3, 1, 0, 2), "positive"),
+        ],
+    )
+    def test_first_offending_part_names_the_fault(self, parts, fault):
+        with pytest.raises(ValueError) as info:
+            Partition(parts)
+        assert str(info.value) == f"partition parts must be {fault}: {parts}"
+
     def test_parse_round_trip(self):
         assert str(P("4,2,1,1")) == "4,2,1,1"
         assert P("") == Partition()
@@ -57,9 +74,30 @@ class TestConjugate:
         assert P("6,1,1").conjugate() == P("3,1,1,1,1,1")
 
     def test_against_column_count(self):
-        for n in range(9):
+        for n in range(17):
             for lam in partitions_of(n):
                 assert lam.conjugate() == brute_conjugate(lam)
+        for lam in (Partition((40, 1)), Partition((1,) * 40)):
+            assert lam.conjugate() == brute_conjugate(lam)
+
+    def test_part_too_large_to_hold_fails_at_once(self):
+        # In a child process with its address space capped, so that a
+        # conjugate that walked the columns one by one would fail, not hang
+        # this process or fill the machine's memory.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+            "from foulkes.partitions import Partition\n"
+            "try:\n"
+            "    Partition((10**20,)).conjugate()\n"
+            "except (OverflowError, MemoryError) as exc:\n"
+            "    print(type(exc).__name__)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=20
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() in ("OverflowError", "MemoryError")
 
     def test_involution_weight_le_10(self):
         for n in range(11):
