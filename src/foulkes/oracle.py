@@ -12,10 +12,14 @@ from s_() up, over the trie of the power-sum terms, and reads every label's
 coefficient from the one vector that results.  A single coefficient removes
 strips: chi^lam(rho) is a recursion on lam's mask down the suffixes of rho,
 memoized in one ``{bead mask: value}`` dict per suffix, so a repeated
-partition costs one dict lookup.  That memo is the one store of character
-values; a :class:`CharacterTable` is a degree and a file format, whose
-``save_to`` writes the memo's values of its degree to a file and whose
-``load_or_create`` seeds the memo from one.  All arithmetic is in
+partition costs one dict lookup.  The strips of length r of a mask do not
+depend on the suffix, so they are found once per (r, mask), into a strip
+table of the masks they leave split by sign, and every suffix that starts
+with r reads them from there: a strip then costs one memo lookup and one add
+or subtract.  The strip table holds masks only, and the memo is the one
+store of character values; a :class:`CharacterTable` is a degree and a file
+format, whose ``save_to`` writes the memo's values of its degree to a file
+and whose ``load_or_create`` seeds the memo from one.  All arithmetic is in
 integers: the power-sum coefficients are scaled by the order n! m!^n of the
 wreath product S_m wr S_n, which makes them integral, and each Schur
 coefficient is one exact division by that order.
@@ -129,22 +133,26 @@ def _suffix_node(rho: tuple[int, ...]) -> tuple:
     return node
 
 
-def _strip_sum(mask: int, node: tuple) -> int:
-    """chi^lam(rho) by border-strip removal, for the bead ``mask`` of lam and rho's ``node``.
+# The strip table: {r: {bead mask of lam: (the masks left by the strips of
+# length r with sign +1, those left by the strips with sign -1)}}.  The strips
+# of a mask depend on r and the mask only, so every suffix that starts with r
+# reads one entry; the table holds no character value.  _strip_sum is its one
+# writer.
+_STRIPS: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {}
 
-    The first part r of rho, its largest, is stripped first, which keeps the
-    branching small.  A strip of length r moves a bead from b down to the
-    empty position c = b - r, so the strips are the set bits of
-    ``(mask & ~(mask << r)) >> r`` (at c), and its sign is (-1) to the number
-    of beads strictly between c and b.  A bead that lands at 0 joins the run
-    of one-bits at the bottom, which are zero parts; shifting them out keeps
-    the mask in normal form.  The value of each partition left is read from,
-    or stored in, the memo of the child node; the value returned is stored by
-    the caller, at rho's node.
+
+def _strips(mask: int, r: int, between: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bead masks left by the strips of length r of ``mask``, split by sign.
+
+    A strip of length r moves a bead from b down to the empty position
+    c = b - r, so the strips are the set bits of ``(mask & ~(mask << r)) >> r``
+    (at c), and its sign is (-1) to the number of beads strictly between c and
+    b, which ``between`` (r - 1 one-bits) selects.  A bead that lands at 0
+    joins the run of one-bits at the bottom, which are zero parts; shifting
+    them out keeps the mask left in normal form.
     """
-    r, between, child, _ = node
-    memo = child[3]
-    total = 0
+    plus: list[int] = []
+    minus: list[int] = []
     strips = (mask & ~(mask << r)) >> r
     while strips:
         low = strips & -strips
@@ -152,14 +160,40 @@ def _strip_sum(mask: int, node: tuple) -> int:
         nxt = mask ^ low ^ (low << r)
         if nxt & 1:
             nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
+        # low.bit_length() is c + 1.
+        (minus if (mask >> low.bit_length() & between).bit_count() & 1 else plus).append(nxt)
+    return tuple(plus), tuple(minus)
+
+
+def _strip_sum(mask: int, node: tuple) -> int:
+    """chi^lam(rho) by border-strip removal, for the bead ``mask`` of lam and rho's ``node``.
+
+    The first part r of rho, its largest, is stripped first, which keeps the
+    branching small.  The strips of length r are read from the strip table,
+    found by :func:`_strips` the first time a mask meets r.  The value of
+    each partition left is read from, or stored in, the memo of the child
+    node; the value returned is stored by the caller, at rho's node.
+    """
+    r, between, child, _ = node
+    memo = child[3]
+    by_mask = _STRIPS.get(r)
+    if by_mask is None:
+        by_mask = _STRIPS[r] = {}
+    left = by_mask.get(mask)
+    if left is None:
+        left = by_mask[mask] = _strips(mask, r, between)
+    plus, minus = left
+    total = 0
+    for nxt in plus:
         term = memo.get(nxt)
         if term is None:
             term = memo[nxt] = _strip_sum(nxt, child)
-        # low.bit_length() is c + 1.
-        if (mask >> low.bit_length() & between).bit_count() & 1:
-            total -= term
-        else:
-            total += term
+        total += term
+    for nxt in minus:
+        term = memo.get(nxt)
+        if term is None:
+            term = memo[nxt] = _strip_sum(nxt, child)
+        total -= term
     return total
 
 
@@ -312,7 +346,9 @@ class SchurExpansion:
     def __init__(self, degree: int, coefficients: Mapping[Partition, int]):
         coeffs: dict[Partition, int] = {}
         for lam in sorted(coefficients, reverse=True):
-            mult = int(coefficients[lam])
+            mult = coefficients[lam]
+            if type(mult) is not int:
+                raise ValueError(f"multiplicity of {lam} must be an int, not {mult!r}")
             if mult == 0:
                 continue
             if mult < 0:
@@ -415,7 +451,7 @@ def _power_sum_coefficients(
 def _times_power_sum(vec: Mapping[int, int], r: int, out: dict[int, int]) -> dict[int, int]:
     """Add the Schur vector ``vec`` ({bead mask: coefficient}) times p_r to ``out``.
 
-    The mirror of the strip removal in :func:`_strip_sum`: r zero
+    The mirror of the strip removal in :func:`_strips`: r zero
     parts (beads at 0..r-1) make room for every strip of length r, a strip
     moves a bead from b up to the empty position b + r, so the strips are the
     set bits of ``padded & ~(padded >> r)`` (at b), and its sign is (-1) to

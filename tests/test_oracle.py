@@ -401,6 +401,14 @@ class TestSchurExpansion:
             SchurExpansion(4, {P("2,1"): 1})
         with pytest.raises(ValueError):
             SchurExpansion(3, {P("2,1"): -1})
+        # A multiplicity must be an int itself, not a value int() would accept;
+        # the refusal names the label.  A zero int is still dropped.
+        for bad in (1.5, 1.0, "3", True, False, Fraction(2), None):
+            with pytest.raises(ValueError, match=r"multiplicity of 2,1 must be an int"):
+                SchurExpansion(3, {P("2,1"): bad})
+        with pytest.raises(ValueError, match=r"multiplicity of 2 must be an int, not 1\.5"):
+            SchurExpansion(2, {P("2"): 1.5})
+        assert SchurExpansion(3, {P("2,1"): 0, P("3"): 2}).coefficients == {P("3"): 2}
 
     def test_support_descending_lex(self):
         e = SchurExpansion(4, {P("2,2"): 1, P("4"): 2, P("1,1,1,1"): 1})
@@ -532,6 +540,74 @@ class TestSuffixMemo:
                 if sum(rho) <= 12:
                     assert v == _beta_list_char(lam, rho, memo), (rho, lam)
         assert {8, 12, 20} <= weights
+
+
+def _beta_list_strips(lam, r):
+    """The partitions left by the strips of length r of lam, as (+1 list, -1 list).
+
+    The reference the strip table is checked against, found on the beta
+    numbers as in :func:`_beta_list_char`.
+    """
+    length = len(lam)
+    beta = [lam[j] + (length - 1 - j) for j in range(length)]
+    beta_set = set(beta)
+    plus, minus = [], []
+    for b in beta:
+        c = b - r
+        if c < 0 or c in beta_set:
+            continue
+        leg = sum(1 for x in beta if c < x < b)
+        nb = sorted((beta_set - {b}) | {c}, reverse=True)
+        mu = tuple(v - (length - 1 - j) for j, v in enumerate(nb) if v - (length - 1 - j) > 0)
+        (minus if leg % 2 else plus).append(mu)
+    return sorted(plus), sorted(minus)
+
+
+class TestStripTable:
+    """The strip table: {r: {bead mask: (masks left by +1 strips, by -1 strips)}}."""
+
+    def test_matches_beta_list_strips_up_to_weight_12(self):
+        oracle._CHAR_CACHE.clear()
+        oracle._STRIPS.clear()
+        checked = 0
+        for n in range(1, 13):
+            for lam in partitions_of(n):
+                mask = oracle._beads(lam.parts)
+                for r in range(1, n + 1):
+                    # The class (r, 1^(n-r)) strips r first, from lam's mask.
+                    character_value(lam, Partition([r] + [1] * (n - r)))
+                    plus, minus = oracle._STRIPS[r][mask]
+                    assert type(plus) is tuple and type(minus) is tuple
+                    for left in plus + minus:
+                        assert type(left) is int and (left == 0 or left & 1 == 0), (lam, r, left)
+                    got = (
+                        sorted(oracle._unbeads(left) for left in plus),
+                        sorted(oracle._unbeads(left) for left in minus),
+                    )
+                    assert got == _beta_list_strips(lam.parts, r), (str(lam), r)
+                    checked += 1
+        assert checked == sum(
+            len(list(partitions_of(n))) * n for n in range(1, 13)
+        )
+
+    def test_holds_no_character_values(self):
+        oracle._CHAR_CACHE.clear()
+        oracle._STRIPS.clear()
+        _fill(12)
+        values = CharacterTable(12).values
+        assert len(values) == len(list(partitions_of(12))) ** 2
+        strips = {r: dict(by_mask) for r, by_mask in oracle._STRIPS.items()}
+        for r, by_mask in strips.items():
+            for mask, (plus, minus) in by_mask.items():
+                weight = sum(oracle._unbeads(mask)) - r
+                assert all(sum(oracle._unbeads(left)) == weight for left in plus + minus)
+        # Every value is computed again from the masks alone, and no strip is
+        # found again.
+        oracle._CHAR_CACHE.clear()
+        assert CharacterTable(12).values == {}
+        _fill(12)
+        assert CharacterTable(12).values == values
+        assert oracle._STRIPS == strips
 
 
 def _rational_power_sum_coefficients(nu, m, flavor):
