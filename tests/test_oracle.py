@@ -77,13 +77,33 @@ class TestCharacterValues:
             assert character_value(P("4,1"), P(rho)) == want
 
 
+def _beta_list_strips(lam, r):
+    """The partitions left by the strips of length r of lam, as (+1 list, -1 list).
+
+    Strips are found on the beta numbers lam_j + (len - 1 - j): removing a
+    strip of length r moves one beta number down by r, and the sign is
+    (-1)^(beta numbers jumped).
+    """
+    length = len(lam)
+    beta = [lam[j] + (length - 1 - j) for j in range(length)]
+    beta_set = set(beta)
+    plus, minus = [], []
+    for b in beta:
+        c = b - r
+        if c < 0 or c in beta_set:
+            continue
+        leg = sum(1 for x in beta if c < x < b)
+        nb = sorted((beta_set - {b}) | {c}, reverse=True)
+        mu = tuple(v - (length - 1 - j) for j, v in enumerate(nb) if v - (length - 1 - j) > 0)
+        (minus if leg % 2 else plus).append(mu)
+    return sorted(plus), sorted(minus)
+
+
 def _beta_list_char(lam, rho, memo):
     """chi^lam(rho) by the earlier tuple/beta-list recursion, memoized in ``memo``.
 
     The reference the bead-mask kernel is checked against.  ``rho`` must be
-    weakly decreasing; strips are found on the beta numbers
-    lam_j + (len - 1 - j): removing a strip of length r moves one beta number
-    down by r, and the sign is (-1)^(beta numbers jumped).
+    weakly decreasing; its first part is stripped by :func:`_beta_list_strips`.
     """
     key = (lam, rho)
     cached = memo.get(key)
@@ -92,22 +112,10 @@ def _beta_list_char(lam, rho, memo):
     if not rho:
         memo[key] = 1
         return 1
-    r, rest = rho[0], rho[1:]
-    length = len(lam)
-    beta = [lam[j] + (length - 1 - j) for j in range(length)]
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        c = b - r
-        if c < 0 or c in beta_set:
-            continue
-        leg = sum(1 for x in beta if c < x < b)
-        nb = sorted((beta_set - {b}) | {c}, reverse=True)
-        mu = tuple(
-            v - (length - 1 - j) for j, v in enumerate(nb) if v - (length - 1 - j) > 0
-        )
-        term = _beta_list_char(mu, rest, memo)
-        total += term if leg % 2 == 0 else -term
+    plus, minus = _beta_list_strips(lam, rho[0])
+    total = sum(_beta_list_char(mu, rho[1:], memo) for mu in plus) - sum(
+        _beta_list_char(mu, rho[1:], memo) for mu in minus
+    )
     memo[key] = total
     return total
 
@@ -540,27 +548,6 @@ class TestSuffixMemo:
                 if sum(rho) <= 12:
                     assert v == _beta_list_char(lam, rho, memo), (rho, lam)
         assert {8, 12, 20} <= weights
-
-
-def _beta_list_strips(lam, r):
-    """The partitions left by the strips of length r of lam, as (+1 list, -1 list).
-
-    The reference the strip table is checked against, found on the beta
-    numbers as in :func:`_beta_list_char`.
-    """
-    length = len(lam)
-    beta = [lam[j] + (length - 1 - j) for j in range(length)]
-    beta_set = set(beta)
-    plus, minus = [], []
-    for b in beta:
-        c = b - r
-        if c < 0 or c in beta_set:
-            continue
-        leg = sum(1 for x in beta if c < x < b)
-        nb = sorted((beta_set - {b}) | {c}, reverse=True)
-        mu = tuple(v - (length - 1 - j) for j, v in enumerate(nb) if v - (length - 1 - j) > 0)
-        (minus if leg % 2 else plus).append(mu)
-    return sorted(plus), sorted(minus)
 
 
 class TestStripTable:
