@@ -65,6 +65,25 @@ from .partitions import (
     parse_partition,
     partitions_of,
 )
+from . import families, oracle
+
+
+def clear_caches() -> None:
+    """Empty every memo the package keeps; the only code that names them all.
+
+    A process memoizes character values per cycle-type suffix, the strip
+    table, power-sum weights, closed families, sorted families, prefix folds
+    and minimal tuple types, and frees none of them on its own.  Answers never
+    depend on what the memos hold.
+    """
+    oracle._CHAR_CACHE.clear()
+    oracle._STRIPS.clear()
+    oracle._power_sum_coefficients.cache_clear()
+    families._closed_families.cache_clear()
+    families._sorted_families.cache_clear()
+    families._PREFIX_FOLDS.clear()
+    families._minimal_tuple_types.cache_clear()
+
 
 __version__ = "0.1.0"
 

@@ -189,8 +189,7 @@ def unique_minimal_classification(m: int, nu: Partition) -> Partition | None:
         return Partition([m] * n)
     if parts[0] == 2:
         r = sum(1 for p in parts if p == 2)
-        if all(p <= 2 for p in parts):
-            return Partition([m + 1] * r + [m] * (n - 2 * r) + [m - 1] * r)
+        return Partition([m + 1] * r + [m] * (n - 2 * r) + [m - 1] * r)
     return None
 
 

@@ -11,7 +11,7 @@ import warnings
 from collections import Counter
 from math import factorial
 
-from foulkes import oracle
+from foulkes import clear_caches
 from foulkes.constituents import (
     maximal_constituents_phi,
     minimal_constituents_phi,
@@ -186,8 +186,8 @@ def test_criterion_6_degree_24_certificate(tmp_path):
         assert value >= 1
         table.save_to(tmp_path)
         saved = table.values
-        # The memo is the only store, so only a cleared memo shows what the file holds.
-        oracle._CHAR_CACHE.clear()
+        # The memo is the only store, so only cleared memos show what the file holds.
+        clear_caches()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reloaded = CharacterTable.load_or_create(24, tmp_path)

@@ -4,16 +4,13 @@ import random
 
 import pytest
 
+from foulkes import clear_caches
 from foulkes.families import (
-    _PREFIX_FOLDS,
     BlockKind,
     Family,
     FamilyTuple,
-    _closed_families,
     _colex_bounded,
     _ground_top,
-    _minimal_tuple_types,
-    _sorted_families,
     _upper_covers,
     _vector,
     closure,
@@ -48,12 +45,6 @@ MULTI = BlockKind.MULTISET
 
 def _bounded_blocks(m, n, kind):
     return tuple(_colex_bounded(m, _ground_top(m, n, kind), kind))
-
-
-def _clear_fold_memos():
-    _PREFIX_FOLDS.clear()
-    _sorted_families.cache_clear()
-    _minimal_tuple_types.cache_clear()
 
 
 class TestBlocks:
@@ -275,8 +266,7 @@ class TestTypes:
             assert family_type(copy) == P("3,1")
 
     def test_search_carries_the_dense_counts(self):
-        # A fresh search, so each vector was set by it and not by _vector.
-        _closed_families.cache_clear()
+        # The memos start cold, so each vector was set by the search and not by _vector.
         for kind in (SET, MULTI):
             for m in range(1, 5):
                 for n in range(9):
@@ -461,7 +451,7 @@ class TestMinimalTupleFold:
         order = [(3, 3), (3, 3, 3), (3, 3, 2)]
         want = {shapes: self._brute_force(m, shapes, kind) for shapes in order}
         for shapes_order in (order, order[::-1]):
-            _clear_fold_memos()
+            clear_caches()
             for shapes in shapes_order:
                 got = enumerate_minimal_tuple_types(m, shapes, kind)
                 assert list(got.items()) == want[shapes]
@@ -475,7 +465,6 @@ class TestMinimalTupleFold:
     @pytest.mark.parametrize("kind", [SET, MULTI])
     def test_deep_shape_tuple_is_folded_without_recursion(self, kind):
         # 1500 one-block components: the fold walks them one at a time.
-        _clear_fold_memos()
         got = enumerate_minimal_tuple_types(3, (1,) * 1500, kind)
         block = (1, 2, 3) if kind is SET else (1, 1, 1)
         ty = Partition((3,) * 1500) if kind is SET else Partition((1,) * 4500)

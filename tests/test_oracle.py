@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from foulkes import oracle
+from foulkes import clear_caches, oracle
 from foulkes.errors import GuardExceededError, InternalConsistencyError
 from foulkes.oracle import (
     CharacterTable,
@@ -131,7 +131,6 @@ def _memo_entries():
 
 class TestBeadMaskKernel:
     def test_matches_beta_list_recursion_up_to_degree_12(self):
-        oracle._CHAR_CACHE.clear()
         memo = {}
         for n in range(13):
             parts = list(partitions_of(n))
@@ -192,18 +191,17 @@ class TestCharacterTable:
         path = table.save_to(tmp_path)
         assert path.name == "characters-n5.json"
         saved = table.values
-        oracle._CHAR_CACHE.clear()
+        clear_caches()
         loaded = CharacterTable.load_or_create(5, tmp_path)
         assert loaded.degree == 5
         assert loaded.values == saved
 
     def test_load_or_create(self, tmp_path):
-        oracle._CHAR_CACHE.clear()
         fresh = CharacterTable.load_or_create(4, tmp_path)
         assert fresh.values == {}
         v = character_value(P("2,2"), P("2,1,1"))
         fresh.save_to(tmp_path)
-        oracle._CHAR_CACHE.clear()
+        clear_caches()
         again = CharacterTable.load_or_create(4, tmp_path)
         assert again.values == {((2, 2), (2, 1, 1)): v}
 
@@ -252,7 +250,6 @@ class TestCharacterTable:
         degree, content = content if isinstance(content, tuple) else (4, content)
         path = tmp_path / f"characters-n{degree}.json"
         path.write_text(content)
-        oracle._CHAR_CACHE.clear()
         assert character_value(P("3,1"), P("2,2")) == -1
         before = _memo_entries()
         with pytest.warns(RuntimeWarning, match=path.name):
@@ -272,7 +269,6 @@ class TestCharacterTable:
         (tmp_path / "characters-n4.json").write_text(
             '{"schema": 1, "degree": 4, "values": {"2,2|2,1,1": 0, "2,2|2,2": 2, "3,1|2,2": 1}}'
         )
-        oracle._CHAR_CACHE.clear()
         held = character_value(P("3,1"), P("2,2"))
         before = _memo_entries()
         with pytest.warns(RuntimeWarning, match=r"'3,1\|2,2' holds 1"):
@@ -336,7 +332,6 @@ class TestCharacterTable:
         assert path.read_text() == GOLDEN_N4.read_text()
 
     def test_recorded_file_loads(self):
-        oracle._CHAR_CACHE.clear()
         table = CharacterTable.load_or_create(4, GOLDEN_N4.parent)
         assert table.degree == 4 and len(table.values) == 25
         memo = {}
@@ -353,7 +348,6 @@ class TestCharacterTable:
     def test_table_keys_and_bead_memo_keys(self):
         # The table holds the partition keys it was asked for and nothing
         # below them; the recursion memo is keyed by bead masks only.
-        oracle._CHAR_CACHE.clear()
         table = CharacterTable(7)
         asked = [(P("4,2,1"), P("3,2,2")), (P("3,3,1"), P("2,2,1,1,1"))]
         values = [character_value(lam, rho) for lam, rho in asked]
@@ -363,7 +357,7 @@ class TestCharacterTable:
         entries = _memo_entries()
         assert entries
         assert all(type(mask) is int for _, mask, _ in entries)
-        oracle._CHAR_CACHE.clear()
+        clear_caches()
         for (lam, rho), v in zip(asked, values):
             assert character_value(lam, rho) == v
 
@@ -371,7 +365,6 @@ class TestCharacterTable:
         # A table holds its degree only: a value read through it, through
         # character_value or from a loaded file is held once, at its node.
         assert vars(CharacterTable(7)) == {"degree": 7}
-        oracle._CHAR_CACHE.clear()
         table = CharacterTable(12)
         lam = P("6,3,2,1")
         multiplicity(P("3,1"), 3, lam, table=table)
@@ -392,7 +385,7 @@ class TestCharacterTable:
         _fill(7)
         seven.save_to(tmp_path)
         saved = seven.values
-        oracle._CHAR_CACHE.clear()
+        clear_caches()
         loaded = CharacterTable.load_or_create(7, tmp_path)
         assert sorted(_memo_entries()) == sorted(
             (rho, oracle._beads(mu), v) for (mu, rho), v in saved.items()
@@ -468,7 +461,7 @@ class TestForwardAssembly:
 
     def test_matches_the_per_label_backward_path(self):
         # Three paths to each coefficient: the expansion, and multiplicity
-        # cold (the memo is cleared per case, so it computes its values) and
+        # cold (the memos are cleared per case, so it computes its values) and
         # warm, with and without a table.  Every value asked is then held at
         # its node.
         for m in range(1, 13):
@@ -476,7 +469,7 @@ class TestForwardAssembly:
                 labels = list(partitions_of(m * n))
                 for nu in partitions_of(n):
                     for flavor in PlethysmFlavor:
-                        oracle._CHAR_CACHE.clear()
+                        clear_caches()
                         e = plethysm_expansion(nu, m, flavor)
                         table = CharacterTable(m * n)
                         cold = [multiplicity(nu, m, lam, flavor, table=table) for lam in labels]
@@ -513,8 +506,6 @@ class TestForwardAssembly:
 
     def test_expansion_computes_no_character_value_of_its_degree(self):
         # Only the power-sum weights read character values, of degree |nu|.
-        oracle._CHAR_CACHE.clear()
-        oracle._power_sum_coefficients.cache_clear()
         plethysm_expansion(P("3,2,1"), 2)
         weights = {sum(oracle._unbeads(mask)) for _, mask, _ in _memo_entries()}
         assert 6 in weights and 12 not in weights
@@ -524,7 +515,6 @@ class TestSuffixMemo:
     """The character memo: one node per cycle type suffix, keyed by bead mask below it."""
 
     def test_nodes_and_entries_are_well_formed(self):
-        oracle._CHAR_CACHE.clear()
         for n in range(9):
             classes = list(partitions_of(n))
             for lam in classes:
@@ -554,8 +544,6 @@ class TestStripTable:
     """The strip table: {r: {bead mask: (masks left by +1 strips, by -1 strips)}}."""
 
     def test_matches_beta_list_strips_up_to_weight_12(self):
-        oracle._CHAR_CACHE.clear()
-        oracle._STRIPS.clear()
         checked = 0
         for n in range(1, 13):
             for lam in partitions_of(n):
@@ -578,8 +566,6 @@ class TestStripTable:
         )
 
     def test_holds_no_character_values(self):
-        oracle._CHAR_CACHE.clear()
-        oracle._STRIPS.clear()
         _fill(12)
         values = CharacterTable(12).values
         assert len(values) == len(list(partitions_of(12))) ** 2
@@ -589,7 +575,7 @@ class TestStripTable:
                 weight = sum(oracle._unbeads(mask)) - r
                 assert all(sum(oracle._unbeads(left)) == weight for left in plus + minus)
         # Every value is computed again from the masks alone, and no strip is
-        # found again.
+        # found again: only the values are cleared, and the strip table is kept.
         oracle._CHAR_CACHE.clear()
         assert CharacterTable(12).values == {}
         _fill(12)
