@@ -131,6 +131,8 @@ def _cmd_verify(args) -> int:
             raise ValueError("--seed-sweep requires --n")
         if args.nu is not None:
             raise ValueError("--seed-sweep verifies every nu of weight --n; drop --nu")
+        if args.n < 1:
+            raise ValueError(f"--seed-sweep needs --n of at least 1, got {args.n}")
         nus = partitions_of(args.n)  # lazy: the guard refuses (n) before the rest is built
     else:
         if args.nu is None:
@@ -320,6 +322,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "guard", 0) < 0:
+            raise ValueError(f"--guard must be nonnegative, got {args.guard}")
         return args.func(args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

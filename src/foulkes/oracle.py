@@ -425,26 +425,34 @@ def _power_sum_coefficients(
     rho and one sigma per part of rho into the cycle type tau built from the
     stretched parts rho_j * sigma^{(j)}.  Scaled by the wreath order n! m!^n
     every weight is an integer, since z_rho divides n! and z_sigma divides m!.
-    The parts of rho are folded in one at a time, merging equal partial types.
+    The parts of rho are folded in one at a time, merging equal partial types
+    in plain dicts; the stretched parts r * sigma of every sigma are built
+    once per part length r and shared by every rho and partial type.
     """
     nu = Partition(nu_parts)
     n = nu.weight
     mfac = factorial(m)
     sign = -1 if flavor is PlethysmFlavor.COLUMN else 1
     sigmas = [(s.parts, sign ** (m - len(s)) * (mfac // z_order(s))) for s in partitions_of(m)]
-    acc: Counter[tuple[int, ...]] = Counter()
+    stretched: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for rho in partitions_of(n):
         chi = character_value(nu, rho)
         if chi == 0:
             continue
-        partial = Counter({(): chi * factorial(n) // z_order(rho) * mfac ** (n - len(rho))})
+        partial = {(): chi * factorial(n) // z_order(rho) * mfac ** (n - len(rho))}
         for r in rho.parts:
-            grown: Counter[tuple[int, ...]] = Counter()
+            scaled = stretched.get(r)
+            if scaled is None:
+                scaled = stretched[r] = [(tuple(r * x for x in s), ws) for s, ws in sigmas]
+            grown: dict[tuple[int, ...], int] = {}
             for tau, w in partial.items():
-                for s, ws in sigmas:
-                    grown[tuple(sorted(tau + tuple(r * x for x in s), reverse=True))] += w * ws
+                for s, ws in scaled:
+                    key = tuple(sorted(tau + s, reverse=True))
+                    grown[key] = grown.get(key, 0) + w * ws
             partial = grown
-        acc.update(partial)
+        for tau, w in partial.items():
+            acc[tau] = acc.get(tau, 0) + w
     return tuple(sorted((tau, w) for tau, w in acc.items() if w))
 
 
@@ -494,6 +502,11 @@ def _schur_vector(terms, depth: int = 0) -> dict[int, int]:
     return vec
 
 
+def _check_guard(guard: int) -> None:
+    if guard < 0:
+        raise ValueError(f"guard must be nonnegative, got {guard}")
+
+
 def _quotient(total: int, scale: int, lam: Partition) -> int:
     """<s_lam, plethysm> from ``total`` = scale times it; raises unless a nonnegative integer."""
     value, rem = divmod(total, scale)
@@ -524,9 +537,11 @@ def plethysm_expansion(
 
     Refuses degrees above ``guard``.  Every coefficient is checked to be a
     nonnegative integer and the full expansion must pass the dimension
-    identity; failures raise :class:`InternalConsistencyError`.
+    identity; failures raise :class:`InternalConsistencyError`.  A negative
+    guard raises ``ValueError``.
     """
     flavor = PlethysmFlavor(flavor)
+    _check_guard(guard)
     if m < 1:
         raise ValueError("inner degree m must be at least 1")
     degree = m * nu.weight
@@ -561,8 +576,10 @@ def multiplicity(
     Permitted past the guard up to degree ``SINGLE_COEFFICIENT_LIMIT`` with a
     runtime warning.  ``table``, if given, is only checked to be of this
     degree: every character value is read from, or stored in, the one memo.
+    A negative guard raises ``ValueError``.
     """
     flavor = PlethysmFlavor(flavor)
+    _check_guard(guard)
     if m < 1:
         raise ValueError("inner degree m must be at least 1")
     degree = m * nu.weight
@@ -580,9 +597,16 @@ def multiplicity(
             RuntimeWarning,
             stacklevel=2,
         )
-    terms = _power_sum_coefficients(nu.parts, m, flavor)
     mask = _beads(lam.parts)
-    total = sum(w * _character(mask, tau) for tau, w in terms)
+    # _character inlined: one memo lookup per term, a strip sum on a miss.
+    total = 0
+    for tau, w in _power_sum_coefficients(nu.parts, m, flavor):
+        node = _CHAR_CACHE.get(tau) or _suffix_node(tau)
+        memo = node[3]
+        value = memo.get(mask)
+        if value is None:
+            value = memo[mask] = _strip_sum(mask, node)
+        total += w * value
     return _quotient(total, _wreath_order(nu.weight, m), lam)
 
 

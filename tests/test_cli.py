@@ -93,6 +93,21 @@ class TestExpand:
         assert code == EXIT_GUARD
         assert "guard" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expand", "--m", "2", "--nu", "2,1", "--guard", "-1"),
+            ("verify", "--m", "2", "--nu", "2,1", "--guard", "-1"),
+            ("verify", "--m", "2", "--seed-sweep", "--n", "3", "--guard", "-5"),
+        ],
+        ids=["expand", "verify", "seed-sweep"],
+    )
+    def test_negative_guard_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --guard must be nonnegative, got {argv[-1]}\n"
+
     def test_guard_override(self, capsys):
         code, out, _ = run(
             capsys,
@@ -239,15 +254,12 @@ class TestVerify:
         assert out == "" and "guard" in err
         assert len(drawn) <= 1  # (9) is drawn first, and degree 18 is past the guard
 
-    @pytest.mark.parametrize(
-        "n, message",
-        [("0", "nu must be a nonempty partition"), ("-1", "cannot partition a negative integer")],
-    )
-    def test_sweep_of_no_partitions_is_usage_error(self, capsys, n, message):
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_sweep_of_no_partitions_is_usage_error(self, capsys, n):
         code, out, err = run(capsys, "verify", "--m", "2", "--seed-sweep", "--n", n)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: --seed-sweep needs --n of at least 1, got {n}\n"
 
     def test_json_payload(self, capsys):
         code, out, _ = run(

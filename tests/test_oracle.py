@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from foulkes import clear_caches, oracle
+from foulkes.constituents import verify
 from foulkes.errors import GuardExceededError, InternalConsistencyError
 from foulkes.oracle import (
     CharacterTable,
@@ -626,6 +628,21 @@ class TestPowerSumKernel:
                             tau: c * scale for tau, c in want.items()
                         }, (m, str(nu), flavor)
 
+    @pytest.mark.parametrize(
+        "nu, m",
+        [("3,3,2", 3), ("3,2,1", 4), ("3,3", 4), ("2,2", 6), ("2,1", 8), ("2,2", 5)],
+    )
+    def test_weights_at_the_benchmark_plethysms(self, nu, m):
+        # The plethysms whose single coefficients the coeff benchmark times,
+        # at degrees 20-24, past the sweep above.
+        nu = P(nu)
+        scale = factorial(nu.weight) * factorial(m) ** nu.weight
+        for flavor in PlethysmFlavor:
+            want = _rational_power_sum_coefficients(nu, m, flavor)
+            got = oracle._power_sum_coefficients(nu.parts, m, flavor)
+            assert all(type(w) is int for _, w in got)
+            assert dict(got) == {tau: c * scale for tau, c in want.items()}, flavor
+
     def test_off_by_one_table_value_is_caught(self):
         nu, m, lam = P("2,1"), 2, P("4,2")
         want = multiplicity(nu, m, lam)
@@ -653,13 +670,38 @@ class TestMultiplicity:
         assert multiplicity(P("1,1"), 2, P("2,2")) == 0
 
     def test_matches_expansion(self):
-        e = plethysm_expansion(P("2,1"), 2)
-        for lam in partitions_of(6):
-            assert multiplicity(P("2,1"), 2, lam) == e[lam]
+        count = 0
+        for m in range(2, 13):
+            for n in range(1, 12 // m + 1):
+                for nu in partitions_of(n):
+                    for flavor in PlethysmFlavor:
+                        e = plethysm_expansion(nu, m, flavor)
+                        for lam in partitions_of(m * n):
+                            assert multiplicity(nu, m, lam, flavor) == e[lam], (
+                                str(nu), m, flavor, str(lam)
+                            )
+                            count += 1
+        assert count == 5148
 
     def test_weight_mismatch(self):
         with pytest.raises(ValueError):
             multiplicity(P("2"), 2, P("3,2"))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda guard: plethysm_expansion(P("2,1"), 2, guard=guard),
+            lambda guard: multiplicity(P("2,1"), 2, P("4,2"), guard=guard),
+            lambda guard: verify(2, P("2,1"), guard=guard),
+        ],
+        ids=["plethysm_expansion", "multiplicity", "verify"],
+    )
+    def test_negative_guard_is_refused(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for guard in (-1, -5):
+                with pytest.raises(ValueError, match=f"guard must be nonnegative, got {guard}"):
+                    call(guard)
 
     def test_warns_past_guard_and_caps_at_limit(self):
         with pytest.warns(RuntimeWarning):
