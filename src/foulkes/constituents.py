@@ -171,7 +171,8 @@ def verify(
     ``min-phi``; the oracle's labels are the dominance-extremal members of
     the support of s_nu o s_(m) (phi) or s_nu o s_(1^m) (psi).  The rule
     agrees with the oracle when the two sets are equal.  Degrees above
-    ``guard`` raise :class:`GuardExceededError`.
+    ``guard`` raise :class:`GuardExceededError`, and a negative guard
+    ``ValueError``.
     """
     row = plethysm_expansion(nu, m, PlethysmFlavor.ROW, guard=guard)
     col = plethysm_expansion(nu, m, PlethysmFlavor.COLUMN, guard=guard)

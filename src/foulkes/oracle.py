@@ -598,7 +598,7 @@ def multiplicity(
             stacklevel=2,
         )
     mask = _beads(lam.parts)
-    # _character inlined: one memo lookup per term, a strip sum on a miss.
+    # _character's body, inlined: this loop is most of a coefficient's cost.
     total = 0
     for tau, w in _power_sum_coefficients(nu.parts, m, flavor):
         node = _CHAR_CACHE.get(tau) or _suffix_node(tau)

@@ -614,19 +614,21 @@ def _rational_power_sum_coefficients(nu, m, flavor):
     return {tau: c for tau, c in acc.items() if c}
 
 
+def _assert_weights_match_the_reference(nu, m):
+    scale = factorial(nu.weight) * factorial(m) ** nu.weight
+    for flavor in PlethysmFlavor:
+        got = oracle._power_sum_coefficients(nu.parts, m, flavor)
+        assert all(type(w) is int for _, w in got)
+        want = _rational_power_sum_coefficients(nu, m, flavor)
+        assert dict(got) == {tau: c * scale for tau, c in want.items()}, (m, str(nu), flavor)
+
+
 class TestPowerSumKernel:
     def test_weights_are_the_rational_coefficients_times_the_wreath_order(self):
         for m in range(1, 13):
             for n in range(12 // m + 1):
-                scale = factorial(n) * factorial(m) ** n
                 for nu in partitions_of(n):
-                    for flavor in PlethysmFlavor:
-                        got = oracle._power_sum_coefficients(nu.parts, m, flavor)
-                        assert all(type(w) is int for _, w in got)
-                        want = _rational_power_sum_coefficients(nu, m, flavor)
-                        assert dict(got) == {
-                            tau: c * scale for tau, c in want.items()
-                        }, (m, str(nu), flavor)
+                    _assert_weights_match_the_reference(nu, m)
 
     @pytest.mark.parametrize(
         "nu, m",
@@ -635,13 +637,7 @@ class TestPowerSumKernel:
     def test_weights_at_the_benchmark_plethysms(self, nu, m):
         # The plethysms whose single coefficients the coeff benchmark times,
         # at degrees 20-24, past the sweep above.
-        nu = P(nu)
-        scale = factorial(nu.weight) * factorial(m) ** nu.weight
-        for flavor in PlethysmFlavor:
-            want = _rational_power_sum_coefficients(nu, m, flavor)
-            got = oracle._power_sum_coefficients(nu.parts, m, flavor)
-            assert all(type(w) is int for _, w in got)
-            assert dict(got) == {tau: c * scale for tau, c in want.items()}, flavor
+        _assert_weights_match_the_reference(P(nu), m)
 
     def test_off_by_one_table_value_is_caught(self):
         nu, m, lam = P("2,1"), 2, P("4,2")
