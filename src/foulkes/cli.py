@@ -59,6 +59,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _guard(text: str) -> int:
+    """The --guard value: a nonnegative int, else a usage error (exit 1)."""
+    guard = int(text)
+    if guard < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {guard}")
+    return guard
+
+
 def _emit(args, command: str, payload: dict, text_lines: list[str], code: int = EXIT_OK) -> int:
     """Print the payload under the schema envelope, or the text lines; return ``code``."""
     if args.format == "json":
@@ -280,7 +288,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--flavor", choices=("row", "column"), default="row")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
+    p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("verify", parents=[common], help="theorem engines vs oracle")
@@ -288,7 +296,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nu")
     p.add_argument("--n", type=int, help="weight of nu for --seed-sweep")
     p.add_argument("--seed-sweep", action="store_true", help="verify every nu of weight --n")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
+    p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("agaoka", parents=[common], help="lex-least single-family type")
@@ -322,8 +330,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "guard", 0) < 0:
-            raise ValueError(f"--guard must be nonnegative, got {args.guard}")
         return args.func(args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

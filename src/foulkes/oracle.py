@@ -597,16 +597,9 @@ def multiplicity(
             RuntimeWarning,
             stacklevel=2,
         )
+    terms = _power_sum_coefficients(nu.parts, m, flavor)
     mask = _beads(lam.parts)
-    # _character's body, inlined: this loop is most of a coefficient's cost.
-    total = 0
-    for tau, w in _power_sum_coefficients(nu.parts, m, flavor):
-        node = _CHAR_CACHE.get(tau) or _suffix_node(tau)
-        memo = node[3]
-        value = memo.get(mask)
-        if value is None:
-            value = memo[mask] = _strip_sum(mask, node)
-        total += w * value
+    total = sum(w * _character(mask, tau) for tau, w in terms)
     return _quotient(total, _wreath_order(nu.weight, m), lam)
 
 

@@ -103,10 +103,12 @@ class TestExpand:
         ids=["expand", "verify", "seed-sweep"],
     )
     def test_negative_guard_is_usage_error(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: --guard must be nonnegative, got {argv[-1]}\n"
+        assert err.endswith(f": error: argument --guard: must be nonnegative, got {argv[-1]}\n")
 
     def test_guard_override(self, capsys):
         code, out, _ = run(
