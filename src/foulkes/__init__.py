@@ -45,7 +45,6 @@ from .oracle import (
     PlethysmFlavor,
     SchurExpansion,
     character_value,
-    monomial_expansion,
     multiplicity,
     omega_check,
     plethysm_expansion,
@@ -72,12 +71,14 @@ def clear_caches() -> None:
     """Empty every memo the package keeps; the only code that names them all.
 
     A process memoizes character values per cycle-type suffix, the strip
-    table, power-sum weights, closed families, sorted families, prefix folds
+    table, ribbon-strip values per (cycle-type suffix, m, flavor), power-sum
+    weights, closed families, sorted families, prefix folds
     and minimal tuple types, and frees none of them on its own.  Answers never
     depend on what the memos hold.
     """
     oracle._CHAR_CACHE.clear()
     oracle._STRIPS.clear()
+    oracle._RIBBON_CACHE.clear()
     oracle._power_sum_coefficients.cache_clear()
     families._closed_families.cache_clear()
     families._sorted_families.cache_clear()
@@ -87,10 +88,11 @@ def clear_caches() -> None:
 
 __version__ = "0.1.0"
 
-# The corollaries in ``special`` serve two CLI commands only, so the module is
-# imported on first use of it or of one of its names (PEP 562).
-_SPECIAL = frozenset(
-    {
+# Two modules serve few callers, so each is imported on first use of it or of
+# one of its names (PEP 562): the corollaries in ``special`` serve two CLI
+# commands, and the monomial cross-oracle in ``monomial`` serves none.
+_LAZY = {
+    "special": (
         "AgaokaData",
         "RectangularCertificate",
         "agaoka_lex_least",
@@ -100,18 +102,21 @@ _SPECIAL = frozenset(
         "theta_decomposition",
         "unique_maximal_classification",
         "unique_minimal_classification",
-    }
-)
-__all__ = [n for n in globals() if not n.startswith("_")] + ["special", *sorted(_SPECIAL)]
+    ),
+    "monomial": ("monomial_expansion",),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = [n for n in globals() if not n.startswith("_")] + [*_LAZY, *sorted(_LAZY_NAMES)]
 
 
 def __getattr__(name: str):
-    if name != "special" and name not in _SPECIAL:
+    module = name if name in _LAZY else _LAZY_NAMES.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    special = import_module(".special", __name__)
-    return special if name == "special" else getattr(special, name)
+    loaded = import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)
 
 
 def __dir__() -> list[str]:

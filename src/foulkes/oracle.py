@@ -1,34 +1,22 @@
 """Independent ground truth: exact Schur expansions of s_nu o s_(m) and s_nu o s_(1^m).
 
-The main engine expands both factors in the power-sum basis and substitutes
-p_r o p_s = p_{rs}; the Murnaghan-Nakayama rule turns the power sums into
-Schur functions.  It runs on bead masks: a partition is one integer whose set
-bits are its beta numbers (first-column hook lengths), so finding the border
-strips of a length, their signs and the partition each leaves are a few bit
-operations on one word (the abacus of Loehr-Remmel, "A computational and
-combinatorial expose of plethystic calculus", 2011).  The rule runs in two
-directions.  A full expansion adds strips: it multiplies by one p_r at a time
-from s_() up, over the trie of the power-sum terms, and reads every label's
-coefficient from the one vector that results.  A single coefficient removes
-strips: chi^lam(rho) is a recursion on lam's mask down the suffixes of rho,
-memoized in one ``{bead mask: value}`` dict per suffix, so a repeated
-partition costs one dict lookup.  The strips of length r of a mask do not
-depend on the suffix, so they are found once per (r, mask), into a strip
-table of the masks they leave split by sign, and every suffix that starts
-with r reads them from there: a strip then costs one memo lookup and one add
-or subtract.  The strip table holds masks only, and the memo is the one
-store of character values; a :class:`CharacterTable` is a degree and a file
-format, whose ``save_to`` writes the memo's values of its degree to a file
-and whose ``load_or_create`` seeds the memo from one.  All arithmetic is in
-integers: the power-sum coefficients are scaled by the order n! m!^n of the
-wreath product S_m wr S_n, which makes them integral, and each Schur
-coefficient is one exact division by that order.
-
-A second, slower engine (:func:`monomial_expansion`) counts semistandard
-fillings by degree-m blocks and peels Schur coefficients off the monomial
-counts by dominance triangularity; its Kostka numbers are the same count at
-m = 1, whose fillings are the semistandard tableaux.  It shares no code path
-with the power-sum engine and exists to cross-check it at small degree.
+Partitions are bead masks: one integer whose set bits are the beta numbers,
+so the border strips of a length, their signs and what each leaves are a few
+bit operations (the abacus of Loehr-Remmel, "A computational and
+combinatorial expose of plethystic calculus", 2011).  A full expansion adds
+strips: it multiplies by one p_r at a time over the trie of the plethysm's
+power-sum terms, whose weights are scaled by the wreath order n! m!^n to be
+integers, and divides each coefficient of the one vector that results by
+that order.  A single coefficient removes strips and sums over the classes
+rho of S_n only, n = |nu|: s_nu o h_m = sum_rho chi^nu(rho)/z_rho prod_j
+h_m[p_{rho_j}] (e_m for s_(1^m)), and h_m[p_r] (e_m[p_r]) adds a horizontal
+(vertical) strip of m ribbons of length r.  So it recurses on lam's mask
+down the suffixes of rho, memoized per (suffix, m, flavor), and divides by
+n!.  Character values are the same recursion with single strips, memoized
+per suffix, with the strips of each (length, mask) found once; that memo is
+the one store of character values, which a :class:`CharacterTable` saves to
+a file of one degree and loads from it.  The monomial cross-oracle is in
+:mod:`foulkes.monomial`.
 """
 
 from __future__ import annotations
@@ -39,20 +27,14 @@ import warnings
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import groupby
 from math import factorial
 from operator import lt
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from .errors import GuardExceededError, InternalConsistencyError
-from .partitions import (
-    DominanceRelation,
-    Partition,
-    dimension,
-    dominance_compare,
-    partitions_of,
-)
+from .partitions import Partition, dimension, partitions_of
 
 __all__ = [
     "DEFAULT_GUARD",
@@ -67,7 +49,6 @@ __all__ = [
     "plethysm_expansion",
     "multiplicity",
     "omega_check",
-    "monomial_expansion",
 ]
 
 DEFAULT_GUARD = 16
@@ -197,22 +178,18 @@ def _strip_sum(mask: int, node: tuple) -> int:
     return total
 
 
-def _character(mask: int, rho: tuple[int, ...]) -> int:
-    """chi^lam(rho) for the bead ``mask`` of lam, memoized at rho's node."""
-    node = _suffix_node(rho)
-    value = node[3].get(mask)
-    if value is None:
-        value = node[3][mask] = _strip_sum(mask, node)
-    return value
-
-
 def character_value(lam: Partition, rho: Partition) -> int:
-    """The irreducible symmetric-group character value chi^lam(rho)."""
+    """The irreducible symmetric-group character value chi^lam(rho), memoized at rho's node."""
     if lam.weight != rho.weight:
         raise ValueError(
             f"character arguments must have equal weight: |{lam}| != |{rho}|"
         )
-    return _character(_beads(lam.parts), rho.parts)
+    mask = _beads(lam.parts)
+    node = _suffix_node(rho.parts)
+    value = node[3].get(mask)
+    if value is None:
+        value = node[3][mask] = _strip_sum(mask, node)
+    return value
 
 
 _TABLE_FILE = "characters-n{}.json"
@@ -502,6 +479,101 @@ def _schur_vector(terms, depth: int = 0) -> dict[int, int]:
     return vec
 
 
+# The ribbon memo, one node per (suffix rho of a cycle type, m, flavor):
+# (rho[0], the node of rho[1:], {bead mask of lam: <s_lam, prod_j f[p_{rho_j}]>}),
+# where f is h_m (ROW) or e_m (COLUMN).  The empty suffix holds only the
+# empty partition, at mask 0.
+_EMPTY_PRODUCT: tuple = (0, None, {0: 1})
+_RIBBON_CACHE: dict[tuple[tuple[int, ...], int, PlethysmFlavor], tuple] = {}
+
+
+def _ribbon_node(rho: tuple[int, ...], m: int, flavor: PlethysmFlavor) -> tuple:
+    """The ribbon-memo node of the weakly decreasing ``rho``, interned with its suffixes."""
+    node = _RIBBON_CACHE.get((rho, m, flavor))
+    if node is None:
+        node = _EMPTY_PRODUCT
+        for i in range(len(rho) - 1, -1, -1):
+            node = _RIBBON_CACHE.setdefault((rho[i:], m, flavor), (rho[i], node, {}))
+    return node
+
+
+def _ribbon_strips(mask: int, r: int, m: int, column: bool) -> list[tuple[int, int]]:
+    """(bead mask left, sign) for each strip of m ribbons of length r of ``mask``.
+
+    The terms of the adjoint of multiplying by h_m[p_r] (ROW) or e_m[p_r]
+    (COLUMN), a horizontal or vertical strip of r-ribbons (Lascoux-Leclerc-
+    Thibon, J. Math. Phys. 38, 1997).  On r runners (positions mod r) beads
+    move down, from the lowest up, by whole slots of r positions, m slots in
+    all, each into a free position: under ROW strictly above the original
+    position of the next lower bead on its runner and at or above 0, under
+    COLUMN one slot at most.  The sign is (-1) to the beads strictly between
+    the old and new position of each move, on the mask as it stands then
+    (for COLUMN too: e_m[p_r] = (-1)^((r-1)m) omega(h_m[p_r]), and
+    conjugating a ribbon flips its sign (r-1) times).  Masks left are
+    normalized as in :func:`_strips`.
+    """
+    moves = []  # (bead, its position, the slots it may move), lowest first
+    capacity = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        b = low.bit_length() - 1
+        if column:
+            room = int(b >= r)
+        else:
+            room, c = 0, b - r
+            while c >= 0 and not mask >> c & 1:
+                room += 1
+                c -= r
+        if room:
+            moves.append((low, b, room))
+            capacity += room
+    # A partial strip is kept only while the beads above can still take the
+    # slots it has left.
+    states = [(mask, m, 0)] if m <= capacity else []  # (mask, slots left, sign parity)
+    out = []
+    for low, b, room in moves:
+        capacity -= room
+        grown = []
+        for cur, left, odd in states:
+            if left <= capacity:
+                grown.append((cur, left, odd))
+            c = b
+            for d in range(1, (room if room < left else left) + 1):
+                c -= r
+                if cur >> c & 1:
+                    break
+                nxt = cur ^ low ^ (1 << c)
+                parity = odd ^ ((cur >> (c + 1)) & ((1 << (b - c - 1)) - 1)).bit_count() & 1
+                if d == left:
+                    if nxt & 1:
+                        nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
+                    out.append((nxt, -1 if parity else 1))
+                elif left - d <= capacity:
+                    grown.append((nxt, left - d, parity))
+        states = grown
+    return out
+
+
+def _ribbon_sum(mask: int, node: tuple, m: int, column: bool) -> int:
+    """<s_lam, prod_j f[p_{rho_j}]> for the bead ``mask`` of lam and rho's ``node``.
+
+    The first part r of rho, its largest, is stripped first.  The value of
+    each partition left is read from, or stored in, the memo of the child
+    node; the value returned is stored by the caller, at rho's node.
+    """
+    r, child, _ = node
+    memo = child[2]
+    total = 0
+    for nxt, sign in _ribbon_strips(mask, r, m, column):
+        term = memo.get(nxt)
+        if term is None:
+            term = memo[nxt] = _ribbon_sum(nxt, child, m, column)
+        total += sign * term
+    return total
+
+
 def _check_guard(guard: int) -> None:
     if guard < 0:
         raise ValueError(f"guard must be nonnegative, got {guard}")
@@ -573,10 +645,17 @@ def multiplicity(
 ) -> int:
     """Single Schur coefficient without expanding the whole degree.
 
+    The sum runs over the classes rho of S_|nu| with chi^nu(rho) != 0, at
+    most p(|nu|) terms: w_rho = chi^nu(rho) |nu|!/z_rho times <s_lam, prod_j
+    f[p_{rho_j}]> with f = h_m (ROW) or e_m (COLUMN), which removes one strip
+    of m ribbons per part of rho, largest first, and is memoized per (suffix
+    of rho, m, flavor).  The total is divided exactly by |nu|!; a remainder
+    or a negative quotient raises :class:`InternalConsistencyError`.
+
     Permitted past the guard up to degree ``SINGLE_COEFFICIENT_LIMIT`` with a
     runtime warning.  ``table``, if given, is only checked to be of this
-    degree: every character value is read from, or stored in, the one memo.
-    A negative guard raises ``ValueError``.
+    degree; no character value of this degree is read.  A negative guard
+    raises ``ValueError``.
     """
     flavor = PlethysmFlavor(flavor)
     _check_guard(guard)
@@ -597,10 +676,17 @@ def multiplicity(
             RuntimeWarning,
             stacklevel=2,
         )
-    terms = _power_sum_coefficients(nu.parts, m, flavor)
     mask = _beads(lam.parts)
-    total = sum(w * _character(mask, tau) for tau, w in terms)
-    return _quotient(total, _wreath_order(nu.weight, m), lam)
+    column = flavor is PlethysmFlavor.COLUMN
+    total = 0
+    # s_nu o s_(1) = s_nu, so its weights are chi^nu(rho) n!/z_rho.
+    for rho, w in _power_sum_coefficients(nu.parts, 1, PlethysmFlavor.ROW):
+        node = _ribbon_node(rho, m, flavor)
+        value = node[2].get(mask)
+        if value is None:
+            value = node[2][mask] = _ribbon_sum(mask, node, m, column)
+        total += w * value
+    return _quotient(total, factorial(nu.weight), lam)
 
 
 def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:
@@ -613,112 +699,3 @@ def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:
     partner = nu.conjugate() if m % 2 == 1 else nu
     col = plethysm_expansion(partner, m, PlethysmFlavor.COLUMN, guard=guard)
     return row.conjugated() == col
-
-
-# ---------------------------------------------------------------------------
-# Monomial-expansion cross-oracle.
-
-
-def _block_alphabet(m: int, flavor: PlethysmFlavor, gamma: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The m-element sets (COLUMN) or multisets (ROW) over 1..len(gamma) that fit in gamma."""
-    blocks = combinations if flavor is PlethysmFlavor.COLUMN else combinations_with_replacement
-    out = []
-    for b in blocks(range(1, len(gamma) + 1), m):
-        counts = Counter(b)
-        if all(counts[v] <= gamma[v - 1] for v in counts):
-            out.append(b)
-    return out
-
-
-def _plethystic_tableau_count(
-    nu: tuple[int, ...], m: int, flavor: PlethysmFlavor, gamma: tuple[int, ...]
-) -> int:
-    """Number of semistandard fillings of shape nu by degree-m blocks with
-    total variable content gamma.
-
-    The block alphabet is totally ordered by its list order; any total
-    order yields the same monomial coefficient because Schur polynomials
-    are symmetric in the alphabet.
-    """
-    if not nu:
-        return 1 if not gamma else 0
-    alphabet = [tuple(Counter(b).items()) for b in _block_alphabet(m, flavor, gamma)]
-    last = [-1] * len(gamma)  # last[v - 1]: the last letter holding variable v
-    for e, letter in enumerate(alphabet):
-        for v, _ in letter:
-            last[v - 1] = e
-    # Cells in reading order: (left neighbor, upper neighbor, the row's first
-    # cell if a row follows and this is not it), -1 for none.
-    cells: list[tuple[int, int, int]] = []
-    for i, row in enumerate(nu):
-        top = len(cells)
-        for j in range(row):
-            left = top + j - 1 if j else -1
-            up = top - nu[i - 1] + j if i else -1
-            first = top if j and i + 1 < len(nu) else -1
-            cells.append((left, up, first))
-    budget = list(gamma)
-    entries = [0] * len(cells) + [-1]  # entries[-1] stands for no neighbor
-
-    def fill(pos: int) -> int:
-        if pos == len(cells):
-            return 1
-        left, up, first = cells[pos]
-        start = max(entries[left], entries[up] + 1)
-        # Every cell left takes a letter at or past `low` (the rest of this row
-        # at or past `start`, later rows past this row's first entry), so a
-        # variable with budget left and no letter there ends the branch.
-        low = min(start, entries[first] + 1) if first >= 0 else start
-        for v, b in enumerate(budget):
-            if b and last[v] < low:
-                return 0
-        total = 0
-        for e in range(start, len(alphabet)):
-            for v, c in alphabet[e]:
-                if budget[v - 1] < c:
-                    break
-            else:
-                for v, c in alphabet[e]:
-                    budget[v - 1] -= c
-                entries[pos] = e
-                total += fill(pos + 1)
-                for v, c in alphabet[e]:
-                    budget[v - 1] += c
-        return total
-
-    return fill(0)
-
-
-def monomial_expansion(
-    nu: Partition, m: int, flavor: PlethysmFlavor | str = PlethysmFlavor.ROW
-) -> SchurExpansion:
-    """Brute-force Schur expansion via monomial coefficients.
-
-    Counts plethystic fillings to get the coefficient of x^gamma for each
-    partition gamma, then peels off Schur coefficients in descending
-    lexicographic order using Kostka triangularity with respect to dominance;
-    the Kostka number K_{kappa,lam} is the same count at m = 1.  Independent
-    of the character-theoretic engine; intended for small degree.
-    """
-    flavor = PlethysmFlavor(flavor)
-    if m < 1:
-        raise ValueError("inner degree m must be at least 1")
-    degree = m * nu.weight
-    mono: dict[Partition, int] = {}
-    for gamma in partitions_of(degree):
-        cnt = _plethystic_tableau_count(nu.parts, m, flavor, gamma.parts)
-        if cnt:
-            mono[gamma] = cnt
-    coeffs: dict[Partition, int] = {}
-    for lam in partitions_of(degree):
-        c = mono.get(lam, 0)
-        for kappa, ck in coeffs.items():
-            if dominance_compare(kappa, lam) is DominanceRelation.STRICTLY_ABOVE:
-                c -= ck * _plethystic_tableau_count(kappa.parts, 1, PlethysmFlavor.ROW, lam.parts)
-        if c < 0:
-            raise InternalConsistencyError(
-                f"monomial peel produced a negative coefficient at ({lam})"
-            )
-        if c:
-            coeffs[lam] = c
-    return SchurExpansion(degree, coeffs)

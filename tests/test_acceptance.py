@@ -11,7 +11,7 @@ import warnings
 from collections import Counter
 from math import factorial
 
-from foulkes import clear_caches
+from foulkes import clear_caches, oracle
 from foulkes.constituents import (
     maximal_constituents_phi,
     minimal_constituents_phi,
@@ -35,6 +35,7 @@ from foulkes.families import (
 from foulkes.oracle import (
     CharacterTable,
     PlethysmFlavor,
+    character_value,
     class_size,
     multiplicity,
     omega_check,
@@ -175,15 +176,28 @@ def test_criterion_5_omega_involution():
 
 
 def test_criterion_6_degree_24_certificate(tmp_path):
+    lam = Partition([4] * 6)
+
     def coefficient(table):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return multiplicity(P("4,4"), 3, Partition([4] * 6), PlethysmFlavor.ROW, table=table)
+            return multiplicity(P("4,4"), 3, lam, PlethysmFlavor.ROW, table=table)
+
+    def by_characters():
+        # The same coefficient as sum w_tau chi^lam(tau) over the power-sum
+        # terms, divided by the wreath order 8! 3!^8: the degree-24 values
+        # that the cache file holds.
+        terms = oracle._power_sum_coefficients((4, 4), 3, PlethysmFlavor.ROW)
+        total = sum(w * character_value(lam, Partition(tau)) for tau, w in terms)
+        value, rem = divmod(total, factorial(8) * factorial(3) ** 8)
+        assert rem == 0
+        return value
 
     def body():
         table = CharacterTable.load_or_create(24, tmp_path)
         value = coefficient(table)
         assert value >= 1
+        assert by_characters() == value
         table.save_to(tmp_path)
         saved = table.values
         # The memo is the only store, so only cleared memos show what the file holds.
@@ -193,6 +207,7 @@ def test_criterion_6_degree_24_certificate(tmp_path):
             reloaded = CharacterTable.load_or_create(24, tmp_path)
         assert reloaded.values == saved and saved
         assert coefficient(reloaded) == value
+        assert by_characters() == value
         assert reloaded.values == saved
 
     _criterion(6, "degree-24 single coefficient >= 1 with persistent cache", 600.0, body)

@@ -3,10 +3,11 @@
 Each ``src/foulkes/*.py`` module but ``__init__.py`` is parsed with ``ast``;
 a name bound by ``import`` or ``from ... import`` must appear as a name in the
 module's code or be listed in its ``__all__``.  The oracle, the independent
-judge of the rules, imports nothing of the rule modules.  Importing the
-package loads neither ``dataclasses`` nor ``foulkes.special``, whose names
-load on first use, and loading ``special`` brings in no ``dataclasses`` or
-``inspect`` either.
+judge of the rules, imports nothing of the rule modules, and the monomial
+cross-oracle nothing but the oracle.  Importing the package loads neither
+``dataclasses`` nor ``foulkes.special`` nor ``foulkes.monomial``, whose names
+load on first use; the command line never loads ``monomial``, and loading
+``special`` brings in no ``dataclasses`` or ``inspect`` either.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import foulkes
-from foulkes import special
+from foulkes import monomial, special
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "foulkes"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -69,6 +70,11 @@ def test_the_oracle_imports_no_rule_code():
     assert package_imports(source) == {"partitions", "errors"}
 
 
+def test_the_cross_oracle_imports_only_the_oracle():
+    source = (PACKAGE / "monomial.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"oracle", "partitions", "errors"}
+
+
 def test_package_imports_are_found():
     source = "from .families import BlockKind\nfrom . import special\nimport json\n"
     assert package_imports(source) == {"families", "special"}
@@ -79,7 +85,7 @@ def test_package_imports_are_found():
 START_UP = """
 import contextlib, io, sys
 import foulkes
-print(sorted(m for m in ("dataclasses", "inspect", "foulkes.special") if m in sys.modules))
+print(sorted(m for m in ("dataclasses", "inspect", "foulkes.special", "foulkes.monomial") if m in sys.modules))
 from foulkes.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(["expand", "--m", "2", "--nu", "2,1"])
@@ -87,7 +93,9 @@ print("foulkes.special" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     main(["theta", "--n", "3"])
 print("foulkes.special" in sys.modules)
-print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["verify", "--m", "2", "--nu", "2,1"])
+print(sorted(m for m in ("dataclasses", "inspect", "foulkes.monomial") if m in sys.modules))
 """
 
 
@@ -106,6 +114,14 @@ def test_corollaries_resolve_from_the_package(name):
     exec(f"from foulkes import {name}", namespace)
     assert getattr(foulkes, name) is getattr(special, name) is namespace[name]
     assert name in dir(foulkes) and name in foulkes.__all__
+
+
+def test_cross_oracle_resolves_from_the_package():
+    namespace: dict = {}
+    exec("from foulkes import monomial_expansion", namespace)
+    assert foulkes.monomial_expansion is monomial.monomial_expansion is namespace["monomial_expansion"]
+    assert foulkes.monomial is monomial
+    assert {"monomial", "monomial_expansion"} <= set(dir(foulkes)) & set(foulkes.__all__)
 
 
 def test_unknown_package_attribute_raises():

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from foulkes import clear_caches, oracle
+from foulkes import clear_caches, monomial, oracle
 from foulkes.constituents import verify
 from foulkes.errors import GuardExceededError, InternalConsistencyError
+from foulkes.monomial import monomial_expansion
 from foulkes.oracle import (
     CharacterTable,
     PlethysmFlavor,
@@ -17,7 +18,6 @@ from foulkes.oracle import (
     character_value,
     class_size,
     expected_dimension,
-    monomial_expansion,
     multiplicity,
     omega_check,
     plethysm_expansion,
@@ -29,6 +29,7 @@ from foulkes.partitions import Partition, dimension, dominates, parse_partition,
 GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "characters-n4.json"
 
 P = parse_partition
+ROW, COLUMN = PlethysmFlavor
 
 
 class TestZOrder:
@@ -372,6 +373,8 @@ class TestCharacterTable:
         multiplicity(P("3,1"), 3, lam, table=table)
         assert vars(table) == {"degree": 12}
         taus = [tau for tau, _ in oracle._power_sum_coefficients((3, 1), 3, PlethysmFlavor.ROW)]
+        for tau in taus:
+            character_value(lam, Partition(tau))
         assert table.values == {
             (lam.parts, tau): oracle._CHAR_CACHE[tau][3][oracle._beads(lam.parts)] for tau in taus
         }
@@ -464,8 +467,8 @@ class TestForwardAssembly:
     def test_matches_the_per_label_backward_path(self):
         # Three paths to each coefficient: the expansion, and multiplicity
         # cold (the memos are cleared per case, so it computes its values) and
-        # warm, with and without a table.  Every value asked is then held at
-        # its node.
+        # warm, with and without a table.  Every label asked is then held at
+        # the top ribbon node of each class of S_|nu| that it sums over.
         for m in range(1, 13):
             for n in range(1, 12 // m + 1):
                 labels = list(partitions_of(m * n))
@@ -479,8 +482,8 @@ class TestForwardAssembly:
                             assert e[lam] == v == multiplicity(nu, m, lam, flavor) == multiplicity(
                                 nu, m, lam, flavor, table=table
                             ), (m, str(nu), flavor, str(lam))
-                        for tau, _ in oracle._power_sum_coefficients(nu.parts, m, flavor):
-                            held = oracle._CHAR_CACHE[tau][3]
+                        for rho, _ in oracle._power_sum_coefficients(nu.parts, 1, ROW):
+                            held = oracle._RIBBON_CACHE[rho, m, flavor][2]
                             assert all(oracle._beads(lam.parts) in held for lam in labels)
 
     def test_p1_fold_gives_the_dimensions(self):
@@ -522,9 +525,10 @@ class TestSuffixMemo:
             for lam in classes:
                 for rho in classes:
                     character_value(lam, rho)
-        multiplicity(P("3,1"), 3, P("6,3,2,1"), table=CharacterTable(12))
-        with pytest.warns(RuntimeWarning, match="single-coefficient"):
-            multiplicity(P("2,2"), 5, P("8,6,4,2"), PlethysmFlavor.COLUMN)
+        # The classes of the degree-12 and degree-20 power-sum terms.
+        for nu, m, lam, flavor in [("3,1", 3, "6,3,2,1", ROW), ("2,2", 5, "8,6,4,2", COLUMN)]:
+            for tau, _ in oracle._power_sum_coefficients(P(nu).parts, m, flavor):
+                character_value(P(lam), Partition(tau))
         assert oracle._EMPTY_SUFFIX[3] == {0: 1}
         memo = {}
         weights = set()
@@ -585,6 +589,111 @@ class TestStripTable:
         assert oracle._STRIPS == strips
 
 
+def _times_plethystic_power(vec, r, m, flavor):
+    """The Schur vector ``vec`` times h_m[p_r] (ROW) or e_m[p_r] (COLUMN), by power sums.
+
+    h_m = sum_sigma p_sigma/z_sigma and e_m = sum_sigma sign(sigma) p_sigma/z_sigma,
+    and p_s[p_r] = p_{rs}, so the product is built by ``_times_power_sum``
+    alone, scaled by m! to stay in integers and divided back exactly.
+    """
+    out = {}
+    for sigma in partitions_of(m):
+        w = factorial(m) // z_order(sigma)
+        if flavor is COLUMN and (m - len(sigma)) % 2:
+            w = -w
+        term = {mask: w * c for mask, c in vec.items()}
+        for s in sigma.parts:
+            term = oracle._times_power_sum(term, r * s, {})
+        for mask, c in term.items():
+            out[mask] = out.get(mask, 0) + c
+    product = {}
+    for mask, c in out.items():
+        q, rem = divmod(c, factorial(m))
+        assert rem == 0
+        if q:
+            product[mask] = q
+    return product
+
+
+def _by_characters(nu, m, lam, flavor):
+    """<s_lam, plethysm> as sum w_tau chi^lam(tau) over the power-sum terms, divided exactly."""
+    total = sum(
+        w * character_value(lam, Partition(tau))
+        for tau, w in oracle._power_sum_coefficients(nu.parts, m, flavor)
+    )
+    value, rem = divmod(total, factorial(nu.weight) * factorial(m) ** nu.weight)
+    assert rem == 0
+    return value
+
+
+class TestRibbonStrips:
+    """Single coefficients sum over the classes of S_|nu| by strips of ribbons."""
+
+    def test_strips_are_the_adjoint_of_the_product(self):
+        # <s_lam, s_mu f[p_r]> by the product must be the sign of the strip
+        # that leaves mu, for every lam of weight <= 10: shapes and signs are
+        # checked without the ribbon code.
+        checked = 0
+        for r in range(1, 5):
+            for m in range(1, 4):
+                for flavor in PlethysmFlavor:
+                    want = {}
+                    for k in range(10 - r * m + 1):
+                        for mu in partitions_of(k):
+                            below = oracle._beads(mu.parts)
+                            vec = _times_plethystic_power({below: 1}, r, m, flavor)
+                            for mask, c in vec.items():
+                                want.setdefault(mask, {})[below] = c
+                    for n in range(11):
+                        for lam in partitions_of(n):
+                            mask = oracle._beads(lam.parts)
+                            strips = oracle._ribbon_strips(mask, r, m, flavor is COLUMN)
+                            got = dict(strips)
+                            assert len(got) == len(strips)
+                            assert got == want.get(mask, {}), (r, m, flavor, str(lam))
+                            checked += 1
+        assert checked == 2 * 12 * sum(len(list(partitions_of(n))) for n in range(11))
+
+    def test_nodes_and_entries_are_well_formed(self):
+        for nu, m in [("2,1", 2), ("3,1", 3), ("2,2", 2), ("1,1,1", 3), ("3", 4)]:
+            nu = P(nu)
+            for flavor in PlethysmFlavor:
+                for lam in partitions_of(m * nu.weight):
+                    multiplicity(nu, m, lam, flavor)
+        assert oracle._EMPTY_PRODUCT[2] == {0: 1}
+        entries = 0
+        for (rho, m, flavor), (r, child, values) in oracle._RIBBON_CACHE.items():
+            assert rho and rho[-1] >= 1 and list(rho) == sorted(rho, reverse=True)
+            assert r == rho[0]
+            assert child is oracle._RIBBON_CACHE.get((rho[1:], m, flavor), oracle._EMPTY_PRODUCT)
+            product = {0: 1}
+            for part in rho:
+                product = _times_plethystic_power(product, part, m, flavor)
+            for mask, v in values.items():
+                assert type(mask) is int and mask & 1 == 0, (rho, mask)
+                assert sum(oracle._unbeads(mask)) == m * sum(rho), (rho, m, mask)
+                assert v == product.get(mask, 0), (rho, m, flavor, oracle._unbeads(mask))
+                entries += 1
+        assert entries > 100
+
+    @pytest.mark.parametrize(
+        "nu, m",
+        [("3,3,2", 3), ("3,2,1", 4), ("3,3", 4), ("2,2", 6), ("2,1", 8), ("2,2", 5)],
+    )
+    def test_matches_the_character_sum_at_the_benchmark_plethysms(self, nu, m):
+        # Labels of the coeff benchmark's middle band: 4 to 8 parts, the
+        # first at most 10.
+        nu = P(nu)
+        band = [lam for lam in partitions_of(m * nu.weight) if 4 <= len(lam) <= 8 and lam[0] <= 10]
+        rng = random.Random(f"{nu}:{m}")
+        for flavor in PlethysmFlavor:
+            for lam in rng.sample(band, 3):
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "single-coefficient", RuntimeWarning)
+                    got = multiplicity(nu, m, lam, flavor)
+                assert got == _by_characters(nu, m, lam, flavor), (str(nu), m, flavor, str(lam))
+
+
 def _rational_power_sum_coefficients(nu, m, flavor):
     """The power-sum coefficients in Fractions, one sigma per part of rho.
 
@@ -640,13 +749,17 @@ class TestPowerSumKernel:
         _assert_weights_match_the_reference(P(nu), m)
 
     def test_off_by_one_table_value_is_caught(self):
+        # Each class rho of S_3 with chi^nu(rho) != 0 adds w_rho times the
+        # value at its top ribbon node; one more there is w_rho/3! more.
         nu, m, lam = P("2,1"), 2, P("4,2")
         want = multiplicity(nu, m, lam)
         mask = oracle._beads(lam.parts)
-        for tau, _ in oracle._power_sum_coefficients(nu.parts, m, PlethysmFlavor.ROW):
+        classes = oracle._power_sum_coefficients(nu.parts, 1, ROW)
+        assert [rho for rho, _ in classes] == [(1, 1, 1), (3,)]
+        for rho, _ in classes:
             table = CharacterTable(6)
             assert multiplicity(nu, m, lam, table=table) == want
-            held = oracle._CHAR_CACHE[tau][3]
+            held = oracle._RIBBON_CACHE[rho, m, ROW][2]
             held[mask] += 1
             try:
                 with pytest.raises(InternalConsistencyError, match=r"\(4,2\)"):
@@ -780,7 +893,7 @@ class TestMonomialCrossOracle:
 
 def _kostka(kappa: Partition, lam: Partition) -> int:
     """K_{kappa,lam} read from the plethystic counter: at m = 1 a block is one letter."""
-    return oracle._plethystic_tableau_count(kappa.parts, 1, PlethysmFlavor.ROW, lam.parts)
+    return monomial._plethystic_tableau_count(kappa.parts, 1, PlethysmFlavor.ROW, lam.parts)
 
 
 class TestKostkaCounter:
