@@ -365,8 +365,9 @@ class TestCharacterTable:
             assert character_value(lam, rho) == v
 
     def test_table_values_are_not_kept_twice(self, tmp_path, monkeypatch):
-        # A table holds its degree only: a value read through it, through
-        # character_value or from a loaded file is held once, at its node.
+        # A table holds its degree only, also when passed to multiplicity: a
+        # value read through character_value or from a loaded file is held
+        # once, at its node.
         assert vars(CharacterTable(7)) == {"degree": 7}
         table = CharacterTable(12)
         lam = P("6,3,2,1")
