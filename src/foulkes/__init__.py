@@ -70,14 +70,12 @@ from . import families, oracle
 def clear_caches() -> None:
     """Empty every memo the package keeps; the only code that names them all.
 
-    A process memoizes character values per cycle-type suffix, the strip
-    table, ribbon-strip values per (cycle-type suffix, m, flavor), power-sum
-    weights, closed families, sorted families, prefix folds
-    and minimal tuple types, and frees none of them on its own.  Answers never
-    depend on what the memos hold.
+    A process memoizes ribbon-strip values per (cycle-type suffix, m,
+    flavor), whose m = 1 nodes hold the character values, power-sum weights,
+    closed families, sorted families, prefix folds and minimal tuple types,
+    and frees none of them on its own.  Answers never depend on what the
+    memos hold.
     """
-    oracle._CHAR_CACHE.clear()
-    oracle._STRIPS.clear()
     oracle._RIBBON_CACHE.clear()
     oracle._power_sum_coefficients.cache_clear()
     families._closed_families.cache_clear()

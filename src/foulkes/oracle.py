@@ -12,11 +12,11 @@ rho of S_n only, n = |nu|: s_nu o h_m = sum_rho chi^nu(rho)/z_rho prod_j
 h_m[p_{rho_j}] (e_m for s_(1^m)), and h_m[p_r] (e_m[p_r]) adds a horizontal
 (vertical) strip of m ribbons of length r.  So it recurses on lam's mask
 down the suffixes of rho, memoized per (suffix, m, flavor), and divides by
-n!.  Character values are the same recursion with single strips, memoized
-per suffix, with the strips of each (length, mask) found once; that memo is
-the one store of character values, which a :class:`CharacterTable` saves to
-a file of one degree and loads from it.  The monomial cross-oracle is in
-:mod:`foulkes.monomial`.
+n!.  At m = 1, h_1[p_r] = p_r and the strips are single border strips, so a
+character value chi^lam(rho) = <s_lam, p_rho> is the memo's value at
+(rho, 1, ROW); those nodes are the one store of character values, which a
+:class:`CharacterTable` saves to a file of one degree and loads from it.  The
+monomial cross-oracle is in :mod:`foulkes.monomial`.
 """
 
 from __future__ import annotations
@@ -96,100 +96,124 @@ def _unbeads(mask: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-# The character memo, one node per suffix rho of a cycle type: (rho[0], the
-# sign mask of a strip of that length, the node of rho[1:], {bead mask of lam:
-# chi^lam(rho)}).  The empty suffix holds only the empty partition, at mask 0.
-_EMPTY_SUFFIX: tuple = (0, 0, None, {0: 1})
-_CHAR_CACHE: dict[tuple[int, ...], tuple] = {}
+# The ribbon memo, one node per (suffix rho of a cycle type, m, flavor):
+# (rho[0], the node of rho[1:], {bead mask of lam: <s_lam, prod_j f[p_{rho_j}]>}),
+# where f is h_m (ROW) or e_m (COLUMN).  The empty suffix holds only the
+# empty partition, at mask 0.
+_EMPTY_PRODUCT: tuple = (0, None, {0: 1})
+_RIBBON_CACHE: dict[tuple[tuple[int, ...], int, PlethysmFlavor], tuple] = {}
 
 
-def _suffix_node(rho: tuple[int, ...]) -> tuple:
-    """The memo node of the weakly decreasing ``rho``, interned with its suffixes."""
-    node = _CHAR_CACHE.get(rho)
+def _ribbon_node(rho: tuple[int, ...], m: int, flavor: PlethysmFlavor) -> tuple:
+    """The ribbon-memo node of the weakly decreasing ``rho``, interned with its suffixes."""
+    node = _RIBBON_CACHE.get((rho, m, flavor))
     if node is None:
-        node = _EMPTY_SUFFIX
+        node = _EMPTY_PRODUCT
         for i in range(len(rho) - 1, -1, -1):
-            r = rho[i]
-            node = _CHAR_CACHE.setdefault(rho[i:], (r, (1 << (r - 1)) - 1, node, {}))
+            node = _RIBBON_CACHE.setdefault((rho[i:], m, flavor), (rho[i], node, {}))
     return node
 
 
-# The strip table: {r: {bead mask of lam: (the masks left by the strips of
-# length r with sign +1, those left by the strips with sign -1)}}.  The strips
-# of a mask depend on r and the mask only, so every suffix that starts with r
-# reads one entry; the table holds no character value.  _strip_sum is its one
-# writer.
-_STRIPS: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+def _ribbon_strips(mask: int, r: int, m: int, column: bool) -> list[tuple[int, int]]:
+    """(bead mask left, sign) for each strip of m ribbons of length r of ``mask``.
 
-
-def _strips(mask: int, r: int, between: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The bead masks left by the strips of length r of ``mask``, split by sign.
-
-    A strip of length r moves a bead from b down to the empty position
-    c = b - r, so the strips are the set bits of ``(mask & ~(mask << r)) >> r``
-    (at c), and its sign is (-1) to the number of beads strictly between c and
-    b, which ``between`` (r - 1 one-bits) selects.  A bead that lands at 0
-    joins the run of one-bits at the bottom, which are zero parts; shifting
-    them out keeps the mask left in normal form.
+    The terms of the adjoint of multiplying by h_m[p_r] (ROW) or e_m[p_r]
+    (COLUMN), a horizontal or vertical strip of r-ribbons (Lascoux-Leclerc-
+    Thibon, J. Math. Phys. 38, 1997).  On r runners (positions mod r) beads
+    move down, from the lowest up, by whole slots of r positions, m slots in
+    all, each into a free position: under ROW strictly above the original
+    position of the next lower bead on its runner and at or above 0, under
+    COLUMN one slot at most.  The sign is (-1) to the beads strictly between
+    the old and new position of each move, on the mask as it stands then
+    (for COLUMN too: e_m[p_r] = (-1)^((r-1)m) omega(h_m[p_r]), and
+    conjugating a ribbon flips its sign (r-1) times).  At m = 1 this is
+    border-strip removal, whose values are character values.  A bead that
+    lands at 0 joins the run of one-bits at the bottom, which are zero parts;
+    shifting them out keeps the mask left in normal form.
     """
-    plus: list[int] = []
-    minus: list[int] = []
-    strips = (mask & ~(mask << r)) >> r
-    while strips:
-        low = strips & -strips
-        strips ^= low
-        nxt = mask ^ low ^ (low << r)
-        if nxt & 1:
-            nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
-        # low.bit_length() is c + 1.
-        (minus if (mask >> low.bit_length() & between).bit_count() & 1 else plus).append(nxt)
-    return tuple(plus), tuple(minus)
+    moves = []  # (bead, its position, the slots it may move), lowest first
+    capacity = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        b = low.bit_length() - 1
+        if column:
+            room = int(b >= r)
+        else:
+            room, c = 0, b - r
+            while c >= 0 and not mask >> c & 1:
+                room += 1
+                c -= r
+        if room:
+            moves.append((low, b, room))
+            capacity += room
+    # A partial strip is kept only while the beads above can still take the
+    # slots it has left.
+    states = [(mask, m, 0)] if m <= capacity else []  # (mask, slots left, sign parity)
+    out = []
+    for low, b, room in moves:
+        capacity -= room
+        grown = []
+        for cur, left, odd in states:
+            if left <= capacity:
+                grown.append((cur, left, odd))
+            c = b
+            for d in range(1, (room if room < left else left) + 1):
+                c -= r
+                if cur >> c & 1:
+                    break
+                nxt = cur ^ low ^ (1 << c)
+                parity = odd ^ ((cur >> (c + 1)) & ((1 << (b - c - 1)) - 1)).bit_count() & 1
+                if d == left:
+                    if nxt & 1:
+                        nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
+                    out.append((nxt, -1 if parity else 1))
+                elif left - d <= capacity:
+                    grown.append((nxt, left - d, parity))
+        states = grown
+    return out
 
 
-def _strip_sum(mask: int, node: tuple) -> int:
-    """chi^lam(rho) by border-strip removal, for the bead ``mask`` of lam and rho's ``node``.
+def _ribbon_sum(mask: int, node: tuple, m: int, column: bool) -> int:
+    """<s_lam, prod_j f[p_{rho_j}]> for the bead ``mask`` of lam and rho's ``node``.
 
-    The first part r of rho, its largest, is stripped first, which keeps the
-    branching small.  The strips of length r are read from the strip table,
-    found by :func:`_strips` the first time a mask meets r.  The value of
+    The first part r of rho, its largest, is stripped first.  The value of
     each partition left is read from, or stored in, the memo of the child
-    node; the value returned is stored by the caller, at rho's node.
+    node; the value returned is stored by :func:`_ribbon_value`, at rho's node.
     """
-    r, between, child, _ = node
-    memo = child[3]
-    by_mask = _STRIPS.get(r)
-    if by_mask is None:
-        by_mask = _STRIPS[r] = {}
-    left = by_mask.get(mask)
-    if left is None:
-        left = by_mask[mask] = _strips(mask, r, between)
-    plus, minus = left
+    r, child, _ = node
+    memo = child[2]
     total = 0
-    for nxt in plus:
+    for nxt, sign in _ribbon_strips(mask, r, m, column):
         term = memo.get(nxt)
         if term is None:
-            term = memo[nxt] = _strip_sum(nxt, child)
-        total += term
-    for nxt in minus:
-        term = memo.get(nxt)
-        if term is None:
-            term = memo[nxt] = _strip_sum(nxt, child)
-        total -= term
+            term = memo[nxt] = _ribbon_sum(nxt, child, m, column)
+        total += sign * term
     return total
 
 
+def _ribbon_value(mask: int, node: tuple, m: int, column: bool) -> int:
+    """The value of ``mask`` at ``node``: read, or found by :func:`_ribbon_sum` and stored."""
+    values = node[2]
+    value = values.get(mask)
+    if value is None:
+        value = values[mask] = _ribbon_sum(mask, node, m, column)
+    return value
+
+
 def character_value(lam: Partition, rho: Partition) -> int:
-    """The irreducible symmetric-group character value chi^lam(rho), memoized at rho's node."""
+    """The irreducible symmetric-group character value chi^lam(rho) = <s_lam, p_rho>.
+
+    Border-strip removal: the ribbon recursion at m = 1, read from and stored
+    at rho's node (rho, 1, ROW) of the ribbon memo.
+    """
     if lam.weight != rho.weight:
         raise ValueError(
             f"character arguments must have equal weight: |{lam}| != |{rho}|"
         )
-    mask = _beads(lam.parts)
-    node = _suffix_node(rho.parts)
-    value = node[3].get(mask)
-    if value is None:
-        value = node[3][mask] = _strip_sum(mask, node)
-    return value
+    node = _ribbon_node(rho.parts, 1, PlethysmFlavor.ROW)
+    return _ribbon_value(_beads(lam.parts), node, 1, False)
 
 
 _TABLE_FILE = "characters-n{}.json"
@@ -198,17 +222,17 @@ _TABLE_FILE = "characters-n{}.json"
 class CharacterTable:
     """Character values of one degree on disk: a degree and a file format.
 
-    The values live in the character memo only.  ``values`` is a snapshot,
-    built on each access, of the memo's values of this degree, keyed by
-    ``(lam.parts, rho.parts)``, and :meth:`save_to` writes it to the file
-    ``characters-n<degree>.json`` of a directory, which :meth:`load_or_create`
-    reads.  In JSON: ``{"schema": 1, "degree": n, "values": {"<lam>|<rho>":
-    int, ...}}`` where partitions are comma-separated part lists.  Loading
-    rejects a degree other than the file name's, a value that is not an
-    integer, a key not of two partitions of the degree, a wrong value at the
-    identity class (the dimension) or at lam = (n) (1), and a value other
-    than one already held for its pair.  A file that passes seeds the memo,
-    and every later call trusts it.
+    The values live in the ribbon memo only, at its nodes (rho, 1, ROW).
+    ``values`` is a snapshot, built on each access, of those nodes' values of
+    this degree, keyed by ``(lam.parts, rho.parts)``, and :meth:`save_to`
+    writes it to the file ``characters-n<degree>.json`` of a directory, which
+    :meth:`load_or_create` reads.  In JSON: ``{"schema": 1, "degree": n,
+    "values": {"<lam>|<rho>": int, ...}}`` where partitions are
+    comma-separated part lists.  Loading rejects a degree other than the
+    file name's, a value that is not an integer, a key not of two partitions
+    of the degree, a wrong value at the identity class (the dimension) or at
+    lam = (n) (1), and a value other than one already held for its pair.  A
+    file that passes seeds the memo, and every later call trusts it.
     """
 
     SCHEMA = 1
@@ -222,8 +246,9 @@ class CharacterTable:
     def values(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
         return {
             (_unbeads(mask), rho): v
-            for rho, node in _CHAR_CACHE.items() if sum(rho) == self.degree
-            for mask, v in node[3].items()
+            for (rho, m, flavor), node in _RIBBON_CACHE.items()
+            if m == 1 and flavor is PlethysmFlavor.ROW and sum(rho) == self.degree
+            for mask, v in node[2].items()
         }
 
     def verify_orthogonality(self) -> None:
@@ -308,11 +333,12 @@ def _load(path: Path, want: int) -> None:
         if (len(rho) == degree and v != dimension(Partition(lam))) or (len(lam) <= 1 and v != 1):
             raise ValueError(f"entry {key!r} holds {v}, not the character value")
         mask = _beads(lam)
-        if entries.get((rho, mask), _CHAR_CACHE.get(rho, _EMPTY_SUFFIX)[3].get(mask, v)) != v:
+        held = _RIBBON_CACHE.get((rho, 1, PlethysmFlavor.ROW), _EMPTY_PRODUCT)[2]
+        if entries.get((rho, mask), held.get(mask, v)) != v:
             raise ValueError(f"entry {key!r} holds {v}, not the value already held for it")
         entries[rho, mask] = v
     for (rho, mask), v in entries.items():
-        _suffix_node(rho)[3].setdefault(mask, v)
+        _ribbon_node(rho, 1, PlethysmFlavor.ROW)[2].setdefault(mask, v)
 
 
 class SchurExpansion:
@@ -436,7 +462,7 @@ def _power_sum_coefficients(
 def _times_power_sum(vec: Mapping[int, int], r: int, out: dict[int, int]) -> dict[int, int]:
     """Add the Schur vector ``vec`` ({bead mask: coefficient}) times p_r to ``out``.
 
-    The mirror of the strip removal in :func:`_strips`: r zero
+    The mirror of the strip removal in :func:`_ribbon_strips` at m = 1: r zero
     parts (beads at 0..r-1) make room for every strip of length r, a strip
     moves a bead from b up to the empty position b + r, so the strips are the
     set bits of ``padded & ~(padded >> r)`` (at b), and its sign is (-1) to
@@ -477,101 +503,6 @@ def _schur_vector(terms, depth: int = 0) -> dict[int, int]:
         else:
             vec[0] = sum(w for _, w in run)
     return vec
-
-
-# The ribbon memo, one node per (suffix rho of a cycle type, m, flavor):
-# (rho[0], the node of rho[1:], {bead mask of lam: <s_lam, prod_j f[p_{rho_j}]>}),
-# where f is h_m (ROW) or e_m (COLUMN).  The empty suffix holds only the
-# empty partition, at mask 0.
-_EMPTY_PRODUCT: tuple = (0, None, {0: 1})
-_RIBBON_CACHE: dict[tuple[tuple[int, ...], int, PlethysmFlavor], tuple] = {}
-
-
-def _ribbon_node(rho: tuple[int, ...], m: int, flavor: PlethysmFlavor) -> tuple:
-    """The ribbon-memo node of the weakly decreasing ``rho``, interned with its suffixes."""
-    node = _RIBBON_CACHE.get((rho, m, flavor))
-    if node is None:
-        node = _EMPTY_PRODUCT
-        for i in range(len(rho) - 1, -1, -1):
-            node = _RIBBON_CACHE.setdefault((rho[i:], m, flavor), (rho[i], node, {}))
-    return node
-
-
-def _ribbon_strips(mask: int, r: int, m: int, column: bool) -> list[tuple[int, int]]:
-    """(bead mask left, sign) for each strip of m ribbons of length r of ``mask``.
-
-    The terms of the adjoint of multiplying by h_m[p_r] (ROW) or e_m[p_r]
-    (COLUMN), a horizontal or vertical strip of r-ribbons (Lascoux-Leclerc-
-    Thibon, J. Math. Phys. 38, 1997).  On r runners (positions mod r) beads
-    move down, from the lowest up, by whole slots of r positions, m slots in
-    all, each into a free position: under ROW strictly above the original
-    position of the next lower bead on its runner and at or above 0, under
-    COLUMN one slot at most.  The sign is (-1) to the beads strictly between
-    the old and new position of each move, on the mask as it stands then
-    (for COLUMN too: e_m[p_r] = (-1)^((r-1)m) omega(h_m[p_r]), and
-    conjugating a ribbon flips its sign (r-1) times).  Masks left are
-    normalized as in :func:`_strips`.
-    """
-    moves = []  # (bead, its position, the slots it may move), lowest first
-    capacity = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        b = low.bit_length() - 1
-        if column:
-            room = int(b >= r)
-        else:
-            room, c = 0, b - r
-            while c >= 0 and not mask >> c & 1:
-                room += 1
-                c -= r
-        if room:
-            moves.append((low, b, room))
-            capacity += room
-    # A partial strip is kept only while the beads above can still take the
-    # slots it has left.
-    states = [(mask, m, 0)] if m <= capacity else []  # (mask, slots left, sign parity)
-    out = []
-    for low, b, room in moves:
-        capacity -= room
-        grown = []
-        for cur, left, odd in states:
-            if left <= capacity:
-                grown.append((cur, left, odd))
-            c = b
-            for d in range(1, (room if room < left else left) + 1):
-                c -= r
-                if cur >> c & 1:
-                    break
-                nxt = cur ^ low ^ (1 << c)
-                parity = odd ^ ((cur >> (c + 1)) & ((1 << (b - c - 1)) - 1)).bit_count() & 1
-                if d == left:
-                    if nxt & 1:
-                        nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
-                    out.append((nxt, -1 if parity else 1))
-                elif left - d <= capacity:
-                    grown.append((nxt, left - d, parity))
-        states = grown
-    return out
-
-
-def _ribbon_sum(mask: int, node: tuple, m: int, column: bool) -> int:
-    """<s_lam, prod_j f[p_{rho_j}]> for the bead ``mask`` of lam and rho's ``node``.
-
-    The first part r of rho, its largest, is stripped first.  The value of
-    each partition left is read from, or stored in, the memo of the child
-    node; the value returned is stored by the caller, at rho's node.
-    """
-    r, child, _ = node
-    memo = child[2]
-    total = 0
-    for nxt, sign in _ribbon_strips(mask, r, m, column):
-        term = memo.get(nxt)
-        if term is None:
-            term = memo[nxt] = _ribbon_sum(nxt, child, m, column)
-        total += sign * term
-    return total
 
 
 def _check_guard(guard: int) -> None:
@@ -681,11 +612,7 @@ def multiplicity(
     total = 0
     # s_nu o s_(1) = s_nu, so its weights are chi^nu(rho) n!/z_rho.
     for rho, w in _power_sum_coefficients(nu.parts, 1, PlethysmFlavor.ROW):
-        node = _ribbon_node(rho, m, flavor)
-        value = node[2].get(mask)
-        if value is None:
-            value = node[2][mask] = _ribbon_sum(mask, node, m, column)
-        total += w * value
+        total += w * _ribbon_value(mask, _ribbon_node(rho, m, flavor), m, column)
     return _quotient(total, factorial(nu.weight), lam)
 
 

@@ -52,9 +52,8 @@ def test_clear_caches_empties_every_memo():
     assert all(memo.cache_info().currsize for memo in lru_memos)
     clear_caches()
     assert [memo.cache_info().currsize for memo in lru_memos] == [0] * len(lru_memos)
-    assert not oracle._CHAR_CACHE and not oracle._STRIPS and not oracle._RIBBON_CACHE
-    assert not families._PREFIX_FOLDS
-    assert oracle._EMPTY_SUFFIX[3] == {0: 1} and oracle._EMPTY_PRODUCT[2] == {0: 1}
+    assert not oracle._RIBBON_CACHE and not families._PREFIX_FOLDS
+    assert oracle._EMPTY_PRODUCT[2] == {0: 1}
     assert _answers(calls) == answers
 
 

@@ -124,11 +124,11 @@ def _beta_list_char(lam, rho, memo):
 
 
 def _memo_entries():
-    """(suffix, bead mask, value) for every value the character memo holds."""
+    """(suffix, bead mask, value) for every character value: the ribbon memo at (rho, 1, ROW)."""
     return [
         (rho, mask, v)
-        for rho, node in oracle._CHAR_CACHE.items()
-        for mask, v in node[3].items()
+        for (rho, m, flavor), node in oracle._RIBBON_CACHE.items() if (m, flavor) == (1, ROW)
+        for mask, v in node[2].items()
     ]
 
 
@@ -277,7 +277,7 @@ class TestCharacterTable:
         with pytest.warns(RuntimeWarning, match=r"'3,1\|2,2' holds 1"):
             CharacterTable.load_or_create(4, tmp_path)
         assert _memo_entries() == before
-        assert oracle._CHAR_CACHE[(2, 2)][3][oracle._beads((3, 1))] == held == -1
+        assert oracle._RIBBON_CACHE[(2, 2), 1, ROW][2][oracle._beads((3, 1))] == held == -1
 
     def test_huge_degree_loads_at_once(self, tmp_path):
         # The identity class is recognised by its length, so no (1,) * degree is built.
@@ -377,7 +377,8 @@ class TestCharacterTable:
         for tau in taus:
             character_value(lam, Partition(tau))
         assert table.values == {
-            (lam.parts, tau): oracle._CHAR_CACHE[tau][3][oracle._beads(lam.parts)] for tau in taus
+            (lam.parts, tau): oracle._RIBBON_CACHE[tau, 1, ROW][2][oracle._beads(lam.parts)]
+            for tau in taus
         }
         for (mu, rho), v in table.values.items():
             assert v == _beta_list_char(mu, rho, {})
@@ -385,7 +386,7 @@ class TestCharacterTable:
         # and a saved file seeds the memo, from which it reads without computing.
         lam, rho = P("4,2,1"), P("3,2,2")
         v = character_value(lam, rho)
-        assert oracle._CHAR_CACHE[rho.parts][3][oracle._beads(lam.parts)] == v
+        assert oracle._RIBBON_CACHE[rho.parts, 1, ROW][2][oracle._beads(lam.parts)] == v
         seven = CharacterTable(7)
         assert seven.values[lam.parts, rho.parts] == v
         _fill(7)
@@ -396,10 +397,34 @@ class TestCharacterTable:
         assert sorted(_memo_entries()) == sorted(
             (rho, oracle._beads(mu), v) for (mu, rho), v in saved.items()
         )
-        monkeypatch.setattr(oracle, "_strip_sum", None)
+        monkeypatch.setattr(oracle, "_ribbon_sum", None)
         for (mu, rho), v in saved.items():
             assert character_value(Partition(mu), Partition(rho)) == v
         assert loaded.values == saved
+
+    def test_snapshot_holds_character_values_only(self):
+        # The ribbon memo also holds coefficient nodes: (rho, 2, flavor) with
+        # |rho| = 3 holds masks of weight 6.  A snapshot reads the m = 1 ROW
+        # nodes only, so each degree holds pairs of its own degree.
+        nu = P("2,1")
+        for flavor in PlethysmFlavor:
+            for lam in partitions_of(6):
+                multiplicity(nu, 2, lam, flavor)
+        other = [
+            (rho, mask)
+            for (rho, m, _), node in oracle._RIBBON_CACHE.items() if m == 2 and sum(rho) == 3
+            for mask in node[2]
+        ]
+        assert other and all(sum(oracle._unbeads(mask)) == 6 for _, mask in other)
+        _fill(6)
+        memo = {}
+        for degree in (3, 6):
+            values = CharacterTable(degree).values
+            assert values
+            for (lam, rho), v in values.items():
+                assert sum(lam) == sum(rho) == degree, (degree, lam, rho)
+                assert v == _beta_list_char(lam, rho, memo), (lam, rho)
+        assert len(CharacterTable(6).values) == len(list(partitions_of(6))) ** 2
 
 
 class TestSchurExpansion:
@@ -518,7 +543,7 @@ class TestForwardAssembly:
 
 
 class TestSuffixMemo:
-    """The character memo: one node per cycle type suffix, keyed by bead mask below it."""
+    """Character values: the ribbon memo's (rho, 1, ROW) nodes, keyed by bead mask."""
 
     def test_nodes_and_entries_are_well_formed(self):
         for n in range(9):
@@ -530,13 +555,14 @@ class TestSuffixMemo:
         for nu, m, lam, flavor in [("3,1", 3, "6,3,2,1", ROW), ("2,2", 5, "8,6,4,2", COLUMN)]:
             for tau, _ in oracle._power_sum_coefficients(P(nu).parts, m, flavor):
                 character_value(P(lam), Partition(tau))
-        assert oracle._EMPTY_SUFFIX[3] == {0: 1}
+        assert oracle._EMPTY_PRODUCT[2] == {0: 1}
         memo = {}
         weights = set()
-        for rho, (r, between, child, values) in oracle._CHAR_CACHE.items():
+        for (rho, m, flavor), (r, child, values) in oracle._RIBBON_CACHE.items():
+            assert (m, flavor) == (1, ROW)
             assert rho and rho[-1] >= 1 and list(rho) == sorted(rho, reverse=True)
-            assert r == rho[0] and between == (1 << (r - 1)) - 1
-            assert child is oracle._CHAR_CACHE.get(rho[1:], oracle._EMPTY_SUFFIX)
+            assert r == rho[0]
+            assert child is oracle._RIBBON_CACHE.get((rho[1:], 1, ROW), oracle._EMPTY_PRODUCT)
             for mask, v in values.items():
                 assert type(mask) is int and mask & 1 == 0, (rho, mask)
                 lam = oracle._unbeads(mask)
@@ -545,49 +571,6 @@ class TestSuffixMemo:
                 if sum(rho) <= 12:
                     assert v == _beta_list_char(lam, rho, memo), (rho, lam)
         assert {8, 12, 20} <= weights
-
-
-class TestStripTable:
-    """The strip table: {r: {bead mask: (masks left by +1 strips, by -1 strips)}}."""
-
-    def test_matches_beta_list_strips_up_to_weight_12(self):
-        checked = 0
-        for n in range(1, 13):
-            for lam in partitions_of(n):
-                mask = oracle._beads(lam.parts)
-                for r in range(1, n + 1):
-                    # The class (r, 1^(n-r)) strips r first, from lam's mask.
-                    character_value(lam, Partition([r] + [1] * (n - r)))
-                    plus, minus = oracle._STRIPS[r][mask]
-                    assert type(plus) is tuple and type(minus) is tuple
-                    for left in plus + minus:
-                        assert type(left) is int and (left == 0 or left & 1 == 0), (lam, r, left)
-                    got = (
-                        sorted(oracle._unbeads(left) for left in plus),
-                        sorted(oracle._unbeads(left) for left in minus),
-                    )
-                    assert got == _beta_list_strips(lam.parts, r), (str(lam), r)
-                    checked += 1
-        assert checked == sum(
-            len(list(partitions_of(n))) * n for n in range(1, 13)
-        )
-
-    def test_holds_no_character_values(self):
-        _fill(12)
-        values = CharacterTable(12).values
-        assert len(values) == len(list(partitions_of(12))) ** 2
-        strips = {r: dict(by_mask) for r, by_mask in oracle._STRIPS.items()}
-        for r, by_mask in strips.items():
-            for mask, (plus, minus) in by_mask.items():
-                weight = sum(oracle._unbeads(mask)) - r
-                assert all(sum(oracle._unbeads(left)) == weight for left in plus + minus)
-        # Every value is computed again from the masks alone, and no strip is
-        # found again: only the values are cleared, and the strip table is kept.
-        oracle._CHAR_CACHE.clear()
-        assert CharacterTable(12).values == {}
-        _fill(12)
-        assert CharacterTable(12).values == values
-        assert oracle._STRIPS == strips
 
 
 def _times_plethystic_power(vec, r, m, flavor):
@@ -629,6 +612,29 @@ def _by_characters(nu, m, lam, flavor):
 
 class TestRibbonStrips:
     """Single coefficients sum over the classes of S_|nu| by strips of ribbons."""
+
+    def test_matches_beta_list_strips_up_to_weight_12(self):
+        # At m = 1 the strips are single border strips, those of a character value.
+        checked = 0
+        for n in range(1, 13):
+            for lam in partitions_of(n):
+                mask = oracle._beads(lam.parts)
+                for r in range(1, n + 1):
+                    strips = oracle._ribbon_strips(mask, r, 1, False)
+                    plus = [left for left, sign in strips if sign == 1]
+                    minus = [left for left, sign in strips if sign == -1]
+                    assert len(plus) + len(minus) == len(strips) == len({*plus, *minus})
+                    for left in plus + minus:
+                        assert type(left) is int and (left == 0 or left & 1 == 0), (lam, r, left)
+                    got = (
+                        sorted(oracle._unbeads(left) for left in plus),
+                        sorted(oracle._unbeads(left) for left in minus),
+                    )
+                    assert got == _beta_list_strips(lam.parts, r), (str(lam), r)
+                    checked += 1
+        assert checked == sum(
+            len(list(partitions_of(n))) * n for n in range(1, 13)
+        )
 
     def test_strips_are_the_adjoint_of_the_product(self):
         # <s_lam, s_mu f[p_r]> by the product must be the sign of the strip
@@ -780,8 +786,15 @@ class TestMultiplicity:
         assert multiplicity(P("1,1"), 2, P("2,2")) == 0
 
     def test_matches_expansion(self):
+        # s_nu o s_(1) = s_nu.  Every character value of weight <= 12 is
+        # computed first, so the m = 1 ROW coefficients read the nodes that
+        # character_value filled, and store nothing there.
+        for n in range(13):
+            _fill(n)
+        held = len(_memo_entries())
+        assert held == sum(len(list(partitions_of(n))) ** 2 for n in range(1, 13))
         count = 0
-        for m in range(2, 13):
+        for m in range(1, 13):
             for n in range(1, 12 // m + 1):
                 for nu in partitions_of(n):
                     for flavor in PlethysmFlavor:
@@ -791,7 +804,8 @@ class TestMultiplicity:
                                 str(nu), m, flavor, str(lam)
                             )
                             count += 1
-        assert count == 5148
+        assert count == 30442
+        assert len(_memo_entries()) == held
 
     def test_weight_mismatch(self):
         with pytest.raises(ValueError):
