@@ -96,112 +96,6 @@ def _unbeads(mask: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-# The ribbon memo, one node per (suffix rho of a cycle type, m, flavor):
-# (rho[0], the node of rho[1:], {bead mask of lam: <s_lam, prod_j f[p_{rho_j}]>}),
-# where f is h_m (ROW) or e_m (COLUMN).  The empty suffix holds only the
-# empty partition, at mask 0.
-_EMPTY_PRODUCT: tuple = (0, None, {0: 1})
-_RIBBON_CACHE: dict[tuple[tuple[int, ...], int, PlethysmFlavor], tuple] = {}
-
-
-def _ribbon_node(rho: tuple[int, ...], m: int, flavor: PlethysmFlavor) -> tuple:
-    """The ribbon-memo node of the weakly decreasing ``rho``, interned with its suffixes."""
-    node = _RIBBON_CACHE.get((rho, m, flavor))
-    if node is None:
-        node = _EMPTY_PRODUCT
-        for i in range(len(rho) - 1, -1, -1):
-            node = _RIBBON_CACHE.setdefault((rho[i:], m, flavor), (rho[i], node, {}))
-    return node
-
-
-def _ribbon_strips(mask: int, r: int, m: int, column: bool) -> list[tuple[int, int]]:
-    """(bead mask left, sign) for each strip of m ribbons of length r of ``mask``.
-
-    The terms of the adjoint of multiplying by h_m[p_r] (ROW) or e_m[p_r]
-    (COLUMN), a horizontal or vertical strip of r-ribbons (Lascoux-Leclerc-
-    Thibon, J. Math. Phys. 38, 1997).  On r runners (positions mod r) beads
-    move down, from the lowest up, by whole slots of r positions, m slots in
-    all, each into a free position: under ROW strictly above the original
-    position of the next lower bead on its runner and at or above 0, under
-    COLUMN one slot at most.  The sign is (-1) to the beads strictly between
-    the old and new position of each move, on the mask as it stands then
-    (for COLUMN too: e_m[p_r] = (-1)^((r-1)m) omega(h_m[p_r]), and
-    conjugating a ribbon flips its sign (r-1) times).  At m = 1 this is
-    border-strip removal, whose values are character values.  A bead that
-    lands at 0 joins the run of one-bits at the bottom, which are zero parts;
-    shifting them out keeps the mask left in normal form.
-    """
-    moves = []  # (bead, its position, the slots it may move), lowest first
-    capacity = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        b = low.bit_length() - 1
-        if column:
-            room = int(b >= r)
-        else:
-            room, c = 0, b - r
-            while c >= 0 and not mask >> c & 1:
-                room += 1
-                c -= r
-        if room:
-            moves.append((low, b, room))
-            capacity += room
-    # A partial strip is kept only while the beads above can still take the
-    # slots it has left.
-    states = [(mask, m, 0)] if m <= capacity else []  # (mask, slots left, sign parity)
-    out = []
-    for low, b, room in moves:
-        capacity -= room
-        grown = []
-        for cur, left, odd in states:
-            if left <= capacity:
-                grown.append((cur, left, odd))
-            c = b
-            for d in range(1, (room if room < left else left) + 1):
-                c -= r
-                if cur >> c & 1:
-                    break
-                nxt = cur ^ low ^ (1 << c)
-                parity = odd ^ ((cur >> (c + 1)) & ((1 << (b - c - 1)) - 1)).bit_count() & 1
-                if d == left:
-                    if nxt & 1:
-                        nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
-                    out.append((nxt, -1 if parity else 1))
-                elif left - d <= capacity:
-                    grown.append((nxt, left - d, parity))
-        states = grown
-    return out
-
-
-def _ribbon_sum(mask: int, node: tuple, m: int, column: bool) -> int:
-    """<s_lam, prod_j f[p_{rho_j}]> for the bead ``mask`` of lam and rho's ``node``.
-
-    The first part r of rho, its largest, is stripped first.  The value of
-    each partition left is read from, or stored in, the memo of the child
-    node; the value returned is stored by :func:`_ribbon_value`, at rho's node.
-    """
-    r, child, _ = node
-    memo = child[2]
-    total = 0
-    for nxt, sign in _ribbon_strips(mask, r, m, column):
-        term = memo.get(nxt)
-        if term is None:
-            term = memo[nxt] = _ribbon_sum(nxt, child, m, column)
-        total += sign * term
-    return total
-
-
-def _ribbon_value(mask: int, node: tuple, m: int, column: bool) -> int:
-    """The value of ``mask`` at ``node``: read, or found by :func:`_ribbon_sum` and stored."""
-    values = node[2]
-    value = values.get(mask)
-    if value is None:
-        value = values[mask] = _ribbon_sum(mask, node, m, column)
-    return value
-
-
 def character_value(lam: Partition, rho: Partition) -> int:
     """The irreducible symmetric-group character value chi^lam(rho) = <s_lam, p_rho>.
 
@@ -503,6 +397,112 @@ def _schur_vector(terms, depth: int = 0) -> dict[int, int]:
         else:
             vec[0] = sum(w for _, w in run)
     return vec
+
+
+# The ribbon memo, one node per (suffix rho of a cycle type, m, flavor):
+# (rho[0], the node of rho[1:], {bead mask of lam: <s_lam, prod_j f[p_{rho_j}]>}),
+# where f is h_m (ROW) or e_m (COLUMN).  The empty suffix holds only the
+# empty partition, at mask 0.
+_EMPTY_PRODUCT: tuple = (0, None, {0: 1})
+_RIBBON_CACHE: dict[tuple[tuple[int, ...], int, PlethysmFlavor], tuple] = {}
+
+
+def _ribbon_node(rho: tuple[int, ...], m: int, flavor: PlethysmFlavor) -> tuple:
+    """The ribbon-memo node of the weakly decreasing ``rho``, interned with its suffixes."""
+    node = _RIBBON_CACHE.get((rho, m, flavor))
+    if node is None:
+        node = _EMPTY_PRODUCT
+        for i in range(len(rho) - 1, -1, -1):
+            node = _RIBBON_CACHE.setdefault((rho[i:], m, flavor), (rho[i], node, {}))
+    return node
+
+
+def _ribbon_strips(mask: int, r: int, m: int, column: bool) -> list[tuple[int, int]]:
+    """(bead mask left, sign) for each strip of m ribbons of length r of ``mask``.
+
+    The terms of the adjoint of multiplying by h_m[p_r] (ROW) or e_m[p_r]
+    (COLUMN), a horizontal or vertical strip of r-ribbons (Lascoux-Leclerc-
+    Thibon, J. Math. Phys. 38, 1997).  On r runners (positions mod r) beads
+    move down, from the lowest up, by whole slots of r positions, m slots in
+    all, each into a free position: under ROW strictly above the original
+    position of the next lower bead on its runner and at or above 0, under
+    COLUMN one slot at most.  The sign is (-1) to the beads strictly between
+    the old and new position of each move, on the mask as it stands then
+    (for COLUMN too: e_m[p_r] = (-1)^((r-1)m) omega(h_m[p_r]), and
+    conjugating a ribbon flips its sign (r-1) times).  At m = 1 this is
+    border-strip removal, whose values are character values.  A bead that
+    lands at 0 joins the run of one-bits at the bottom, which are zero parts;
+    shifting them out keeps the mask left in normal form.
+    """
+    moves = []  # (bead, its position, the slots it may move), lowest first
+    capacity = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        b = low.bit_length() - 1
+        if column:
+            room = int(b >= r)
+        else:
+            room, c = 0, b - r
+            while c >= 0 and not mask >> c & 1:
+                room += 1
+                c -= r
+        if room:
+            moves.append((low, b, room))
+            capacity += room
+    # A partial strip is kept only while the beads above can still take the
+    # slots it has left.
+    states = [(mask, m, 0)] if m <= capacity else []  # (mask, slots left, sign parity)
+    out = []
+    for low, b, room in moves:
+        capacity -= room
+        grown = []
+        for cur, left, odd in states:
+            if left <= capacity:
+                grown.append((cur, left, odd))
+            c = b
+            for d in range(1, (room if room < left else left) + 1):
+                c -= r
+                if cur >> c & 1:
+                    break
+                nxt = cur ^ low ^ (1 << c)
+                parity = odd ^ ((cur >> (c + 1)) & ((1 << (b - c - 1)) - 1)).bit_count() & 1
+                if d == left:
+                    if nxt & 1:
+                        nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
+                    out.append((nxt, -1 if parity else 1))
+                elif left - d <= capacity:
+                    grown.append((nxt, left - d, parity))
+        states = grown
+    return out
+
+
+def _ribbon_sum(mask: int, node: tuple, m: int, column: bool) -> int:
+    """<s_lam, prod_j f[p_{rho_j}]> for the bead ``mask`` of lam and rho's ``node``.
+
+    The first part r of rho, its largest, is stripped first.  The value of
+    each partition left is read from, or stored in, the memo of the child
+    node; the value returned is stored by :func:`_ribbon_value`, at rho's node.
+    """
+    r, child, _ = node
+    memo = child[2]
+    total = 0
+    for nxt, sign in _ribbon_strips(mask, r, m, column):
+        term = memo.get(nxt)
+        if term is None:
+            term = memo[nxt] = _ribbon_sum(nxt, child, m, column)
+        total += sign * term
+    return total
+
+
+def _ribbon_value(mask: int, node: tuple, m: int, column: bool) -> int:
+    """The value of ``mask`` at ``node``: read, or found by :func:`_ribbon_sum` and stored."""
+    values = node[2]
+    value = values.get(mask)
+    if value is None:
+        value = values[mask] = _ribbon_sum(mask, node, m, column)
+    return value
 
 
 def _check_guard(guard: int) -> None:
