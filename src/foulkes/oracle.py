@@ -107,7 +107,7 @@ def character_value(lam: Partition, rho: Partition) -> int:
             f"character arguments must have equal weight: |{lam}| != |{rho}|"
         )
     node = _ribbon_node(rho.parts, 1, PlethysmFlavor.ROW)
-    return _ribbon_value(_beads(lam.parts), node, 1, False)
+    return _ribbon_value(_beads(lam.parts), node, 1, False, rho.weight)
 
 
 _TABLE_FILE = "characters-n{}.json"
@@ -478,30 +478,50 @@ def _ribbon_strips(mask: int, r: int, m: int, column: bool) -> list[tuple[int, i
     return out
 
 
-def _ribbon_sum(mask: int, node: tuple, m: int, column: bool) -> int:
+def _ribbon_sum(mask: int, node: tuple, m: int, column: bool, weight: int) -> int:
     """<s_lam, prod_j f[p_{rho_j}]> for the bead ``mask`` of lam and rho's ``node``.
 
-    The first part r of rho, its largest, is stripped first.  The value of
-    each partition left is read from, or stored in, the memo of the child
-    node; the value returned is stored by :func:`_ribbon_value`, at rho's node.
+    ``weight`` is |rho|.  The first part r of rho, its largest, is stripped
+    first.  The value of each partition mu left is read from, or stored in,
+    the memo of the child node, whose suffix weighs |rho| - r; the value
+    returned is stored by :func:`_ribbon_value`, at rho's node.
+
+    A mu past the child's bound has value 0 and is skipped, neither searched
+    nor stored: under ROW a mu with more than |rho| - r parts, under COLUMN
+    one whose first part is above |rho| - r.  The bound holds because a ROW
+    strip of r-ribbons removes at most r rows: bit 0 of the mask is clear
+    before it, and a move lands strictly above the original position of the
+    next lower bead on its runner, so afterwards positions 0 and r are never
+    both occupied and at most r zero parts are shifted out.  The strips down
+    to the empty partition thus remove at most |rho| - r rows from mu.  By
+    omega every constituent of e_m[p_r] has at most r columns, so by
+    Littlewood-Richardson a COLUMN strip lowers the first part by at most r.
+    At m = 1 nothing is skipped: no partition has more parts, or a larger
+    first part, than its weight.
     """
     r, child, _ = node
     memo = child[2]
+    weight -= r
     total = 0
     for nxt, sign in _ribbon_strips(mask, r, m, column):
+        if (nxt.bit_length() - nxt.bit_count() if column else nxt.bit_count()) > weight:
+            continue
         term = memo.get(nxt)
         if term is None:
-            term = memo[nxt] = _ribbon_sum(nxt, child, m, column)
+            term = memo[nxt] = _ribbon_sum(nxt, child, m, column, weight)
         total += sign * term
     return total
 
 
-def _ribbon_value(mask: int, node: tuple, m: int, column: bool) -> int:
-    """The value of ``mask`` at ``node``: read, or found by :func:`_ribbon_sum` and stored."""
+def _ribbon_value(mask: int, node: tuple, m: int, column: bool, weight: int) -> int:
+    """The value of ``mask`` at ``node``: read, or found by :func:`_ribbon_sum` and stored.
+
+    ``weight`` is the weight of the node's suffix rho.
+    """
     values = node[2]
     value = values.get(mask)
     if value is None:
-        value = values[mask] = _ribbon_sum(mask, node, m, column)
+        value = values[mask] = _ribbon_sum(mask, node, m, column, weight)
     return value
 
 
@@ -580,8 +600,14 @@ def multiplicity(
     most p(|nu|) terms: w_rho = chi^nu(rho) |nu|!/z_rho times <s_lam, prod_j
     f[p_{rho_j}]> with f = h_m (ROW) or e_m (COLUMN), which removes one strip
     of m ribbons per part of rho, largest first, and is memoized per (suffix
-    of rho, m, flavor).  The total is divided exactly by |nu|!; a remainder
-    or a negative quotient raises :class:`InternalConsistencyError`.
+    of rho, m, flavor).  A strip of m r-ribbons removes at most r rows
+    (ROW) or r columns (COLUMN), so a partition left at a suffix of weight k
+    with more than k rows (ROW) or a first part above k (COLUMN) cannot reach
+    the empty partition: it is skipped, neither searched nor stored (the
+    abacus argument is in :func:`_ribbon_sum`).  At m = 1 both flavors are
+    the character values, read from and stored at the (rho, 1, ROW) nodes.
+    The total is divided exactly by |nu|!; a remainder or a negative
+    quotient raises :class:`InternalConsistencyError`.
 
     Permitted past the guard up to degree ``SINGLE_COEFFICIENT_LIMIT`` with a
     runtime warning.  ``table``, if given, is only checked to be of this
@@ -607,13 +633,17 @@ def multiplicity(
             RuntimeWarning,
             stacklevel=2,
         )
+    if m == 1:
+        # e_1[p_r] = h_1[p_r] = p_r: the character values at (rho, 1, ROW).
+        flavor = PlethysmFlavor.ROW
     mask = _beads(lam.parts)
     column = flavor is PlethysmFlavor.COLUMN
+    n = nu.weight
     total = 0
     # s_nu o s_(1) = s_nu, so its weights are chi^nu(rho) n!/z_rho.
     for rho, w in _power_sum_coefficients(nu.parts, 1, PlethysmFlavor.ROW):
-        total += w * _ribbon_value(mask, _ribbon_node(rho, m, flavor), m, column)
-    return _quotient(total, factorial(nu.weight), lam)
+        total += w * _ribbon_value(mask, _ribbon_node(rho, m, flavor), m, column, n)
+    return _quotient(total, factorial(n), lam)
 
 
 def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:

@@ -494,7 +494,8 @@ class TestForwardAssembly:
         # Three paths to each coefficient: the expansion, and multiplicity
         # cold (the memos are cleared per case, so it computes its values) and
         # warm, with and without a table.  Every label asked is then held at
-        # the top ribbon node of each class of S_|nu| that it sums over.
+        # the top ribbon node of each class of S_|nu| that it sums over; at
+        # m = 1 both flavors use the row node, whose values are characters.
         for m in range(1, 13):
             for n in range(1, 12 // m + 1):
                 labels = list(partitions_of(m * n))
@@ -509,7 +510,7 @@ class TestForwardAssembly:
                                 nu, m, lam, flavor, table=table
                             ), (m, str(nu), flavor, str(lam))
                         for rho, _ in oracle._power_sum_coefficients(nu.parts, 1, ROW):
-                            held = oracle._RIBBON_CACHE[rho, m, flavor][2]
+                            held = oracle._RIBBON_CACHE[rho, m, flavor if m > 1 else ROW][2]
                             assert all(oracle._beads(lam.parts) in held for lam in labels)
 
     def test_p1_fold_gives_the_dimensions(self):
@@ -683,6 +684,40 @@ class TestRibbonStrips:
                 entries += 1
         assert entries > 100
 
+    def test_a_strip_removes_at_most_r_rows_or_columns(self):
+        # The bound _ribbon_sum skips by: a ROW strip of m r-ribbons keeps at
+        # least len(lam) - r parts, and a COLUMN strip lowers the first part
+        # by at most r.  Both are reached, so r is the least such bound.
+        checked = reached = 0
+        for n in range(13):
+            for lam in partitions_of(n):
+                mask = oracle._beads(lam.parts)
+                rows, first = len(lam), (lam[0] if n else 0)
+                for r in range(1, 5):
+                    for m in range(1, 4):
+                        for column in (False, True):
+                            for left, _ in oracle._ribbon_strips(mask, r, m, column):
+                                mu = oracle._unbeads(left)
+                                lost = first - (mu[0] if mu else 0) if column else rows - len(mu)
+                                assert lost <= r, (str(lam), r, m, column, mu)
+                                checked += 1
+                                reached += lost == r
+        assert (checked, reached) == (8738, 3298)
+
+    def test_plethystic_powers_have_at_most_r_rows_or_columns(self):
+        # Built without the ribbon code: every constituent of h_m[p_r] has at
+        # most r rows and every constituent of e_m[p_r] at most r columns,
+        # and some has exactly r.
+        for r in range(1, 5):
+            for m in range(1, 5):
+                for flavor in PlethysmFlavor:
+                    shapes = [
+                        oracle._unbeads(mask)
+                        for mask in _times_plethystic_power({0: 1}, r, m, flavor)
+                    ]
+                    sizes = [mu[0] if flavor is COLUMN else len(mu) for mu in shapes]
+                    assert max(sizes) == r, (r, m, flavor)
+
     @pytest.mark.parametrize(
         "nu, m",
         [("3,3,2", 3), ("3,2,1", 4), ("3,3", 4), ("2,2", 6), ("2,1", 8), ("2,2", 5)],
@@ -699,6 +734,48 @@ class TestRibbonStrips:
                     warnings.filterwarnings("ignore", "single-coefficient", RuntimeWarning)
                     got = multiplicity(nu, m, lam, flavor)
                 assert got == _by_characters(nu, m, lam, flavor), (str(nu), m, flavor, str(lam))
+
+    @pytest.mark.parametrize(
+        "nu, m",
+        [("3,3,2", 3), ("3,2,1", 4), ("3,3", 4), ("2,2", 6), ("2,1", 8), ("2,2", 5)],
+    )
+    def test_memo_holds_nothing_past_the_bound_at_the_benchmark_plethysms(self, nu, m):
+        # Below the top nodes, no partition with more parts (ROW), or a
+        # larger first part (COLUMN), than its suffix's weight is stored,
+        # and every value stored is the coefficient of the product.  Per
+        # flavor, three labels of the benchmark's middle band, most of which
+        # are past the bound at the top already, and three within it.
+        nu = P(nu)
+        labels = list(partitions_of(m * nu.weight))
+        band = [lam for lam in labels if 4 <= len(lam) <= 8 and lam[0] <= 10]
+        rng = random.Random(f"{nu}:{m}")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "single-coefficient", RuntimeWarning)
+            for flavor in PlethysmFlavor:
+                within = [
+                    lam for lam in labels
+                    if (lam[0] if flavor is COLUMN else len(lam)) <= nu.weight
+                ]
+                for lam in rng.sample(band, 3) + rng.sample(within, 3):
+                    multiplicity(nu, m, lam, flavor)
+        products = {}
+        below = 0
+        for (rho, k, flavor), (_, _, values) in oracle._RIBBON_CACHE.items():
+            if k == 1:
+                continue
+            assert k == m
+            for i in range(len(rho) - 1, -1, -1):
+                if (rho[i:], flavor) not in products:
+                    tail = products.get((rho[i + 1:], flavor), {0: 1})
+                    products[rho[i:], flavor] = _times_plethystic_power(tail, rho[i], m, flavor)
+            product = products[rho, flavor]
+            for mask, v in values.items():
+                assert v == product.get(mask, 0), (rho, flavor, oracle._unbeads(mask))
+                if sum(rho) < nu.weight:
+                    mu = oracle._unbeads(mask)
+                    assert (mu[0] if flavor is COLUMN else len(mu)) <= sum(rho), (rho, flavor, mu)
+                    below += 1
+        assert below
 
 
 def _rational_power_sum_coefficients(nu, m, flavor):
@@ -810,6 +887,16 @@ class TestMultiplicity:
     def test_weight_mismatch(self):
         with pytest.raises(ValueError):
             multiplicity(P("2"), 2, P("3,2"))
+
+    def test_m_equals_one_reads_the_character_values_in_both_flavors(self):
+        # e_1[p_r] = h_1[p_r] = p_r, so both flavors read the (rho, 1, ROW)
+        # nodes, and no (rho, 1, COLUMN) node keeps a copy of them.
+        nu = P("3,3")
+        for flavor in PlethysmFlavor:
+            for lam in partitions_of(6):
+                assert multiplicity(nu, 1, lam, flavor) == (lam == nu), (flavor, str(lam))
+        assert {m for _, m, _ in oracle._RIBBON_CACHE} == {1}
+        assert {flavor for _, _, flavor in oracle._RIBBON_CACHE} == {ROW}
 
     @pytest.mark.parametrize(
         "call",
