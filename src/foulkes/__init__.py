@@ -71,10 +71,10 @@ def clear_caches() -> None:
     """Empty every memo the package keeps; the only code that names them all.
 
     A process memoizes ribbon-strip values per (cycle-type suffix, m,
-    flavor), whose m = 1 nodes hold the character values, power-sum weights,
-    closed families, sorted families, prefix folds and minimal tuple types,
-    and frees none of them on its own.  Answers never depend on what the
-    memos hold.
+    flavor), whose m = 1 nodes hold the character values, the class weights
+    of each s_nu, closed families, sorted families, prefix folds and minimal
+    tuple types, and frees none of them on its own.  Answers never depend on
+    what the memos hold.
     """
     oracle._RIBBON_CACHE.clear()
     oracle._power_sum_coefficients.cache_clear()

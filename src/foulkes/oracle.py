@@ -1,22 +1,23 @@
 """Independent ground truth: exact Schur expansions of s_nu o s_(m) and s_nu o s_(1^m).
 
 Partitions are bead masks: one integer whose set bits are the beta numbers,
-so the border strips of a length, their signs and what each leaves are a few
-bit operations (the abacus of Loehr-Remmel, "A computational and
-combinatorial expose of plethystic calculus", 2011).  A full expansion adds
-strips: it multiplies by one p_r at a time over the trie of the plethysm's
-power-sum terms, whose weights are scaled by the wreath order n! m!^n to be
-integers, and divides each coefficient of the one vector that results by
-that order.  A single coefficient removes strips and sums over the classes
-rho of S_n only, n = |nu|: s_nu o h_m = sum_rho chi^nu(rho)/z_rho prod_j
+so the strips of ribbons of a length, their signs and what each leaves or
+makes are a few bit operations (the abacus of Loehr-Remmel, "A computational
+and combinatorial expose of plethystic calculus", 2011).  Both paths sum over
+the classes rho of S_n only, n = |nu|, with the integer weights
+chi^nu(rho) n!/z_rho: s_nu o h_m = sum_rho chi^nu(rho)/z_rho prod_j
 h_m[p_{rho_j}] (e_m for s_(1^m)), and h_m[p_r] (e_m[p_r]) adds a horizontal
-(vertical) strip of m ribbons of length r.  So it recurses on lam's mask
-down the suffixes of rho, memoized per (suffix, m, flavor), and divides by
-n!.  At m = 1, h_1[p_r] = p_r and the strips are single border strips, so a
-character value chi^lam(rho) = <s_lam, p_rho> is the memo's value at
-(rho, 1, ROW); those nodes are the one store of character values, which a
-:class:`CharacterTable` saves to a file of one degree and loads from it.  The
-monomial cross-oracle is in :mod:`foulkes.monomial`.
+(vertical) strip of m ribbons of length r.  A full expansion adds strips: it
+multiplies by one h_m[p_r] (e_m[p_r]) at a time over the trie of the
+classes and divides each coefficient of the one vector that results by n!.  A single
+coefficient removes strips: it recurses on lam's mask down the suffixes of
+rho, memoized per (suffix, m, flavor), and divides by n!.  One walk lists
+the strips of both directions.  At m = 1, h_1[p_r] = p_r and the strips are
+single border strips, so a character value chi^lam(rho) = <s_lam, p_rho> is
+the memo's value at (rho, 1, ROW); those nodes are the one store of
+character values, which a :class:`CharacterTable` saves to a file of one
+degree and loads from it.  The monomial cross-oracle is in
+:mod:`foulkes.monomial`.
 """
 
 from __future__ import annotations
@@ -296,104 +297,52 @@ class SchurExpansion:
         }
 
 
-def _wreath_order(n: int, m: int) -> int:
-    """Order n! m!^n of the wreath product S_m wr S_n."""
-    return factorial(n) * factorial(m) ** n
-
-
 def expected_dimension(nu: Partition, m: int) -> int:
     """Degree of the induced character: (mn)!/(m!^n n!) times dim chi^nu."""
     n = nu.weight
-    index, rem = divmod(factorial(m * n), _wreath_order(n, m))
+    index, rem = divmod(factorial(m * n), factorial(n) * factorial(m) ** n)
     if rem:
         raise InternalConsistencyError("wreath-product index is not an integer")
     return index * dimension(nu)
 
 
 @lru_cache(maxsize=None)
-def _power_sum_coefficients(
-    nu_parts: tuple[int, ...], m: int, flavor: PlethysmFlavor
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Coefficients of p_tau in the plethysm times n! m!^n, as sorted items.
+def _power_sum_coefficients(nu_parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The class weights (rho, chi^nu(rho) n!/z_rho) of s_nu, n = |nu|, as sorted items.
 
-    s_nu = sum_rho chi^nu(rho)/z_rho p_rho, while s_(m) (ROW) and s_(1^m)
-    (COLUMN) expand over sigma with coefficient 1/z_sigma resp.
-    sign(sigma)/z_sigma.  Substituting p_r o p_s = p_{rs} turns each choice of
-    rho and one sigma per part of rho into the cycle type tau built from the
-    stretched parts rho_j * sigma^{(j)}.  Scaled by the wreath order n! m!^n
-    every weight is an integer, since z_rho divides n! and z_sigma divides m!.
-    The parts of rho are folded in one at a time, merging equal partial types
-    in plain dicts; the stretched parts r * sigma of every sigma are built
-    once per part length r and shared by every rho and partial type.
+    s_nu = sum_rho chi^nu(rho)/z_rho p_rho, and z_rho divides n!, so each
+    weight is an integer.  Classes with chi^nu(rho) = 0 are left out.
     """
     nu = Partition(nu_parts)
-    n = nu.weight
-    mfac = factorial(m)
-    sign = -1 if flavor is PlethysmFlavor.COLUMN else 1
-    sigmas = [(s.parts, sign ** (m - len(s)) * (mfac // z_order(s))) for s in partitions_of(m)]
-    stretched: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    acc: dict[tuple[int, ...], int] = {}
-    for rho in partitions_of(n):
+    nfac = factorial(nu.weight)
+    weights = []
+    for rho in partitions_of(nu.weight):
         chi = character_value(nu, rho)
-        if chi == 0:
-            continue
-        partial = {(): chi * factorial(n) // z_order(rho) * mfac ** (n - len(rho))}
-        for r in rho.parts:
-            scaled = stretched.get(r)
-            if scaled is None:
-                scaled = stretched[r] = [(tuple(r * x for x in s), ws) for s, ws in sigmas]
-            grown: dict[tuple[int, ...], int] = {}
-            for tau, w in partial.items():
-                for s, ws in scaled:
-                    key = tuple(sorted(tau + s, reverse=True))
-                    grown[key] = grown.get(key, 0) + w * ws
-            partial = grown
-        for tau, w in partial.items():
-            acc[tau] = acc.get(tau, 0) + w
-    return tuple(sorted((tau, w) for tau, w in acc.items() if w))
+        if chi:
+            weights.append((rho.parts, chi * nfac // z_order(rho)))
+    return tuple(sorted(weights))
 
 
-def _times_power_sum(vec: Mapping[int, int], r: int, out: dict[int, int]) -> dict[int, int]:
-    """Add the Schur vector ``vec`` ({bead mask: coefficient}) times p_r to ``out``.
+def _schur_vector(terms, m: int, column: bool, depth: int = 0) -> dict[int, int]:
+    """sum w prod_j f[p_{rho_j}] over ``terms`` (rho, w), j >= ``depth``, in the Schur basis.
 
-    The mirror of the strip removal in :func:`_ribbon_strips` at m = 1: r zero
-    parts (beads at 0..r-1) make room for every strip of length r, a strip
-    moves a bead from b up to the empty position b + r, so the strips are the
-    set bits of ``padded & ~(padded >> r)`` (at b), and its sign is (-1) to
-    the number of beads strictly between b and b + r.  Zero parts left over
-    are shifted out as in the removal.  Returns ``out``.
-    """
-    between = (1 << (r - 1)) - 1
-    for mask, coeff in vec.items():
-        padded = (mask << r) | ((1 << r) - 1)
-        strips = padded & ~(padded >> r)
-        while strips:
-            low = strips & -strips
-            strips ^= low
-            b = low.bit_length() - 1
-            nxt = padded ^ low ^ (low << r)
-            if nxt & 1:
-                nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
-            term = -coeff if ((padded >> (b + 1)) & between).bit_count() & 1 else coeff
-            out[nxt] = out.get(nxt, 0) + term
-    return out
-
-
-def _schur_vector(terms, depth: int = 0) -> dict[int, int]:
-    """sum w p_{tau[depth:]} over the power-sum ``terms`` (tau, w), in the Schur basis.
-
-    The p_r commute, so a tau may list its parts in any order.  ``terms`` is
-    sorted and its taus share their first ``depth`` parts, so those with the
-    same part r at ``depth`` are consecutive: their tails are summed first
-    and multiplied by p_r once (Horner's rule on the trie of the taus).  A
-    tau that ends at ``depth`` adds its weight to s_() at mask 0.  Parts in
-    increasing order share the most work: the many small parts form the
-    shared prefixes, and the few large ones the tails, whose vectors are small.
+    f is h_m, or e_m if ``column``; the vector is {bead mask: coefficient}.
+    The f[p_r] commute, so a rho may list its parts in any order.  ``terms``
+    is sorted and its rhos share their first ``depth`` parts, so those with
+    the same part r at ``depth`` are consecutive: their tails are summed
+    first and multiplied by f[p_r] once, by :func:`_ribbon_strips_up`
+    (Horner's rule on the trie of the classes).  A rho that ends at
+    ``depth`` adds its weight to s_() at mask 0.  Parts in increasing order
+    share the most work: the many small parts form the shared prefixes, and
+    the few large ones the tails, whose vectors are small.
     """
     vec: dict[int, int] = {}
     for r, run in groupby(terms, lambda term: term[0][depth] if len(term[0]) > depth else 0):
         if r:
-            _times_power_sum(_schur_vector(list(run), depth + 1), r, vec)
+            for mask, coeff in _schur_vector(list(run), m, column, depth + 1).items():
+                if coeff:
+                    for nxt, sign in _ribbon_strips_up(mask, r, m, column):
+                        vec[nxt] = vec.get(nxt, 0) + sign * coeff
         else:
             vec[0] = sum(w for _, w in run)
     return vec
@@ -430,29 +379,76 @@ def _ribbon_strips(mask: int, r: int, m: int, column: bool) -> list[tuple[int, i
     the old and new position of each move, on the mask as it stands then
     (for COLUMN too: e_m[p_r] = (-1)^((r-1)m) omega(h_m[p_r]), and
     conjugating a ribbon flips its sign (r-1) times).  At m = 1 this is
-    border-strip removal, whose values are character values.  A bead that
-    lands at 0 joins the run of one-bits at the bottom, which are zero parts;
-    shifting them out keeps the mask left in normal form.
+    border-strip removal, whose values are character values.
     """
     moves = []  # (bead, its position, the slots it may move), lowest first
     capacity = 0
-    rest = mask
+    # The beads at r or above, with the slot below them free under ROW.
+    rest = (mask if column else mask & ~(mask << r)) >> r << r
     while rest:
         low = rest & -rest
         rest ^= low
         b = low.bit_length() - 1
-        if column:
-            room = int(b >= r)
-        else:
-            room, c = 0, b - r
-            while c >= 0 and not mask >> c & 1:
-                room += 1
-                c -= r
-        if room:
-            moves.append((low, b, room))
-            capacity += room
-    # A partial strip is kept only while the beads above can still take the
-    # slots it has left.
+        room, c = 1, b - 2 * r
+        while not column and c >= 0 and not mask >> c & 1:
+            room += 1
+            c -= r
+        moves.append((low, b, room))
+        capacity += room
+    return _strip_walk(mask, moves, -r, m, capacity)
+
+
+def _ribbon_strips_up(mask: int, r: int, m: int, column: bool) -> list[tuple[int, int]]:
+    """(bead mask, sign) for each strip of m ribbons of length r added to ``mask``.
+
+    The adjoint of :func:`_ribbon_strips`, pair for pair and sign for sign:
+    the terms of multiplying by h_m[p_r] (ROW) or e_m[p_r] (COLUMN).  The
+    mask is padded with r zero parts (ROW) or m r (COLUMN), as many rows as
+    the strip can add; then beads move up by whole slots of r, from the
+    highest down, m slots in all, each into a free position: under ROW
+    strictly below the original position of the next higher bead on its
+    runner, under COLUMN one slot, and only from a run of at most m beads
+    below a free slot on its runner, since every bead of the run above it
+    must move first.  Sign and shift are those of the removal.
+    """
+    pad = m * r if column else r
+    padded = (mask << pad) | ((1 << pad) - 1)
+    # The beads with a free slot right above them (ROW) or among the m
+    # slots above them (COLUMN).
+    full = padded >> r
+    if column:
+        for j in range(2, m + 1):
+            full &= padded >> (j * r)
+    rest = padded & ~full
+    moves = []  # (bead, its position, the slots it may move), highest first
+    capacity = 0
+    while rest:
+        b = rest.bit_length() - 1
+        low = 1 << b
+        rest ^= low
+        room, c = 1, b + 2 * r
+        while not column and room < m and not padded >> c & 1:
+            room += 1
+            c += r
+        moves.append((low, b, room))
+        capacity += room
+    return _strip_walk(padded, moves, r, m, capacity)
+
+
+def _strip_walk(
+    mask: int, moves: list[tuple[int, int, int]], step: int, m: int, capacity: int
+) -> list[tuple[int, int]]:
+    """(bead mask, sign) for each way to make m slot moves of ``step`` positions in all.
+
+    ``moves`` lists (bead, its position, the slots it may move) in the order
+    the beads move, and ``capacity`` is the sum of their slots.  Each bead
+    jumps once, to a position free at that moment, and the sign is (-1) to
+    the beads strictly between its old and new position then.  A partial
+    strip is kept only while the beads after it can still take the slots it
+    has left.  A bead that lands at 0 joins the run of one-bits at the
+    bottom, which are zero parts; shifting them out keeps the mask in normal
+    form.
+    """
     states = [(mask, m, 0)] if m <= capacity else []  # (mask, slots left, sign parity)
     out = []
     for low, b, room in moves:
@@ -463,11 +459,11 @@ def _ribbon_strips(mask: int, r: int, m: int, column: bool) -> list[tuple[int, i
                 grown.append((cur, left, odd))
             c = b
             for d in range(1, (room if room < left else left) + 1):
-                c -= r
+                c += step
                 if cur >> c & 1:
                     break
                 nxt = cur ^ low ^ (1 << c)
-                parity = odd ^ ((cur >> (c + 1)) & ((1 << (b - c - 1)) - 1)).bit_count() & 1
+                parity = odd ^ ((cur ^ low) & abs(low - (1 << c))).bit_count() & 1
                 if d == left:
                     if nxt & 1:
                         nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
@@ -572,11 +568,11 @@ def plethysm_expansion(
         raise GuardExceededError(
             f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
         )
-    scale = _wreath_order(nu.weight, m)
-    terms = sorted((tau[::-1], w) for tau, w in _power_sum_coefficients(nu.parts, m, flavor))
+    scale = factorial(nu.weight)
+    terms = sorted((rho[::-1], w) for rho, w in _power_sum_coefficients(nu.parts))
     coeffs: dict[Partition, int] = {}
     # Labels missing from the vector, or at 0 in it, have coefficient 0.
-    for mask, total in _schur_vector(terms).items():
+    for mask, total in _schur_vector(terms, m, flavor is PlethysmFlavor.COLUMN).items():
         if total:
             lam = Partition(_unbeads(mask))
             coeffs[lam] = _quotient(total, scale, lam)
@@ -604,8 +600,10 @@ def multiplicity(
     (ROW) or r columns (COLUMN), so a partition left at a suffix of weight k
     with more than k rows (ROW) or a first part above k (COLUMN) cannot reach
     the empty partition: it is skipped, neither searched nor stored (the
-    abacus argument is in :func:`_ribbon_sum`).  At m = 1 both flavors are
-    the character values, read from and stored at the (rho, 1, ROW) nodes.
+    abacus argument is in :func:`_ribbon_sum`); a label past the bound at
+    the top, with more than |nu| rows or a first part above |nu|, is 0 at
+    once.  At m = 1 both flavors are the character values, read from and
+    stored at the (rho, 1, ROW) nodes.
     The total is divided exactly by |nu|!; a remainder or a negative
     quotient raises :class:`InternalConsistencyError`.
 
@@ -636,12 +634,13 @@ def multiplicity(
     if m == 1:
         # e_1[p_r] = h_1[p_r] = p_r: the character values at (rho, 1, ROW).
         flavor = PlethysmFlavor.ROW
-    mask = _beads(lam.parts)
     column = flavor is PlethysmFlavor.COLUMN
     n = nu.weight
+    if (max(lam.parts, default=0) if column else len(lam.parts)) > n:
+        return 0
+    mask = _beads(lam.parts)
     total = 0
-    # s_nu o s_(1) = s_nu, so its weights are chi^nu(rho) n!/z_rho.
-    for rho, w in _power_sum_coefficients(nu.parts, 1, PlethysmFlavor.ROW):
+    for rho, w in _power_sum_coefficients(nu.parts):
         total += w * _ribbon_value(mask, _ribbon_node(rho, m, flavor), m, column, n)
     return _quotient(total, factorial(n), lam)
 

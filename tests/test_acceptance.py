@@ -11,7 +11,7 @@ import warnings
 from collections import Counter
 from math import factorial
 
-from foulkes import clear_caches, oracle
+from foulkes import clear_caches
 from foulkes.constituents import (
     maximal_constituents_phi,
     minimal_constituents_phi,
@@ -53,6 +53,7 @@ from foulkes.partitions import (
     partitions_of,
 )
 from foulkes.special import agaoka_lex_least, theta_decomposition
+from power_sums import power_sum_terms
 
 P = parse_partition
 
@@ -184,10 +185,10 @@ def test_criterion_6_degree_24_certificate(tmp_path):
             return multiplicity(P("4,4"), 3, lam, PlethysmFlavor.ROW, table=table)
 
     def by_characters():
-        # The same coefficient as sum w_tau chi^lam(tau) over the power-sum
-        # terms, divided by the wreath order 8! 3!^8: the degree-24 values
-        # that the cache file holds.
-        terms = oracle._power_sum_coefficients((4, 4), 3, PlethysmFlavor.ROW)
+        # The same coefficient as sum w_tau chi^lam(tau) over the plethysm's
+        # power-sum terms, divided by the wreath order 8! 3!^8: the degree-24
+        # values that the cache file holds.
+        terms = power_sum_terms((4, 4), 3, PlethysmFlavor.ROW)
         total = sum(w * character_value(lam, Partition(tau)) for tau, w in terms)
         value, rem = divmod(total, factorial(8) * factorial(3) ** 8)
         assert rem == 0

@@ -24,6 +24,7 @@ from foulkes.oracle import (
     z_order,
 )
 from foulkes.partitions import Partition, dimension, dominates, parse_partition, partitions_of
+from power_sums import by_characters, power_sum_terms, rational_power_sum_coefficients
 
 # A full degree-4 table as ``CharacterTable.save_to`` writes it.
 GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "characters-n4.json"
@@ -373,7 +374,7 @@ class TestCharacterTable:
         lam = P("6,3,2,1")
         multiplicity(P("3,1"), 3, lam, table=table)
         assert vars(table) == {"degree": 12}
-        taus = [tau for tau, _ in oracle._power_sum_coefficients((3, 1), 3, PlethysmFlavor.ROW)]
+        taus = [tau for tau, _ in power_sum_terms((3, 1), 3, ROW)]
         for tau in taus:
             character_value(lam, Partition(tau))
         assert table.values == {
@@ -487,15 +488,58 @@ class TestPlethysmExpansion:
                         assert e.total_dimension() == expected_dimension(nu, m)
 
 
+def _beta_list_times_power_sum(vec, r):
+    """The Schur vector ``vec`` ({bead mask: coefficient}) times p_r, on beta lists.
+
+    r zero parts make room for every border strip of length r; adding one
+    moves a beta number up by r to a free place, with sign (-1)^(beta
+    numbers jumped).
+    """
+    out = {}
+    for mask, coeff in vec.items():
+        lam = oracle._unbeads(mask) + (0,) * r
+        length = len(lam)
+        beta = {lam[j] + length - 1 - j for j in range(length)}
+        for b in beta:
+            if b + r in beta:
+                continue
+            leg = sum(1 for x in beta if b < x < b + r)
+            nb = sorted((beta - {b}) | {b + r}, reverse=True)
+            mu = tuple(v - (length - 1 - j) for j, v in enumerate(nb) if v > length - 1 - j)
+            key = oracle._beads(mu)
+            out[key] = out.get(key, 0) + (-coeff if leg % 2 else coeff)
+    return out
+
+
+def _strips_up_product(vec, r, m, flavor):
+    """The Schur vector ``vec`` times h_m[p_r] (ROW) or e_m[p_r] (COLUMN) by ``_ribbon_strips_up``."""
+    out = {}
+    for mask, coeff in vec.items():
+        for nxt, sign in oracle._ribbon_strips_up(mask, r, m, flavor is COLUMN):
+            out[nxt] = out.get(nxt, 0) + sign * coeff
+    return {mask: c for mask, c in out.items() if c}
+
+
+# The products by p_r that the p_1 and p_n tests check: the beta-list
+# reference, and the strip kernel at m = 1 in both flavors.
+P_R_PRODUCTS = {
+    "beta-lists": _beta_list_times_power_sum,
+    "strips-up-row": lambda vec, r: _strips_up_product(vec, r, 1, ROW),
+    "strips-up-column": lambda vec, r: _strips_up_product(vec, r, 1, COLUMN),
+}
+
+
 class TestForwardAssembly:
-    """The full expansion adds border strips; ``multiplicity`` removes them."""
+    """The full expansion adds strips of ribbons; ``multiplicity`` removes them."""
 
     def test_matches_the_per_label_backward_path(self):
         # Three paths to each coefficient: the expansion, and multiplicity
         # cold (the memos are cleared per case, so it computes its values) and
-        # warm, with and without a table.  Every label asked is then held at
-        # the top ribbon node of each class of S_|nu| that it sums over; at
-        # m = 1 both flavors use the row node, whose values are characters.
+        # warm, with and without a table.  Every label within the bound, at
+        # most |nu| rows (row) or first part at most |nu| (column), is then
+        # held at the top ribbon node of each class of S_|nu| that it sums
+        # over, and none past it; at m = 1 both flavors use the row node,
+        # whose values are characters.
         for m in range(1, 13):
             for n in range(1, 12 // m + 1):
                 labels = list(partitions_of(m * n))
@@ -509,35 +553,46 @@ class TestForwardAssembly:
                             assert e[lam] == v == multiplicity(nu, m, lam, flavor) == multiplicity(
                                 nu, m, lam, flavor, table=table
                             ), (m, str(nu), flavor, str(lam))
-                        for rho, _ in oracle._power_sum_coefficients(nu.parts, 1, ROW):
-                            held = oracle._RIBBON_CACHE[rho, m, flavor if m > 1 else ROW][2]
-                            assert all(oracle._beads(lam.parts) in held for lam in labels)
+                        column = flavor is COLUMN and m > 1
+                        within = {
+                            oracle._beads(lam.parts)
+                            for lam in labels
+                            if (lam[0] if column else len(lam)) <= n
+                        }
+                        for rho, _ in oracle._power_sum_coefficients(nu.parts):
+                            held = oracle._RIBBON_CACHE[rho, m, COLUMN if column else ROW][2]
+                            assert held.keys() == within, (m, str(nu), flavor, rho)
 
     def test_p1_fold_gives_the_dimensions(self):
-        vec = {0: 1}
-        for n in range(1, 11):
-            vec = oracle._times_power_sum(vec, 1, {})
-            assert vec == {oracle._beads(lam.parts): dimension(lam) for lam in partitions_of(n)}
-            for mask in vec:
-                assert oracle._beads(oracle._unbeads(mask)) == mask
+        for name, times_p_r in P_R_PRODUCTS.items():
+            vec = {0: 1}
+            for n in range(1, 11):
+                vec = times_p_r(vec, 1)
+                want = {oracle._beads(lam.parts): dimension(lam) for lam in partitions_of(n)}
+                assert vec == want, (name, n)
+                for mask in vec:
+                    assert oracle._beads(oracle._unbeads(mask)) == mask
 
     def test_pn_of_one_gives_the_signed_hooks(self):
-        for n in range(1, 13):
-            hooks = {oracle._beads((n - k,) + (1,) * k): (-1) ** k for k in range(n)}
-            assert oracle._times_power_sum({0: 1}, n, {}) == hooks
+        for name, times_p_r in P_R_PRODUCTS.items():
+            for n in range(1, 13):
+                hooks = {oracle._beads((n - k,) + (1,) * k): (-1) ** k for k in range(n)}
+                assert times_p_r({0: 1}, n) == hooks, (name, n)
 
     @pytest.mark.parametrize("nu", ["2,1", "4,4"])
     def test_poisoned_power_sum_weight_is_caught(self, monkeypatch, nu):
+        # One class weight off by one is caught, in either flavor.
         nu, m = P(nu), 2
-        terms = oracle._power_sum_coefficients(nu.parts, m, PlethysmFlavor.ROW)
-        for i in range(len(terms)):
-            poisoned = terms[:i] + ((terms[i][0], terms[i][1] + 1),) + terms[i + 1:]
+        weights = oracle._power_sum_coefficients(nu.parts)
+        for i in range(len(weights)):
+            poisoned = weights[:i] + ((weights[i][0], weights[i][1] + 1),) + weights[i + 1:]
             monkeypatch.setattr(oracle, "_power_sum_coefficients", lambda *_: poisoned)
-            with pytest.raises(InternalConsistencyError):
-                plethysm_expansion(nu, m)
+            for flavor in PlethysmFlavor:
+                with pytest.raises(InternalConsistencyError):
+                    plethysm_expansion(nu, m, flavor)
 
     def test_expansion_computes_no_character_value_of_its_degree(self):
-        # Only the power-sum weights read character values, of degree |nu|.
+        # Only the class weights read character values, of degree |nu|.
         plethysm_expansion(P("3,2,1"), 2)
         weights = {sum(oracle._unbeads(mask)) for _, mask, _ in _memo_entries()}
         assert 6 in weights and 12 not in weights
@@ -554,7 +609,7 @@ class TestSuffixMemo:
                     character_value(lam, rho)
         # The classes of the degree-12 and degree-20 power-sum terms.
         for nu, m, lam, flavor in [("3,1", 3, "6,3,2,1", ROW), ("2,2", 5, "8,6,4,2", COLUMN)]:
-            for tau, _ in oracle._power_sum_coefficients(P(nu).parts, m, flavor):
+            for tau, _ in power_sum_terms(P(nu).parts, m, flavor):
                 character_value(P(lam), Partition(tau))
         assert oracle._EMPTY_PRODUCT[2] == {0: 1}
         memo = {}
@@ -578,8 +633,8 @@ def _times_plethystic_power(vec, r, m, flavor):
     """The Schur vector ``vec`` times h_m[p_r] (ROW) or e_m[p_r] (COLUMN), by power sums.
 
     h_m = sum_sigma p_sigma/z_sigma and e_m = sum_sigma sign(sigma) p_sigma/z_sigma,
-    and p_s[p_r] = p_{rs}, so the product is built by ``_times_power_sum``
-    alone, scaled by m! to stay in integers and divided back exactly.
+    and p_s[p_r] = p_{rs}, so the product is built by border strips on beta
+    lists alone, scaled by m! to stay in integers and divided back exactly.
     """
     out = {}
     for sigma in partitions_of(m):
@@ -588,7 +643,7 @@ def _times_plethystic_power(vec, r, m, flavor):
             w = -w
         term = {mask: w * c for mask, c in vec.items()}
         for s in sigma.parts:
-            term = oracle._times_power_sum(term, r * s, {})
+            term = _beta_list_times_power_sum(term, r * s)
         for mask, c in term.items():
             out[mask] = out.get(mask, 0) + c
     product = {}
@@ -598,17 +653,6 @@ def _times_plethystic_power(vec, r, m, flavor):
         if q:
             product[mask] = q
     return product
-
-
-def _by_characters(nu, m, lam, flavor):
-    """<s_lam, plethysm> as sum w_tau chi^lam(tau) over the power-sum terms, divided exactly."""
-    total = sum(
-        w * character_value(lam, Partition(tau))
-        for tau, w in oracle._power_sum_coefficients(nu.parts, m, flavor)
-    )
-    value, rem = divmod(total, factorial(nu.weight) * factorial(m) ** nu.weight)
-    assert rem == 0
-    return value
 
 
 class TestRibbonStrips:
@@ -661,6 +705,27 @@ class TestRibbonStrips:
                             assert got == want.get(mask, {}), (r, m, flavor, str(lam))
                             checked += 1
         assert checked == 2 * 12 * sum(len(list(partitions_of(n))) for n in range(11))
+
+    def test_strips_up_are_the_adjoint_of_the_strips(self):
+        # Adding a strip to mu gives lam exactly when removing one from lam
+        # gives mu, with the same sign, for every lam of weight <= 10.
+        pairs = 0
+        for r in range(1, 5):
+            for m in range(1, 4):
+                for column in (False, True):
+                    down, up = set(), set()
+                    for n in range(11):
+                        for lam in partitions_of(n):
+                            mask = oracle._beads(lam.parts)
+                            strips = oracle._ribbon_strips(mask, r, m, column)
+                            down.update((mask, left, sign) for left, sign in strips)
+                            if n + r * m <= 10:
+                                grown = oracle._ribbon_strips_up(mask, r, m, column)
+                                assert len({nxt for nxt, _ in grown}) == len(grown)
+                                up.update((nxt, mask, sign) for nxt, sign in grown)
+                    assert up == down, (r, m, column)
+                    pairs += len(up)
+        assert pairs > 1000
 
     def test_nodes_and_entries_are_well_formed(self):
         for nu, m in [("2,1", 2), ("3,1", 3), ("2,2", 2), ("1,1,1", 3), ("3", 4)]:
@@ -733,18 +798,18 @@ class TestRibbonStrips:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "single-coefficient", RuntimeWarning)
                     got = multiplicity(nu, m, lam, flavor)
-                assert got == _by_characters(nu, m, lam, flavor), (str(nu), m, flavor, str(lam))
+                assert got == by_characters(nu, m, lam, flavor), (str(nu), m, flavor, str(lam))
 
     @pytest.mark.parametrize(
         "nu, m",
         [("3,3,2", 3), ("3,2,1", 4), ("3,3", 4), ("2,2", 6), ("2,1", 8), ("2,2", 5)],
     )
     def test_memo_holds_nothing_past_the_bound_at_the_benchmark_plethysms(self, nu, m):
-        # Below the top nodes, no partition with more parts (ROW), or a
-        # larger first part (COLUMN), than its suffix's weight is stored,
-        # and every value stored is the coefficient of the product.  Per
-        # flavor, three labels of the benchmark's middle band, most of which
-        # are past the bound at the top already, and three within it.
+        # At no node, the top ones included, is a partition with more parts
+        # (ROW), or a larger first part (COLUMN), than its suffix's weight
+        # stored, and every value stored is the coefficient of the product.
+        # Per flavor, three labels of the benchmark's middle band, most of
+        # which are past the bound at the top already, and three within it.
         nu = P(nu)
         labels = list(partitions_of(m * nu.weight))
         band = [lam for lam in labels if 4 <= len(lam) <= 8 and lam[0] <= 10]
@@ -771,52 +836,36 @@ class TestRibbonStrips:
             product = products[rho, flavor]
             for mask, v in values.items():
                 assert v == product.get(mask, 0), (rho, flavor, oracle._unbeads(mask))
-                if sum(rho) < nu.weight:
-                    mu = oracle._unbeads(mask)
-                    assert (mu[0] if flavor is COLUMN else len(mu)) <= sum(rho), (rho, flavor, mu)
-                    below += 1
+                mu = oracle._unbeads(mask)
+                assert (mu[0] if flavor is COLUMN else len(mu)) <= sum(rho), (rho, flavor, mu)
+                below += sum(rho) < nu.weight
         assert below
-
-
-def _rational_power_sum_coefficients(nu, m, flavor):
-    """The power-sum coefficients in Fractions, one sigma per part of rho.
-
-    The reference the integer kernel is checked against: the product over
-    sigma^len(rho) with no merging of partial cycle types.
-    """
-    sigmas = [s.parts for s in partitions_of(m)]
-    weights = []
-    for s in partitions_of(m):
-        w = Fraction(1, z_order(s))
-        if flavor is PlethysmFlavor.COLUMN and (m - len(s)) % 2 == 1:
-            w = -w
-        weights.append(w)
-    acc = {}
-    for rho in partitions_of(nu.weight):
-        chi = character_value(nu, rho)
-        if chi == 0:
-            continue
-        for combo in product(range(len(sigmas)), repeat=len(rho)):
-            w = Fraction(chi, z_order(rho))
-            tau = []
-            for r, i in zip(rho.parts, combo):
-                w *= weights[i]
-                tau.extend(r * x for x in sigmas[i])
-            key = tuple(sorted(tau, reverse=True))
-            acc[key] = acc.get(key, Fraction(0)) + w
-    return {tau: c for tau, c in acc.items() if c}
 
 
 def _assert_weights_match_the_reference(nu, m):
     scale = factorial(nu.weight) * factorial(m) ** nu.weight
     for flavor in PlethysmFlavor:
-        got = oracle._power_sum_coefficients(nu.parts, m, flavor)
+        got = power_sum_terms(nu.parts, m, flavor)
         assert all(type(w) is int for _, w in got)
-        want = _rational_power_sum_coefficients(nu, m, flavor)
+        want = rational_power_sum_coefficients(nu, m, flavor)
         assert dict(got) == {tau: c * scale for tau, c in want.items()}, (m, str(nu), flavor)
 
 
 class TestPowerSumKernel:
+    """The integer power-sum fold of the tests, and the oracle's class weights, in Fractions."""
+
+    def test_class_weights_are_the_m_1_coefficients_times_n_factorial(self):
+        # s_nu o s_(1) = s_nu, whose p_rho coefficients are chi^nu(rho)/z_rho.
+        for n in range(11):
+            for nu in partitions_of(n):
+                got = oracle._power_sum_coefficients(nu.parts)
+                assert all(type(w) is int and w for _, w in got)
+                want = rational_power_sum_coefficients(nu, 1, ROW)
+                assert dict(got) == {rho: c * factorial(n) for rho, c in want.items()}, str(nu)
+                assert got == power_sum_terms(nu.parts, 1, ROW) == power_sum_terms(
+                    nu.parts, 1, COLUMN
+                )
+
     def test_weights_are_the_rational_coefficients_times_the_wreath_order(self):
         for m in range(1, 13):
             for n in range(12 // m + 1):
@@ -838,7 +887,7 @@ class TestPowerSumKernel:
         nu, m, lam = P("2,1"), 2, P("4,2")
         want = multiplicity(nu, m, lam)
         mask = oracle._beads(lam.parts)
-        classes = oracle._power_sum_coefficients(nu.parts, 1, ROW)
+        classes = oracle._power_sum_coefficients(nu.parts)
         assert [rho for rho, _ in classes] == [(1, 1, 1), (3,)]
         for rho, _ in classes:
             table = CharacterTable(6)
@@ -925,6 +974,18 @@ class TestOmega:
     @pytest.mark.parametrize("nu,m", [("2", 2), ("2,1", 3), ("1,1,1", 2)])
     def test_examples(self, nu, m):
         assert omega_check(P(nu), m)
+
+    def test_degree_36_expansion(self):
+        # Past the single-coefficient limit with the guard raised: s_(3,3) o
+        # s_(6) has 2273 labels, and its largest coefficient, 513, is the one
+        # multiplicity gives and the column one at the conjugate label.
+        nu, lam = P("3,3"), P("16,10,6,3,1")
+        assert omega_check(nu, 6, guard=36)
+        row = plethysm_expansion(nu, 6, guard=36)
+        assert len(row) == 2273
+        assert max(v for _, v in row.items()) == row[lam] == 513
+        assert multiplicity(nu, 6, lam, guard=36) == 513
+        assert multiplicity(nu, 6, lam.conjugate(), COLUMN, guard=36) == 513
 
     def test_column_flavor_values(self):
         # omega of s_(2) o s_(2) = s_(1^4) + s_(2,2)
