@@ -372,30 +372,20 @@ def _ribbon_strips(mask: int, r: int, m: int, column: bool) -> list[tuple[int, i
     The terms of the adjoint of multiplying by h_m[p_r] (ROW) or e_m[p_r]
     (COLUMN), a horizontal or vertical strip of r-ribbons (Lascoux-Leclerc-
     Thibon, J. Math. Phys. 38, 1997).  On r runners (positions mod r) beads
-    move down, from the lowest up, by whole slots of r positions, m slots in
-    all, each into a free position: under ROW strictly above the original
-    position of the next lower bead on its runner and at or above 0, under
-    COLUMN one slot at most.  The sign is (-1) to the beads strictly between
-    the old and new position of each move, on the mask as it stands then
-    (for COLUMN too: e_m[p_r] = (-1)^((r-1)m) omega(h_m[p_r]), and
-    conjugating a ribbon flips its sign (r-1) times).  At m = 1 this is
-    border-strip removal, whose values are character values.
+    move down by whole slots of r positions, m slots in all, each into a
+    free position: under ROW strictly above the original position of the
+    next lower bead on its runner and at or above 0, under COLUMN one slot
+    at most.  The sign is (-1) to the beads crossed (for COLUMN too:
+    e_m[p_r] = (-1)^((r-1)m) omega(h_m[p_r]), and conjugating a ribbon
+    flips its sign (r-1) times), so at r = 1 it is +1.  The moves start at
+    the beads at r or above with the slot below free (ROW) or at those
+    slots (COLUMN): there a bead moves only after the one below it, so a
+    strip that leaves a run's lowest bead leaves the run, one move per run.
+    At m = 1 this is border-strip removal, whose values are character
+    values.
     """
-    moves = []  # (bead, its position, the slots it may move), lowest first
-    capacity = 0
-    # The beads at r or above, with the slot below them free under ROW.
-    rest = (mask if column else mask & ~(mask << r)) >> r << r
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        b = low.bit_length() - 1
-        room, c = 1, b - 2 * r
-        while not column and c >= 0 and not mask >> c & 1:
-            room += 1
-            c -= r
-        moves.append((low, b, room))
-        capacity += room
-    return _strip_walk(mask, moves, -r, m, capacity)
+    starts = mask & ~mask << r
+    return _strip_walk(mask, starts >> r if column else starts, r if column else -r, m, column)
 
 
 def _ribbon_strips_up(mask: int, r: int, m: int, column: bool) -> list[tuple[int, int]]:
@@ -404,54 +394,53 @@ def _ribbon_strips_up(mask: int, r: int, m: int, column: bool) -> list[tuple[int
     The adjoint of :func:`_ribbon_strips`, pair for pair and sign for sign:
     the terms of multiplying by h_m[p_r] (ROW) or e_m[p_r] (COLUMN).  The
     mask is padded with r zero parts (ROW) or m r (COLUMN), as many rows as
-    the strip can add; then beads move up by whole slots of r, from the
-    highest down, m slots in all, each into a free position: under ROW
-    strictly below the original position of the next higher bead on its
-    runner, under COLUMN one slot, and only from a run of at most m beads
-    below a free slot on its runner, since every bead of the run above it
-    must move first.  Sign and shift are those of the removal.
+    the strip can add; then beads move up by whole slots of r, m slots in
+    all, each into a free position: under ROW strictly below the original
+    position of the next higher bead on its runner, under COLUMN one slot.
+    The moves start at the beads with the slot above free (ROW) or at those
+    slots (COLUMN), where a run's top d <= m beads move, one move per run:
+    a strip that leaves the top bead leaves the run.  Sign (+1 at r = 1)
+    and shift are those of the removal.
     """
     pad = m * r if column else r
     padded = (mask << pad) | ((1 << pad) - 1)
-    # The beads with a free slot right above them (ROW) or among the m
-    # slots above them (COLUMN).
-    full = padded >> r
-    if column:
-        for j in range(2, m + 1):
-            full &= padded >> (j * r)
-    rest = padded & ~full
-    moves = []  # (bead, its position, the slots it may move), highest first
-    capacity = 0
-    while rest:
-        b = rest.bit_length() - 1
-        low = 1 << b
-        rest ^= low
-        room, c = 1, b + 2 * r
-        while not column and room < m and not padded >> c & 1:
-            room += 1
-            c += r
-        moves.append((low, b, room))
-        capacity += room
-    return _strip_walk(padded, moves, r, m, capacity)
+    starts = padded & ~(padded >> r)
+    return _strip_walk(padded, starts << r if column else starts, -r if column else r, m, column)
 
 
-def _strip_walk(
-    mask: int, moves: list[tuple[int, int, int]], step: int, m: int, capacity: int
-) -> list[tuple[int, int]]:
+def _strip_walk(mask: int, starts: int, step: int, m: int, column: bool) -> list[tuple[int, int]]:
     """(bead mask, sign) for each way to make m slot moves of ``step`` positions in all.
 
-    ``moves`` lists (bead, its position, the slots it may move) in the order
-    the beads move, and ``capacity`` is the sum of their slots.  Each bead
-    jumps once, to a position free at that moment, and the sign is (-1) to
-    the beads strictly between its old and new position then.  A partial
-    strip is kept only while the beads after it can still take the slots it
-    has left.  A bead that lands at 0 joins the run of one-bits at the
-    bottom, which are zero parts; shifting them out keeps the mask in normal
-    form.
+    A move starts at each bit of ``starts`` and takes d <= m slots: under
+    ROW a bead jumps d slots over free positions, under COLUMN a free
+    position is traded for the d-th bead of the run behind it on its
+    runner, each of the d beads moving one slot.  The slots stay open
+    whatever the other moves do, so a state is dropped once the moves after
+    it cannot take the slots it has left, and every state kept finishes: a
+    COLUMN strip that leaves a run's head leaves the run.  The sign is (-1)
+    to the beads strictly inside the slots passed, on the mask as it stands
+    then; beads of one runner never pass each other, so the order of the
+    moves (ROW: highest first, fewer tries) does not change it, and at
+    |step| = 1 a slot has no inside: unit-ribbon strips have sign +1.  Zero
+    parts, one-bits at the bottom, are shifted out.
     """
+    moves = []  # (bit, its position, the slots it may move)
+    capacity = 0
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        b = low.bit_length() - 1
+        room, c = 1, b + 2 * step
+        while room < m and c >= 0 and mask >> c & 1 == column:
+            room += 1
+            c += step
+        moves.append((low, b, room))
+        capacity += room
+    span = (1 << abs(step) - 1) - 1  # a slot's inside, r - 1 positions
+    shift = min(step, 0) + 1
     states = [(mask, m, 0)] if m <= capacity else []  # (mask, slots left, sign parity)
     out = []
-    for low, b, room in moves:
+    for low, b, room in moves if column else moves[::-1]:
         capacity -= room
         grown = []
         for cur, left, odd in states:
@@ -459,17 +448,16 @@ def _strip_walk(
                 grown.append((cur, left, odd))
             c = b
             for d in range(1, (room if room < left else left) + 1):
+                if span:
+                    odd ^= (cur >> c + shift & span).bit_count() & 1
                 c += step
-                if cur >> c & 1:
-                    break
                 nxt = cur ^ low ^ (1 << c)
-                parity = odd ^ ((cur ^ low) & abs(low - (1 << c))).bit_count() & 1
                 if d == left:
                     if nxt & 1:
                         nxt >>= (nxt ^ (nxt + 1)).bit_length() - 1
-                    out.append((nxt, -1 if parity else 1))
+                    out.append((nxt, -1 if odd else 1))
                 elif left - d <= capacity:
-                    grown.append((nxt, left - d, parity))
+                    grown.append((nxt, left - d, odd))
         states = grown
     return out
 

@@ -684,10 +684,11 @@ class TestRibbonStrips:
     def test_strips_are_the_adjoint_of_the_product(self):
         # <s_lam, s_mu f[p_r]> by the product must be the sign of the strip
         # that leaves mu, for every lam of weight <= 10: shapes and signs are
-        # checked without the ribbon code.
+        # checked without the ribbon code.  m = 4 moves runs of up to four
+        # beads of one runner in a column strip.
         checked = 0
         for r in range(1, 5):
-            for m in range(1, 4):
+            for m in range(1, 5):
                 for flavor in PlethysmFlavor:
                     want = {}
                     for k in range(10 - r * m + 1):
@@ -704,7 +705,21 @@ class TestRibbonStrips:
                             assert len(got) == len(strips)
                             assert got == want.get(mask, {}), (r, m, flavor, str(lam))
                             checked += 1
-        assert checked == 2 * 12 * sum(len(list(partitions_of(n))) for n in range(11))
+        assert checked == 2 * 16 * sum(len(list(partitions_of(n))) for n in range(11))
+
+    def test_unit_ribbon_strips_have_sign_one(self):
+        # A unit ribbon crosses no bead, so the walk takes no sign at r = 1;
+        # at r = 2 signs of both kinds occur in each direction and flavor.
+        for column in (False, True):
+            for strips in (oracle._ribbon_strips, oracle._ribbon_strips_up):
+                signs = {1: set(), 2: set()}
+                for n in range(13):
+                    for lam in partitions_of(n):
+                        mask = oracle._beads(lam.parts)
+                        for r in signs:
+                            for m in range(1, 5):
+                                signs[r].update(sign for _, sign in strips(mask, r, m, column))
+                assert signs == {1: {1}, 2: {1, -1}}, (strips.__name__, column)
 
     def test_strips_up_are_the_adjoint_of_the_strips(self):
         # Adding a strip to mu gives lam exactly when removing one from lam
@@ -986,6 +1001,17 @@ class TestOmega:
         assert max(v for _, v in row.items()) == row[lam] == 513
         assert multiplicity(nu, 6, lam, guard=36) == 513
         assert multiplicity(nu, 6, lam.conjugate(), COLUMN, guard=36) == 513
+
+    def test_every_pair_up_to_degree_20(self):
+        # The column walk against the row walk: all 224 pairs (m >= 2, nu)
+        # with m |nu| <= 20.
+        pairs = 0
+        for m in range(2, 21):
+            for n in range(1, 20 // m + 1):
+                for nu in partitions_of(n):
+                    assert omega_check(nu, m, guard=20), (m, str(nu))
+                    pairs += 1
+        assert pairs == 224
 
     def test_column_flavor_values(self):
         # omega of s_(2) o s_(2) = s_(1^4) + s_(2,2)
