@@ -70,18 +70,17 @@ from . import families, oracle
 def clear_caches() -> None:
     """Empty every memo the package keeps; the only code that names them all.
 
-    A process memoizes ribbon-strip values per (cycle-type suffix, m,
-    flavor), whose m = 1 nodes hold the character values, the class weights
-    of each s_nu, closed families, sorted families, prefix folds and minimal
-    tuple types, and frees none of them on its own.  Answers never depend on
-    what the memos hold.
+    A process memoizes, in five memos, ribbon-strip values per (cycle-type
+    suffix, m, flavor), whose m = 1 nodes hold the character values, the
+    class weights of each s_nu, closed families, sorted families and prefix
+    folds, and frees none of them on its own.  Answers never depend on what
+    the memos hold.
     """
     oracle._RIBBON_CACHE.clear()
     oracle._power_sum_coefficients.cache_clear()
     families._closed_families.cache_clear()
     families._sorted_families.cache_clear()
     families._PREFIX_FOLDS.clear()
-    families._minimal_tuple_types.cache_clear()
 
 
 __version__ = "0.1.0"

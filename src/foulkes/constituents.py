@@ -11,13 +11,12 @@ The table ``_RULES`` holds the four cases; all even/odd-m bookkeeping
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .families import (
     BlockKind,
     FamilyTuple,
-    enumerate_minimal_tuple_types,
+    _minimal_types,
     tuple_is_closed,
     tuple_type,
 )
@@ -127,10 +126,8 @@ def _report(
 ) -> ConstituentReport:
     spec = CharacterSpec(m, nu, flavor)
     rule = _RULES[flavor, extremum]
-    found = enumerate_minimal_tuple_types(m, _shapes(rule, m, nu), rule.kind)
-    witnesses = {(ty.conjugate() if rule.conjugate_label else ty): t for ty, t in found.items()}
-    labels = tuple(sorted(witnesses, key=attrgetter("parts"), reverse=True))
-    return ConstituentReport(spec, extremum, labels, witnesses)
+    found = _minimal_types(m, _shapes(rule, m, nu), rule.kind, types=not rule.conjugate_label)
+    return ConstituentReport(spec, extremum, tuple(found), found)
 
 
 def minimal_constituents_phi(m: int, nu: Partition) -> ConstituentReport:

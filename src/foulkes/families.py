@@ -400,10 +400,11 @@ def enumerate_minimal_tuple_types(
     lexicographically least closed witness tuple, keys sorted in descending
     lexicographic order.
     """
-    kind = BlockKind(kind)
+    if m < 1:
+        raise ValueError("need m >= 1")
     if not shapes or any(nj < 1 for nj in shapes):
         raise ValueError("each component must contain at least one block")
-    return dict(_minimal_tuple_types(m, tuple(shapes), kind))
+    return _minimal_types(m, tuple(shapes), BlockKind(kind))
 
 
 @lru_cache(maxsize=None)
@@ -478,18 +479,18 @@ def _witness_tuple(witness: tuple) -> FamilyTuple:
     return FamilyTuple(fams[::-1])
 
 
-@lru_cache(maxsize=None)
-def _minimal_tuple_types(
-    m: int, shapes: tuple[int, ...], kind: BlockKind
+def _minimal_types(
+    m: int, shapes: tuple[int, ...], kind: BlockKind, types: bool = True
 ) -> dict[Partition, FamilyTuple]:
-    # The vectors stay tuples through the fold; only the final types become
-    # partitions, their zero padding cut off.
-    types = {
-        Partition(counts[: len(counts) - counts.count(0)]).conjugate(): witness
-        for counts, witness in _fold(m, shapes, kind).items()
-    }
-    order = sorted(types, key=attrgetter("parts"), reverse=True)
-    return {ty: _witness_tuple(types[ty]) for ty in order}
+    """Minimal types of tuples of these shapes (or, ``types`` false, their
+    conjugates: the fold's count vectors, zero padding cut off), each with
+    its least witness, keys in descending lexicographic order."""
+    found = []
+    for counts, witness in _fold(m, shapes, kind).items():
+        label = Partition(counts[: len(counts) - counts.count(0)])
+        found.append((label.conjugate() if types else label, witness))
+    found.sort(key=lambda item: item[0].parts, reverse=True)
+    return {label: _witness_tuple(witness) for label, witness in found}
 
 
 def is_minimal_tuple(t: FamilyTuple) -> bool:
@@ -503,9 +504,10 @@ def is_minimal_tuple(t: FamilyTuple) -> bool:
     if ty is None:
         raise ValueError("tuple has no defined type")
     shapes = tuple(sorted((nj for nj in t.shapes if nj), reverse=True))
-    if not shapes:
-        return True
-    return ty in _minimal_tuple_types(t.m, shapes, t.kind)
+    # The fold keeps count vectors padded to one width; a longer one is no key.
+    counts = ty.conjugate().parts
+    kept = _fold(t.m, shapes, t.kind)
+    return counts + (0,) * (len(next(iter(kept))) - len(counts)) in kept
 
 
 def colex_initial_segment(m: int, n: int, kind: BlockKind | str) -> Family:

@@ -21,7 +21,14 @@ from foulkes.constituents import (
     verify,
 )
 from foulkes.errors import GuardExceededError
-from foulkes.families import BlockKind, Family, FamilyTuple, down_set_family, tuple_type
+from foulkes.families import (
+    BlockKind,
+    Family,
+    FamilyTuple,
+    down_set_family,
+    enumerate_minimal_tuple_types,
+    tuple_type,
+)
 from foulkes.oracle import multiplicity, plethysm_expansion
 from foulkes.partitions import (
     DominanceRelation,
@@ -327,6 +334,32 @@ class TestVerify:
     def test_degree_above_the_guard_is_refused(self):
         with pytest.raises(GuardExceededError):
             verify(2, P("3,2"), guard=9)
+
+
+ENGINES = {
+    (CharacterFlavor.PHI, Extremum.MINIMAL): minimal_constituents_phi,
+    (CharacterFlavor.PHI, Extremum.MAXIMAL): maximal_constituents_phi,
+    (CharacterFlavor.PSI, Extremum.MINIMAL): minimal_constituents_psi,
+    (CharacterFlavor.PSI, Extremum.MAXIMAL): maximal_constituents_psi,
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_reports_equal_the_public_minimal_types(m):
+    # Each report rebuilt from the public minimal types of its rule: the
+    # shapes are the columns of kappa or nu, and a maximal label is the
+    # conjugate of its type.  The reports read their labels off the fold.
+    for weight in range(1, 16 // m + 1):
+        for nu in partitions_of(weight):
+            for key, rule in _RULES.items():
+                source = kappa_partition(m, nu) if rule.shapes_from_kappa else nu
+                found = enumerate_minimal_tuple_types(m, source.conjugate().parts, rule.kind)
+                want = {
+                    (ty.conjugate() if rule.conjugate_label else ty): t for ty, t in found.items()
+                }
+                report = ENGINES[key](m, nu)
+                assert report.labels == tuple(sorted(want, reverse=True)), (m, nu, key)
+                assert report.witnesses == want, (m, nu, key)
 
 
 class TestAntichain:

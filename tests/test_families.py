@@ -404,6 +404,11 @@ class TestMinimalTuples:
             witness = got[Partition([m])]
             assert witness.families[0].blocks == (tuple(range(1, m + 1)),)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_block_size_below_one_is_refused(self, m):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            enumerate_minimal_tuple_types(m, (2,), SET)
+
     def test_witnesses_are_closed_and_minimal(self):
         for kind in (SET, MULTI):
             for shapes in ((3,), (2, 2), (3, 1), (2, 1, 1)):
@@ -493,6 +498,13 @@ class TestIsMinimalTuple:
             [Family(2, SET, [(1, 2), (1, 3), (1, 4)]), Family(2, SET, [(1, 2)])]
         )
         assert is_minimal_tuple(t)
+
+    def test_vector_longer_than_the_ground_bound_is_not_minimal(self):
+        # Counts (1,1,1,1), type (4): one element past the ground-set bound
+        # of two 2-sets, so past every count vector the fold keeps.
+        t = FamilyTuple([Family(2, "set", [(1, 2), (3, 4)])])
+        assert tuple_type(t) == P("4")
+        assert not is_minimal_tuple(t)
 
     def test_undefined_type_raises(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """The package's memos: ``clear_caches`` empties them all, and no answer depends on them."""
 
 import importlib
+import inspect
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import foulkes
 from foulkes import (
@@ -50,13 +53,28 @@ def test_clear_caches_empties_every_memo():
         for value in vars(importlib.import_module(f"foulkes.{info.name}")).values()
         if hasattr(value, "cache_info")
     ]
-    assert len(lru_memos) >= 4
+    # Exactly these, so a memo that clear_caches does not know of fails here.
+    assert {memo.__name__ for memo in lru_memos} == {
+        "_power_sum_coefficients",
+        "_closed_families",
+        "_sorted_families",
+    }
     assert all(memo.cache_info().currsize for memo in lru_memos)
     clear_caches()
     assert [memo.cache_info().currsize for memo in lru_memos] == [0] * len(lru_memos)
     assert not oracle._RIBBON_CACHE and not families._PREFIX_FOLDS
     assert oracle._EMPTY_PRODUCT[2] == {0: 1}
     assert _answers(calls) == answers
+
+
+def test_readme_memory_list_names_the_memos_clear_caches_empties():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    intro = readme.split("### Memory\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^- `(\w+\.\w+)`", intro, re.M)
+    source = inspect.getsource(clear_caches)
+    emptied = re.findall(r"^\s+(\w+\.\w+)\.(?:cache_)?clear\(\)$", source, re.M)
+    assert sorted(listed) == sorted(emptied) and len(emptied) == 5
+    assert "in five memos:" in intro
 
 
 def test_oracle_answers_do_not_depend_on_call_order_or_memo_state():
