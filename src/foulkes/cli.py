@@ -61,7 +61,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _guard(text: str) -> int:
     """The --guard value: a nonnegative int, else a usage error (exit 1)."""
-    guard = int(text)
+    try:
+        guard = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if guard < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {guard}")
     return guard

@@ -407,15 +407,6 @@ def enumerate_minimal_tuple_types(
     return _minimal_types(m, tuple(shapes), BlockKind(kind))
 
 
-@lru_cache(maxsize=None)
-def _sorted_families(
-    m: int, n: int, kind: BlockKind
-) -> tuple[tuple[Family, ...], tuple[tuple[int, ...], ...]]:
-    """The closed families of shape (m^n) sorted by blocks, and their count vectors."""
-    fams = tuple(sorted(_closed_families(m, n, kind), key=attrgetter("blocks")))
-    return fams, tuple(map(_vector, fams))
-
-
 # The fold of every shape prefix met so far, as a trie per (m, kind): the
 # node of shapes[:k] maps a next shape nj to (the prefixes kept after
 # shapes[:k] + (nj,), the node of that prefix).  Kept prefixes are held as
@@ -436,26 +427,26 @@ def _fold(m: int, shapes: tuple[int, ...], kind: BlockKind) -> dict[tuple[int, .
     node = _PREFIX_FOLDS.setdefault((m, kind), {})
     for nj in shapes:
         if nj not in node:
-            node[nj] = (_fold_step(kept, *_sorted_families(m, nj, kind)), {})
+            fams = sorted(_closed_families(m, nj, kind), key=attrgetter("blocks"))
+            node[nj] = (_fold_step(kept, fams), {})
         kept, node = node[nj]
     return kept
 
 
 def _fold_step(
-    kept: dict[tuple[int, ...], tuple],
-    fams: tuple[Family, ...],
-    vectors: tuple[tuple[int, ...], ...],
+    kept: dict[tuple[int, ...], tuple], fams: list[Family]
 ) -> dict[tuple[int, ...], tuple]:
     """The dominance-maximal vectors of kept prefixes extended by one family.
 
-    A pair (prefix r, family i) is coded r*F + i, which orders the pairs as
-    their witnesses, and each vector keeps the least code that reaches it:
-    the least witness of a type extends the least prefix of its own prefix
-    vector.
+    ``fams`` is sorted by blocks.  A pair (prefix r, family i) is coded
+    r*F + i, which orders the pairs as their witnesses, and each vector
+    keeps the least code that reaches it: the least witness of a type
+    extends the least prefix of its own prefix vector.
     """
+    vectors = list(map(_vector, reversed(fams)))
     width = max(len(next(iter(kept))), max(map(len, vectors)))
     sums = [c + (0,) * (width - len(c)) for c in kept]
-    padded = [v + (0,) * (width - len(v)) for v in reversed(vectors)]
+    padded = [v + (0,) * (width - len(v)) for v in vectors]
     F = len(fams)
     best: dict[tuple[int, ...], int] = {}
     # The last code written for a vector stays, so codes go downward.

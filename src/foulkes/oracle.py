@@ -509,9 +509,16 @@ def _ribbon_value(mask: int, node: tuple, m: int, column: bool, weight: int) -> 
     return value
 
 
-def _check_guard(guard: int) -> None:
+def _degree(
+    nu: Partition, m: int, flavor: PlethysmFlavor | str, guard: int
+) -> tuple[PlethysmFlavor, int]:
+    """The flavor and the degree m|nu|; a bad flavor, guard or m raises, in that order."""
+    flavor = PlethysmFlavor(flavor)
     if guard < 0:
         raise ValueError(f"guard must be nonnegative, got {guard}")
+    if m < 1:
+        raise ValueError("inner degree m must be at least 1")
+    return flavor, m * nu.weight
 
 
 def _quotient(total: int, scale: int, lam: Partition) -> int:
@@ -547,11 +554,7 @@ def plethysm_expansion(
     identity; failures raise :class:`InternalConsistencyError`.  A negative
     guard raises ``ValueError``.
     """
-    flavor = PlethysmFlavor(flavor)
-    _check_guard(guard)
-    if m < 1:
-        raise ValueError("inner degree m must be at least 1")
-    degree = m * nu.weight
+    flavor, degree = _degree(nu, m, flavor, guard)
     if degree > guard:
         raise GuardExceededError(
             f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
@@ -600,11 +603,7 @@ def multiplicity(
     degree; no character value of this degree is read.  A negative guard
     raises ``ValueError``.
     """
-    flavor = PlethysmFlavor(flavor)
-    _check_guard(guard)
-    if m < 1:
-        raise ValueError("inner degree m must be at least 1")
-    degree = m * nu.weight
+    flavor, degree = _degree(nu, m, flavor, guard)
     if lam.weight != degree:
         raise ValueError(f"label must have weight {degree}, got {lam.weight}")
     if table is not None and table.degree != degree:

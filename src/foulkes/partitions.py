@@ -116,7 +116,15 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
         return Partition()
-    return Partition(int(tok) for tok in text.split(","))
+    parts = []
+    for tok in text.split(","):
+        try:
+            parts.append(int(tok))
+        except ValueError:
+            raise ValueError(
+                f"partition {text!r} has a part that is not an integer: {tok!r}"
+            ) from None
+    return Partition(parts)
 
 
 class DominanceRelation(Enum):

@@ -94,21 +94,25 @@ class TestExpand:
         assert "guard" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("expand", "--m", "2", "--nu", "2,1", "--guard", "-1"),
-            ("verify", "--m", "2", "--nu", "2,1", "--guard", "-1"),
-            ("verify", "--m", "2", "--seed-sweep", "--n", "3", "--guard", "-5"),
+            (("expand", "--m", "2", "--nu", "2,1", "--guard", "-1"), "must be nonnegative, got -1"),
+            (("verify", "--m", "2", "--nu", "2,1", "--guard", "-1"), "must be nonnegative, got -1"),
+            (
+                ("verify", "--m", "2", "--seed-sweep", "--n", "3", "--guard", "-5"),
+                "must be nonnegative, got -5",
+            ),
+            (("expand", "--m", "2", "--nu", "2", "--guard", "abc"), "invalid int value: 'abc'"),
         ],
-        ids=["expand", "verify", "seed-sweep"],
+        ids=["expand", "verify", "seed-sweep", "not-an-int"],
     )
-    def test_negative_guard_is_usage_error(self, capsys, argv):
+    def test_negative_guard_is_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.endswith(f": error: argument --guard: must be nonnegative, got {argv[-1]}\n")
+        assert err.endswith(f": error: argument --guard: {message}\n")
 
     def test_guard_override(self, capsys):
         code, out, _ = run(
@@ -460,6 +464,12 @@ class TestUsageErrors:
         code, _, err = run(capsys, "expand", "--m", "2", "--nu", "1,2")
         assert code == EXIT_USAGE
         assert "weakly decreasing" in err
+
+    @pytest.mark.parametrize("text, part", [("2,,1", ""), ("a", "a"), ("2.5", "2.5"), ("1e3", "1e3")])
+    def test_non_integer_part_names_partition_and_part(self, capsys, text, part):
+        code, out, err = run(capsys, "expand", "--m", "2", "--nu", text)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: partition {text!r} has a part that is not an integer: {part!r}\n"
 
     def test_empty_nu_rejected_for_constituents(self, capsys):
         code, _, err = run(capsys, "min-constituents", "--m", "2", "--nu", "")

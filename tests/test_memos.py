@@ -57,7 +57,6 @@ def test_clear_caches_empties_every_memo():
     assert {memo.__name__ for memo in lru_memos} == {
         "_power_sum_coefficients",
         "_closed_families",
-        "_sorted_families",
     }
     assert all(memo.cache_info().currsize for memo in lru_memos)
     clear_caches()
@@ -73,8 +72,8 @@ def test_readme_memory_list_names_the_memos_clear_caches_empties():
     listed = re.findall(r"^- `(\w+\.\w+)`", intro, re.M)
     source = inspect.getsource(clear_caches)
     emptied = re.findall(r"^\s+(\w+\.\w+)\.(?:cache_)?clear\(\)$", source, re.M)
-    assert sorted(listed) == sorted(emptied) and len(emptied) == 5
-    assert "in five memos:" in intro
+    assert sorted(listed) == sorted(emptied) and len(emptied) == 4
+    assert "in four memos:" in intro
 
 
 def test_oracle_answers_do_not_depend_on_call_order_or_memo_state():

@@ -978,6 +978,32 @@ class TestMultiplicity:
                 with pytest.raises(ValueError, match=f"guard must be nonnegative, got {guard}"):
                     call(guard)
 
+    @pytest.mark.parametrize(
+        "call, faults",
+        [
+            (lambda a: plethysm_expansion(P("2,1"), a["m"], a["flavor"], guard=a["guard"]), 3),
+            (lambda a: multiplicity(P("2,1"), a["m"], a["lam"], a["flavor"], guard=a["guard"]), 4),
+        ],
+        ids=["plethysm_expansion", "multiplicity"],
+    )
+    def test_argument_faults_are_reported_in_order(self, call, faults):
+        # Every fault at once, then mended one at a time: each call reports the
+        # first fault left, in this order.
+        order = [
+            ("flavor", "bogus", "row", "'bogus' is not a valid PlethysmFlavor"),
+            ("guard", -1, 16, "guard must be nonnegative, got -1"),
+            ("m", 0, 2, "inner degree m must be at least 1"),
+            ("lam", P("5,2"), P("4,2"), "label must have weight 6, got 7"),
+        ][:faults]
+        args = {key: bad for key, bad, _, _ in order}
+        args.setdefault("lam", P("4,2"))
+        for key, _, good, message in order:
+            with pytest.raises(ValueError) as info:
+                call(args)
+            assert str(info.value) == message
+            args[key] = good
+        assert call(args)
+
     def test_warns_past_guard_and_caps_at_limit(self):
         with pytest.warns(RuntimeWarning):
             assert multiplicity(Partition([6]), 3, Partition([18])) == 1

@@ -60,6 +60,15 @@ class TestConstruction:
         assert P("") == Partition()
         assert P(" 3 , 1 ") == Partition((3, 1))
 
+    @pytest.mark.parametrize(
+        "text, part", [("2,,1", ""), ("a", "a"), ("2.5", "2.5"), ("1e3", "1e3"), (" 3, x ", " x")]
+    )
+    def test_parse_names_the_part_that_is_not_an_integer(self, text, part):
+        with pytest.raises(ValueError) as info:
+            P(text)
+        want = f"partition {text.strip()!r} has a part that is not an integer: {part!r}"
+        assert str(info.value) == want
+
     def test_lex_order_is_tuple_order(self):
         assert P("3,3,2") < P("4,2,1,1")
         assert not P("4,3,1") < P("4,3,1")
