@@ -21,10 +21,10 @@ from bisect import insort
 from collections import Counter
 from enum import Enum
 from functools import lru_cache, reduce
-from operator import add, attrgetter, ge
+from operator import attrgetter, ge
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .partitions import Partition, _add_vectors, _extremal_parts
+from .partitions import Partition, _add_vectors, _packed_maxima, _packer
 
 __all__ = [
     "BlockKind",
@@ -181,6 +181,15 @@ class FamilyTuple:
         self.m = m
         self.kind = kind
         self.families = fams
+
+    @classmethod
+    def _trusted(cls, m: int, kind: BlockKind, families: tuple[Family, ...]) -> "FamilyTuple":
+        """A tuple of one or more families, all of block size m and this kind."""
+        t = object.__new__(cls)
+        t.m = m
+        t.kind = kind
+        t.families = families
+        return t
 
     @property
     def shapes(self) -> tuple[int, ...]:
@@ -410,10 +419,9 @@ def enumerate_minimal_tuple_types(
 # The fold of every shape prefix met so far, as a trie per (m, kind): the
 # node of shapes[:k] maps a next shape nj to (the prefixes kept after
 # shapes[:k] + (nj,), the node of that prefix).  Kept prefixes are held as
-# {count vector: least witness}, in the order of the witnesses, the vectors
-# of one node padded with zeros to one length.  A witness is () for no
-# component, else the pair (witness of the prefix, last family), so a
-# prefix of k components costs one pair, not k references.
+# {count vector: least witness}, in the order of the witnesses, each vector
+# without trailing zeros (the conjugate of its type), each witness the tuple
+# of its families.
 _PREFIX_FOLDS: dict[tuple[int, BlockKind], dict] = {}
 
 
@@ -438,50 +446,47 @@ def _fold_step(
 ) -> dict[tuple[int, ...], tuple]:
     """The dominance-maximal vectors of kept prefixes extended by one family.
 
-    ``fams`` is sorted by blocks.  A pair (prefix r, family i) is coded
-    r*F + i, which orders the pairs as their witnesses, and each vector
+    ``fams`` is sorted by blocks.  Prefix sums add, so each kept vector and
+    each family vector is packed once (see :func:`_packer`), and every
+    candidate is one integer addition.  A pair (prefix r, family i) is coded
+    r*F + i, which orders the pairs as their witnesses, and each candidate
     keeps the least code that reaches it: the least witness of a type
     extends the least prefix of its own prefix vector.
     """
-    vectors = list(map(_vector, reversed(fams)))
-    width = max(len(next(iter(kept))), max(map(len, vectors)))
-    sums = [c + (0,) * (width - len(c)) for c in kept]
-    padded = [v + (0,) * (width - len(v)) for v in vectors]
+    prefixes = list(kept)
+    vectors = list(map(_vector, fams))
+    width = max(map(len, itertools.chain(prefixes, vectors)))
+    pack, guards, total_mask = _packer(width, sum(prefixes[0]) + sum(vectors[0]))
+    fam_keys = list(map(pack, reversed(vectors)))
     F = len(fams)
-    best: dict[tuple[int, ...], int] = {}
-    # The last code written for a vector stays, so codes go downward.
-    for r in reversed(range(len(sums))):
-        keys = map(tuple, map(map, itertools.repeat(add), itertools.repeat(sums[r]), padded))
-        best.update(zip(keys, range(r * F + F - 1, r * F - 1, -1)))
-    prefixes = list(kept.values())
+    best: dict[int, int] = {}
+    # The last code written for a candidate stays, so codes go downward.
+    for r in reversed(range(len(prefixes))):
+        candidates = map(pack(prefixes[r]).__add__, fam_keys)
+        best.update(zip(candidates, range(r * F + F - 1, r * F - 1, -1)))
+    witnesses = list(kept.values())
     out = {}
-    for counts in sorted(_extremal_parts(best, minimal=False), key=best.__getitem__):
-        r, i = divmod(best[counts], F)
-        out[counts] = (prefixes[r], fams[i])
+    for code in sorted(map(best.__getitem__, _packed_maxima(best, guards, total_mask))):
+        r, i = divmod(code, F)
+        out[_add_vectors(prefixes[r], vectors[i])] = witnesses[r] + (fams[i],)
     return out
-
-
-def _witness_tuple(witness: tuple) -> FamilyTuple:
-    """The family tuple of a witness held as nested (prefix, last family) pairs."""
-    fams = []
-    while witness:
-        witness, fam = witness
-        fams.append(fam)
-    return FamilyTuple(fams[::-1])
 
 
 def _minimal_types(
     m: int, shapes: tuple[int, ...], kind: BlockKind, types: bool = True
 ) -> dict[Partition, FamilyTuple]:
     """Minimal types of tuples of these shapes (or, ``types`` false, their
-    conjugates: the fold's count vectors, zero padding cut off), each with
-    its least witness, keys in descending lexicographic order."""
+    conjugates: the fold's count vectors), each with its least witness, keys
+    in descending lexicographic order."""
+    # The fold's vectors are weakly decreasing, of weight m * sum(shapes),
+    # and its families share m and kind.
+    weight = m * sum(shapes)
     found = []
-    for counts, witness in _fold(m, shapes, kind).items():
-        label = Partition(counts[: len(counts) - counts.count(0)])
-        found.append((label.conjugate() if types else label, witness))
+    for counts, fams in _fold(m, shapes, kind).items():
+        label = Partition._trusted(counts, weight)
+        found.append((label.conjugate() if types else label, fams))
     found.sort(key=lambda item: item[0].parts, reverse=True)
-    return {label: _witness_tuple(witness) for label, witness in found}
+    return {label: FamilyTuple._trusted(m, kind, fams) for label, fams in found}
 
 
 def is_minimal_tuple(t: FamilyTuple) -> bool:
@@ -495,10 +500,7 @@ def is_minimal_tuple(t: FamilyTuple) -> bool:
     if ty is None:
         raise ValueError("tuple has no defined type")
     shapes = tuple(sorted((nj for nj in t.shapes if nj), reverse=True))
-    # The fold keeps count vectors padded to one width; a longer one is no key.
-    counts = ty.conjugate().parts
-    kept = _fold(t.m, shapes, t.kind)
-    return counts + (0,) * (len(next(iter(kept))) - len(counts)) in kept
+    return ty.conjugate().parts in _fold(t.m, shapes, t.kind)
 
 
 def colex_initial_segment(m: int, n: int, kind: BlockKind | str) -> Family:

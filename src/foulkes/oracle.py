@@ -552,21 +552,25 @@ def plethysm_expansion(
     Refuses degrees above ``guard``.  Every coefficient is checked to be a
     nonnegative integer and the full expansion must pass the dimension
     identity; failures raise :class:`InternalConsistencyError`.  A negative
-    guard raises ``ValueError``.
+    guard raises ``ValueError``.  At m = 1 both flavors are s_nu itself,
+    returned without the strip walk.
     """
     flavor, degree = _degree(nu, m, flavor, guard)
     if degree > guard:
         raise GuardExceededError(
             f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
         )
-    scale = factorial(nu.weight)
-    terms = sorted((rho[::-1], w) for rho, w in _power_sum_coefficients(nu.parts))
     coeffs: dict[Partition, int] = {}
-    # Labels missing from the vector, or at 0 in it, have coefficient 0.
-    for mask, total in _schur_vector(terms, m, flavor is PlethysmFlavor.COLUMN).items():
-        if total:
-            lam = Partition(_unbeads(mask))
-            coeffs[lam] = _quotient(total, scale, lam)
+    if m == 1:  # s_nu o s_(1) = s_nu o s_(1^1) = s_nu
+        coeffs[nu] = 1
+    else:
+        scale = factorial(nu.weight)
+        terms = sorted((rho[::-1], w) for rho, w in _power_sum_coefficients(nu.parts))
+        # Labels missing from the vector, or at 0 in it, have coefficient 0.
+        for mask, total in _schur_vector(terms, m, flavor is PlethysmFlavor.COLUMN).items():
+            if total:
+                lam = Partition(_unbeads(mask))
+                coeffs[lam] = _quotient(total, scale, lam)
     expansion = SchurExpansion(degree, coeffs)
     _check_dimension(expansion, nu, m)
     return expansion

@@ -9,14 +9,14 @@ doubled partition with prescribed diagonal hook lengths.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from enum import Enum
 from functools import reduce, total_ordering
 from itertools import accumulate, repeat
 from math import factorial
-from operator import add, ge
+from operator import add, and_, ge, indexOf, mul, sub
 from operator import index as _as_int
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InternalConsistencyError
 
@@ -61,6 +61,15 @@ class Partition:
         self.weight = sum(ps)
         self._conj: Partition | None = None
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...], weight: int) -> "Partition":
+        """A partition of parts already positive and weakly decreasing, summing to weight."""
+        lam = object.__new__(cls)
+        lam.parts = parts
+        lam.weight = weight
+        lam._conj = None
+        return lam
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
 
@@ -103,9 +112,7 @@ class Partition:
             for length in range(len(ps), 0, -1):
                 cols += [length] * (ps[length - 1] - done)
                 done = ps[length - 1]
-            conj = object.__new__(Partition)  # the conjugate of a partition is one
-            conj.parts = tuple(cols)
-            conj.weight = self.weight
+            conj = Partition._trusted(tuple(cols), self.weight)
             conj._conj = self
             self._conj = conj
         return self._conj
@@ -172,40 +179,85 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     )
 
 
+def _packer(width: int, weight: int) -> tuple[Callable[[tuple[int, ...]], int], int, int]:
+    """Pack vectors of at most ``width`` entries and weight at most ``weight``.
+
+    Returns ``(pack, guards, total_mask)``.  ``pack(v)`` is one int holding
+    the ``width`` prefix sums of ``v`` (zero padded) in fields of
+    ``weight.bit_length() + 1`` bits, the first sum most significant, above
+    a lowest field holding their sum.  Every value is below its field's top
+    bit, the guard bit (``guards`` holds them all), so packing is linear: a
+    sum of packed vectors whose weights add to at most ``weight`` is the
+    packed sum of the vectors.  Int order is lexicographic order on equally
+    long prefix sums, which for vectors of one weight is lexicographic order
+    on the vectors.
+    """
+    bits = weight.bit_length() + 1
+    low = (width * weight).bit_length() + 1
+    shifts = range(low + bits * (width - 1), low - 1, -bits)
+    guards = sum(1 << (shift + bits - 1) for shift in shifts) | 1 << (low - 1)
+    # Entry j adds to prefix sums j, ..., width - 1, and once to the sum of
+    # each, so it is worth units[j] = sum over those fields of (1 << shift) + 1.
+    units = list(accumulate((1 << shift) + 1 for shift in reversed(shifts)))[::-1]
+
+    def pack(v: tuple[int, ...]) -> int:
+        return sum(map(mul, v, units))
+
+    return pack, guards, (1 << low) - 1
+
+
+def _packed_maxima(keys: Iterable[int], guards: int, total_mask: int) -> list[int]:
+    """The members of a set of packed vectors (see :func:`_packer`) that no
+    other member weakly exceeds in every field, in descending order.
+
+    For prefix sums this is dominance.  Int order extends it, so after one
+    descending sort every member that would exceed a candidate comes before
+    it, and then some member already kept exceeds it too: each member is
+    compared with the kept ones only, and, as a member that exceeds another
+    has the larger sum of prefix sums (the lowest field), only with kept
+    members of a larger sum.  Neighbours in int order are alike, so the
+    kept member that exceeded the last candidate beaten is tried first.
+    """
+    kept: list[int] = []
+    totals: list[int] = []  # ascending
+    raised: list[int] = []  # kept members with every guard bit set, in the order of totals
+    last = None  # the member of raised that exceeded the last candidate beaten
+    for p in sorted(keys, reverse=True):
+        # q >= p in every field exactly when (q | guards) - p keeps every
+        # guard bit; no field borrows, each value being below its guard bit.
+        if last is not None and (last - p) & guards == guards:
+            continue
+        total = p & total_mask
+        at = bisect_right(totals, total)
+        above = raised[at:]
+        try:
+            last = above[indexOf(map(and_, map(sub, above, repeat(p)), repeat(guards)), guards)]
+        except ValueError:  # nothing kept exceeds p
+            kept.append(p)
+            totals.insert(at, total)
+            raised.insert(at, p | guards)
+    return kept
+
+
 def _extremal_parts(parts: Iterable[tuple[int, ...]], minimal: bool) -> list[tuple[int, ...]]:
     """The dominance-minimal (or maximal) members of a set of part tuples.
 
-    The tuples must be partitions of one weight.  Lexicographic order
-    extends dominance, so after one sort every member that would beat a
-    candidate comes before it, and then some extremal member already kept
-    beats it too: each member is compared with the kept ones only.  With
-    prefix sums padded to a common length (a partition's sums reach its
-    weight and stay there), weak dominance is ``>=`` entry by entry, and a
-    strictly dominating member has the larger sum of sums, so only kept
-    members on the right side of that total are compared.
+    The tuples must be partitions of one weight.  Weak dominance is ``>=``
+    between prefix sums padded to a common length (a partition's sums reach
+    its weight and stay there), so the maxima are those of the packed
+    prefix sums, and the minima those of their complements, each field
+    ``weight - sum``.  Listed in descending (minima: ascending)
+    lexicographic order.
     """
-    items = sorted(set(parts), reverse=not minimal)
+    items = set(parts)
     width = max(map(len, items), default=0)
-    kept: list[tuple[int, ...]] = []
-    totals: list[int] = []  # ascending
-    kept_sums: list[tuple[int, ...]] = []  # in the order of totals
-    for p in items:
-        sums = tuple(accumulate(p + (0,) * (width - len(p))))
-        total = sum(sums)
-        # any(all(map(ge, sums, q)) for q in the kept sums of smaller total),
-        # or the mirror image, without a Python frame per pair.
-        if minimal:
-            below = kept_sums[: bisect_left(totals, total)]
-            pairs = map(map, repeat(ge), repeat(sums), below)
-        else:
-            above = kept_sums[bisect_right(totals, total) :]
-            pairs = map(map, repeat(ge), above, repeat(sums))
-        if not any(map(all, pairs)):
-            kept.append(p)
-            at = bisect_right(totals, total)
-            totals.insert(at, total)
-            kept_sums.insert(at, sums)
-    return kept
+    weight = sum(next(iter(items), ()))
+    pack, guards, total_mask = _packer(width, weight)
+    by_key = {pack(p): p for p in items}
+    if minimal:
+        full = pack((weight,))  # every prefix sum at the weight
+        by_key = {full - key: p for key, p in by_key.items()}
+    return [by_key[key] for key in _packed_maxima(by_key, guards, total_mask)]
 
 
 def _dominance_extremal(partitions: Iterable[Partition], minimal: bool) -> set[Partition]:

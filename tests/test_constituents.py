@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import itertools
+import json
 import pickle
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from foulkes.families import (
     FamilyTuple,
     down_set_family,
     enumerate_minimal_tuple_types,
+    tuple_to_json,
     tuple_type,
 )
 from foulkes.oracle import multiplicity, plethysm_expansion
@@ -39,7 +42,7 @@ from foulkes.partitions import (
     parse_partition,
     partitions_of,
 )
-from foulkes.special import AgaokaData, RectangularCertificate
+from foulkes.special import AgaokaData, RectangularCertificate, theta_decomposition
 
 P = parse_partition
 
@@ -224,6 +227,18 @@ class TestMinimalPhi:
     def test_label_count_at_former_cliff(self):
         assert len(minimal_constituents_phi(3, Partition((10, 10, 10))).labels) == 209
 
+    @pytest.mark.parametrize(
+        "n, count, digest", [(14, 430, "82f1d3402d9f37e4"), (16, 915, "4d51224b68f57fc6")]
+    )
+    def test_two_component_fold_is_pinned(self, n, count, digest):
+        # Every label and witness of min-phi at m = 3, nu = (n, n): two set
+        # components of n blocks each, the second folded onto the first.
+        rep = minimal_constituents_phi(3, Partition((n, n)))
+        data = [[list(lab.parts), tuple_to_json(rep.witnesses[lab])] for lab in rep.labels]
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        assert len(rep.labels) == count
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
 
 class TestMaximalPhi:
     def test_golden_example(self):
@@ -264,6 +279,37 @@ class TestMinimalPsi:
             rep = maximal_constituents_psi(m, nu)
             for lab in rep.labels:
                 assert tuple_type(rep.witnesses[lab]).conjugate() == lab
+
+
+class TestClosedFormsAtLargeDegree:
+    """The rules against classical decompositions, folds of weight up to 200."""
+
+    def test_thrall_two_fold_row_plethysm(self):
+        # Thrall, Amer. J. Math. 64 (1942): s_(2) o s_(m) is the sum of
+        # s_(2m-k, k) over even k <= m, a chain in dominance.
+        for m in range(1, 101):
+            k = m - m % 2
+            least = Partition(p for p in (2 * m - k, k) if p)
+            assert minimal_constituents_phi(m, P("2")).labels == (least,), m
+            assert maximal_constituents_phi(m, P("2")).labels == (Partition((2 * m,)),), m
+
+    def test_one_row_at_m_2(self):
+        # s_(n) o s_(2) is the sum of s_lam over the lam of 2n with even parts
+        # (Littlewood; Macdonald, ch. I.8, Ex. 6), least (2^n), greatest (2n).
+        for n in range(1, 41):
+            assert minimal_constituents_phi(2, Partition((n,))).labels == (Partition((2,) * n),)
+            assert maximal_constituents_phi(2, Partition((n,))).labels == (Partition((2 * n,)),)
+
+    def test_one_column_at_m_2(self):
+        # Littlewood (Macdonald, ch. I.8, Ex. 6): s_(1^n) o s_(2) is the sum of
+        # s_lam over lam = (a_1+1, ..., a_r+1 | a_1, ..., a_r) in Frobenius
+        # notation, a_1 > ... > a_r >= 0 summing to n - r: an antichain, so
+        # every label is both minimal and maximal.
+        for n in range(1, 25):
+            support = theta_decomposition(n).support()
+            nu = Partition((1,) * n)
+            assert minimal_constituents_phi(2, nu).labels == tuple(support), n
+            assert maximal_constituents_phi(2, nu).labels == tuple(support), n
 
 
 class TestSignTwistConsistency:

@@ -579,6 +579,18 @@ class TestForwardAssembly:
                 hooks = {oracle._beads((n - k,) + (1,) * k): (-1) ** k for k in range(n)}
                 assert times_p_r({0: 1}, n) == hooks, (name, n)
 
+    def test_strip_walk_at_m_1_gives_s_nu(self):
+        # plethysm_expansion answers m = 1 without the walk, so the walk's own
+        # m = 1 case, strips of single border strips, is checked here: the
+        # class sum of s_nu o s_(1) is |nu|! s_nu in both flavors.
+        for n in range(9):
+            for nu in partitions_of(n):
+                terms = sorted((rho[::-1], w) for rho, w in oracle._power_sum_coefficients(nu.parts))
+                for column in (False, True):
+                    vec = oracle._schur_vector(terms, 1, column)
+                    got = {mask: c for mask, c in vec.items() if c}
+                    assert got == {oracle._beads(nu.parts): factorial(n)}, (str(nu), column)
+
     @pytest.mark.parametrize("nu", ["2,1", "4,4"])
     def test_poisoned_power_sum_weight_is_caught(self, monkeypatch, nu):
         # One class weight off by one is caught, in either flavor.

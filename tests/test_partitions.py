@@ -190,30 +190,71 @@ class TestExtremalElements:
         for _ in range(400):
             pool = pools[rng.randrange(13)]
             size = rng.choice([0, 1, 2, rng.randrange(len(pool) + 1), 2 * len(pool)])
-            sample = [rng.choice(pool) for _ in range(size)]  # with duplicates
-            distinct = set(sample)
-            minimal = {
-                p
-                for p in distinct
-                if not any(
-                    dominance_compare(p, q) is DominanceRelation.STRICTLY_ABOVE
-                    for q in distinct
-                )
-            }
-            maximal = {
-                p
-                for p in distinct
-                if not any(
-                    dominance_compare(p, q) is DominanceRelation.STRICTLY_BELOW
-                    for q in distinct
-                )
-            }
-            assert dominance_minimal_elements(sample) == minimal, sample
-            assert dominance_maximal_elements(iter(sample)) == maximal, sample
-            # The tuple-level core behind both filters, as the fold calls it.
-            for extremal, want in ((True, minimal), (False, maximal)):
-                got = _extremal_parts((p.parts for p in sample), extremal)
-                assert sorted(got) == sorted(p.parts for p in want), sample
+            _check_extremes([rng.choice(pool) for _ in range(size)])  # with duplicates
+
+    @pytest.mark.parametrize("weight", [63, 64, 127, 128, 255, 256])
+    def test_random_sets_at_field_width_edges(self, weight):
+        # The filters pack prefix sums into fields of weight.bit_length() + 1
+        # bits, so a weight of 2^k - 1 or 2^k sits at a field width's edge.
+        # Sets of short and of long partitions: a random partition and its
+        # neighbours a few box moves away, some above it, some below it and
+        # some incomparable, duplicates included.
+        rng = random.Random(weight)
+        for longest in (4, weight):
+            for _ in range(4):
+                base = _random_partition(rng, weight, rng.randint(1, longest))
+                sample = [base, base]
+                for _ in range(24):
+                    lam = base
+                    for _ in range(rng.randint(1, 3)):
+                        lam = _move_box(rng, lam)
+                    sample += [lam] * rng.randint(1, 2)
+                _check_extremes(sample)
+
+    def test_empty_single_and_weight_zero_sets(self):
+        for sample in ([], [P("255,1")], [Partition()], [Partition(), Partition()]):
+            _check_extremes(sample)
+        assert _extremal_parts([()], True) == _extremal_parts([()], False) == [()]
+        assert _extremal_parts([], True) == _extremal_parts([], False) == []
+
+
+def _random_partition(rng, n: int, length: int) -> Partition:
+    """A random partition of n with at most ``length`` parts."""
+    cuts = sorted(rng.sample(range(1, n), min(length, n) - 1))
+    return Partition(sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True))
+
+
+def _move_box(rng, lam: Partition) -> Partition:
+    """lam with one box moved to another row (or a new one): a lower row
+    gives a partition that lam dominates, a higher row one that dominates lam."""
+    parts = list(lam.parts) + [0]
+    i, j = rng.sample(range(len(parts)), 2)
+    if not parts[i]:
+        i, j = j, i
+    parts[i] -= 1
+    parts[j] += 1
+    return Partition(sorted((p for p in parts if p), reverse=True))
+
+
+def _check_extremes(sample: list[Partition]) -> None:
+    """Both filters, and their tuple-level core, against the pairwise definition."""
+    distinct = set(sample)
+    minimal = {
+        p
+        for p in distinct
+        if not any(dominance_compare(p, q) is DominanceRelation.STRICTLY_ABOVE for q in distinct)
+    }
+    maximal = {
+        p
+        for p in distinct
+        if not any(dominance_compare(p, q) is DominanceRelation.STRICTLY_BELOW for q in distinct)
+    }
+    assert dominance_minimal_elements(sample) == minimal, sample
+    assert dominance_maximal_elements(iter(sample)) == maximal, sample
+    # The core lists the minima in ascending, the maxima in descending order.
+    for extremal, want in ((True, minimal), (False, maximal)):
+        got = _extremal_parts((p.parts for p in sample), extremal)
+        assert got == sorted((p.parts for p in want), reverse=not extremal), sample
 
 
 class TestConjugateJoin:
