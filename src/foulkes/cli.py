@@ -31,6 +31,7 @@ from .families import (
     FamilyTuple,
     enumerate_closed_families,
     family_type,
+    is_minimal_tuple,
     tuple_from_json,
     tuple_to_json,
 )
@@ -39,7 +40,7 @@ from .oracle import (
     PlethysmFlavor,
     plethysm_expansion,
 )
-from .partitions import dominance_minimal_elements, parse_partition, partitions_of
+from .partitions import parse_partition, partitions_of
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -218,12 +219,10 @@ def _cmd_theta(args) -> int:
 
 def _cmd_families(args) -> int:
     kind = BlockKind(args.kind)
-    fams = list(enumerate_closed_families(args.m, args.n, kind))
-    # A closed family always has a type, and a one-component tuple is minimal
-    # exactly when its type is dominance-minimal among all closed families of
-    # its shape, which this listing holds.
-    types = list(map(family_type, fams))
-    minimal = dominance_minimal_elements(types)
+    rows = [
+        (fam, family_type(fam), is_minimal_tuple(FamilyTuple([fam])))
+        for fam in enumerate_closed_families(args.m, args.n, kind)
+    ]
     payload = {
         "m": args.m,
         "n": args.n,
@@ -232,14 +231,14 @@ def _cmd_families(args) -> int:
             {
                 "blocks": [list(b) for b in fam.blocks],
                 "type": list(ty.parts),
-                "minimal": ty in minimal,
+                "minimal": is_min,
             }
-            for fam, ty in zip(fams, types)
+            for fam, ty, is_min in rows
         ],
     }
-    lines = [f"closed families of shape ({args.m}^{args.n}) kind={kind.value}: {len(fams)}"]
-    for fam, ty in zip(fams, types):
-        mark = "  [minimal]" if ty in minimal else ""
+    lines = [f"closed families of shape ({args.m}^{args.n}) kind={kind.value}: {len(rows)}"]
+    for fam, ty, is_min in rows:
+        mark = "  [minimal]" if is_min else ""
         lines.append(f"  {_render_family(fam)}  type={ty}{mark}")
     return _emit(args, "families", payload, lines)
 

@@ -4,8 +4,8 @@ phi^(m^n)_nu is the twisted Foulkes character (plethysm s_nu o s_(m)); psi is
 its sign-twisted companion (s_nu o s_(1^m)).  Minimal constituents of phi are
 the dominance-minimal types of set family tuples, maximal constituents are the
 conjugates of minimal multiset-tuple types, and psi swaps the two block kinds.
-The table ``_RULES`` holds the four cases; all even/odd-m bookkeeping
-(kappa = nu or nu') is centralized here.
+The table ``_RULES`` holds the four cases; the parity of m enters only
+through :func:`foulkes.partitions.kappa_partition` (kappa = nu or nu').
 """
 
 from __future__ import annotations
@@ -21,7 +21,12 @@ from .families import (
     tuple_type,
 )
 from .oracle import DEFAULT_GUARD, PlethysmFlavor, plethysm_expansion
-from .partitions import Partition, dominance_maximal_elements, dominance_minimal_elements
+from .partitions import (
+    Partition,
+    dominance_maximal_elements,
+    dominance_minimal_elements,
+    kappa_partition,
+)
 
 __all__ = [
     "CharacterFlavor",
@@ -90,11 +95,6 @@ class ConstituentReport(NamedTuple):
             f"ConstituentReport(spec={self.spec!r}, extremum={self.extremum!r}, "
             f"labels={self.labels!r})"
         )
-
-
-def kappa_partition(m: int, nu: Partition) -> Partition:
-    """nu when m is even, its conjugate when m is odd."""
-    return nu if m % 2 == 0 else nu.conjugate()
 
 
 class _Rule(NamedTuple):
@@ -187,14 +187,12 @@ def certificate_from_closed_tuple(spec: CharacterSpec, t: FamilyTuple) -> Partit
     """Label guaranteed to appear with multiplicity >= 1 in the character.
 
     Any closed tuple of the right component shapes certifies a constituent:
-    the rule of the character whose block kind is the tuple's gives the
-    shapes and whether the label is the type or its conjugate.  The label
-    need not be extremal.  Set tuples are not accepted for psi.
+    the rule of ``_RULES`` for the character and the tuple's block kind gives
+    the shapes and whether the label is the type or its conjugate.  The label
+    need not be extremal.
     """
     if t.m != spec.m:
         raise ValueError(f"tuple block size {t.m} does not match m={spec.m}")
-    if spec.flavor is CharacterFlavor.PSI and t.kind is BlockKind.SET:
-        raise ValueError("no certificate rule for psi with set families")
     rule = next(r for (f, _), r in _RULES.items() if f is spec.flavor and r.kind is t.kind)
     expected = _shapes(rule, spec.m, spec.nu)
     if sorted(t.shapes) != sorted(expected):

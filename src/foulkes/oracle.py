@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from .errors import GuardExceededError, InternalConsistencyError
-from .partitions import Partition, dimension, partitions_of
+from .partitions import Partition, dimension, kappa_partition, partitions_of
 
 __all__ = [
     "DEFAULT_GUARD",
@@ -643,6 +643,5 @@ def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:
     ``m`` is odd and s_nu o s_(1^m) when ``m`` is even.
     """
     row = plethysm_expansion(nu, m, PlethysmFlavor.ROW, guard=guard)
-    partner = nu.conjugate() if m % 2 == 1 else nu
-    col = plethysm_expansion(partner, m, PlethysmFlavor.COLUMN, guard=guard)
+    col = plethysm_expansion(kappa_partition(m, nu), m, PlethysmFlavor.COLUMN, guard=guard)
     return row.conjugated() == col

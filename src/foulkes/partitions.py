@@ -1,10 +1,11 @@
 """Exact integer-partition arithmetic.
 
 Partitions are weakly decreasing tuples of positive integers.  This module
-provides conjugation, the dominance order, enumeration in descending
-lexicographic order, diagonal-hook diagnostics and the two constructions the
-constituent formulas need: the conjugate-join (column lengths add) and the
-doubled partition with prescribed diagonal hook lengths.
+provides conjugation, the dominance order, kappa (nu or nu' by the parity of
+m), enumeration in descending lexicographic order, diagonal-hook diagnostics
+and the two constructions the constituent formulas need: the conjugate-join
+(column lengths add) and the doubled partition with prescribed diagonal hook
+lengths.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "parse_partition",
     "dominance_compare",
     "dominates",
+    "kappa_partition",
     "dominance_minimal_elements",
     "dominance_maximal_elements",
     "conjugate_join",
@@ -179,6 +181,12 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     )
 
 
+def kappa_partition(m: int, nu: Partition) -> Partition:
+    """nu when m is even, its conjugate when m is odd: the one place the
+    parity of m is read."""
+    return nu if m % 2 == 0 else nu.conjugate()
+
+
 def _packer(width: int, weight: int) -> tuple[Callable[[tuple[int, ...]], int], int, int]:
     """Pack vectors of at most ``width`` entries and weight at most ``weight``.
 
@@ -239,34 +247,25 @@ def _packed_maxima(keys: Iterable[int], guards: int, total_mask: int) -> list[in
     return kept
 
 
-def _extremal_parts(parts: Iterable[tuple[int, ...]], minimal: bool) -> list[tuple[int, ...]]:
-    """The dominance-minimal (or maximal) members of a set of part tuples.
-
-    The tuples must be partitions of one weight.  Weak dominance is ``>=``
-    between prefix sums padded to a common length (a partition's sums reach
-    its weight and stay there), so the maxima are those of the packed
-    prefix sums, and the minima those of their complements, each field
-    ``weight - sum``.  Listed in descending (minima: ascending)
-    lexicographic order.
-    """
-    items = set(parts)
-    width = max(map(len, items), default=0)
-    weight = sum(next(iter(items), ()))
-    pack, guards, total_mask = _packer(width, weight)
-    by_key = {pack(p): p for p in items}
-    if minimal:
-        full = pack((weight,))  # every prefix sum at the weight
-        by_key = {full - key: p for key, p in by_key.items()}
-    return [by_key[key] for key in _packed_maxima(by_key, guards, total_mask)]
-
-
 def _dominance_extremal(partitions: Iterable[Partition], minimal: bool) -> set[Partition]:
-    """The dominance-minimal (or maximal) members of a set of partitions."""
+    """The dominance-minimal (or maximal) members of a set of partitions.
+
+    Weak dominance is ``>=`` between prefix sums padded to a common length
+    (a partition's sums reach its weight and stay there), so the maxima are
+    those of the packed prefix sums, and the minima those of their
+    complements, each field ``weight - sum``.
+    """
     by_parts = {p.parts: p for p in partitions}
     weights = {p.weight for p in by_parts.values()}
     if len(weights) > 1:
         raise ValueError(f"mixed weights in partition set: {sorted(weights)}")
-    return {by_parts[parts] for parts in _extremal_parts(by_parts, minimal)}
+    weight = next(iter(weights), 0)
+    pack, guards, total_mask = _packer(max(map(len, by_parts), default=0), weight)
+    by_key = {pack(parts): p for parts, p in by_parts.items()}
+    if minimal:
+        full = pack((weight,))  # every prefix sum at the weight
+        by_key = {full - key: p for key, p in by_key.items()}
+    return set(map(by_key.__getitem__, _packed_maxima(by_key, guards, total_mask)))
 
 
 def dominance_minimal_elements(partitions: Iterable[Partition]) -> set[Partition]:

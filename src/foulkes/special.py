@@ -34,6 +34,7 @@ from .partitions import (
     conjugate_join,
     distinct_part_partitions_of,
     double_from_distinct,
+    kappa_partition,
 )
 
 __all__ = [
@@ -169,28 +170,18 @@ def lex_greatest_constituent(
 def unique_minimal_classification(m: int, nu: Partition) -> Partition | None:
     """The unique minimal constituent label of phi^(m^n)_nu, when there is one.
 
-    For m >= 2 uniqueness holds exactly when the relevant kappa has at most
-    two columns: nu = (n) or (n-r, r) for even m, nu = (1^n) or
-    (2^r, 1^(n-2r)) for odd m.  For m = 1 the character is irreducible.
+    For m >= 2 there is one exactly when kappa (nu for even m, nu' for odd
+    m) has at most two rows, (n-r, r) with r >= 0, and it is
+    ((m+1)^r, m^(n-2r), (m-1)^r).  For m = 1 the character is irreducible.
     """
     CharacterSpec(m, nu)  # refuses m < 1 and an empty nu
     if m == 1:
         return nu
-    n = nu.weight
-    parts = nu.parts
-    if m % 2 == 0:
-        if len(parts) == 1:
-            return Partition([m] * n)
-        if len(parts) == 2:
-            r = parts[1]
-            return Partition([m + 1] * r + [m] * (n - 2 * r) + [m - 1] * r)
+    kappa = kappa_partition(m, nu)
+    if len(kappa) > 2:
         return None
-    if parts[0] == 1:
-        return Partition([m] * n)
-    if parts[0] == 2:
-        r = sum(1 for p in parts if p == 2)
-        return Partition([m + 1] * r + [m] * (n - 2 * r) + [m - 1] * r)
-    return None
+    r = kappa.part(2)
+    return Partition([m + 1] * r + [m] * (nu.weight - 2 * r) + [m - 1] * r)
 
 
 def unique_maximal_classification(m: int, nu: Partition) -> Partition | None:
@@ -202,13 +193,10 @@ def unique_maximal_classification(m: int, nu: Partition) -> Partition | None:
     CharacterSpec(m, nu)  # refuses m < 1 and an empty nu
     if m == 1:
         return nu
-    n = nu.weight
-    if len(nu.parts) == 1:
-        return Partition([m * n])
-    if len(nu.parts) == 2:
-        r = nu.parts[1]
-        return Partition([m * n - r, r])
-    return None
+    if len(nu) > 2:
+        return None
+    r = nu.part(2)
+    return Partition([m * nu.weight - r, r][: len(nu)])
 
 
 class RectangularCertificate(NamedTuple):
@@ -238,7 +226,7 @@ def rectangular_certificate(a: int, m: int, k: int, kind: BlockKind | str) -> Re
         raise ValueError("need k >= 1")
     if kind is BlockKind.SET:
         base = comb(a, m)
-        nu = Partition([base] * k) if m % 2 == 1 else Partition([k] * base)
+        nu = kappa_partition(m, Partition([k] * base))
         b = k * comb(a - 1, m - 1)
         rectangle = Partition([a] * b)
     else:

@@ -413,6 +413,21 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert json.loads(out)["label"] == [3, 2, 1]
 
+    def test_certificate_of_psi_from_a_set_tuple(self, capsys):
+        # psi_nu is the sign twist of phi_kappa: the label is the conjugate
+        # of the tuple's type, here the self-conjugate (4,2,1,1), and the
+        # column expansion lists it.
+        code, out, _ = run(
+            capsys,
+            "certificate",
+            "--m", "2", "--nu", "2,1,1", "--character", "psi",
+            "--tuple", '{"m":2,"kind":"set","families":[[[1,2],[1,3],[1,4]],[[1,2]]]}',
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "  constituent with multiplicity >= 1: 4,2,1,1"
+        code, out, _ = run(capsys, "expand", "--m", "2", "--nu", "2,1,1", "--flavor", "column")
+        assert code == EXIT_OK and "  4,2,1,1: 1" in out.splitlines()
+
     def test_certificate_of_a_huge_element_is_not_closed(self, capsys):
         code, out, err = run(
             capsys,

@@ -28,6 +28,7 @@ from foulkes.families import (
     Family,
     FamilyTuple,
     down_set_family,
+    enumerate_closed_families,
     enumerate_minimal_tuple_types,
     tuple_to_json,
     tuple_type,
@@ -326,7 +327,7 @@ class TestSignTwistConsistency:
         for m in (1, 2, 3):
             for n in range(1, 12 // m + 1):
                 for nu in partitions_of(n):
-                    partner = nu if m % 2 == 0 else nu.conjugate()
+                    partner = kappa_partition(m, nu)
                     twisted = sign_twist_labels(
                         minimal_constituents_psi(m, partner).labels
                     )
@@ -452,17 +453,11 @@ class TestCertificates:
                 (minimal_constituents_phi, phi),
                 (maximal_constituents_phi, phi),
                 (minimal_constituents_psi, psi),
+                (maximal_constituents_psi, psi),
             ):
                 rep = engine(m, nu)
                 for lab in rep.labels:
                     assert certificate_from_closed_tuple(spec, rep.witnesses[lab]) == lab
-            # psi takes no set tuples; max-psi is the sign twist of the
-            # partner's phi, whose set-tuple certificate is the conjugate label.
-            partner = CharacterSpec(m, kappa_partition(m, nu), CharacterFlavor.PHI)
-            rep = maximal_constituents_psi(m, nu)
-            for lab in rep.labels:
-                got = certificate_from_closed_tuple(partner, rep.witnesses[lab])
-                assert got.conjugate() == lab
 
     def test_psi_multiset_certificate(self):
         rep = minimal_constituents_psi(2, P("1,1"))
@@ -497,12 +492,27 @@ class TestCertificates:
         )
         with pytest.raises(ValueError):
             certificate_from_closed_tuple(spec, not_closed)
-        psi_spec = CharacterSpec(2, P("2,1,1"), CharacterFlavor.PSI)
-        good_set_tuple = FamilyTuple(
-            [Family(2, "set", [(1, 2), (1, 3), (1, 4)]), Family(2, "set", [(1, 2)])]
-        )
-        with pytest.raises(ValueError):
-            certificate_from_closed_tuple(psi_spec, good_set_tuple)
+
+    def test_psi_set_certificates_lie_in_the_oracle_support(self):
+        # psi_nu is the sign twist of phi_kappa, whose set tuples of shapes
+        # kappa(kappa)' = nu' certify their types: so a closed set tuple of
+        # shapes nu' certifies the conjugate of its type in psi_nu.
+        tuples = 0
+        for m in (2, 3, 4):
+            for n in range(1, 18 // m + 1):
+                for nu in partitions_of(n):
+                    spec = CharacterSpec(m, nu, CharacterFlavor.PSI)
+                    support = set(plethysm_expansion(nu, m, "column", guard=18).support())
+                    components = [
+                        list(enumerate_closed_families(m, nj, BlockKind.SET))
+                        for nj in nu.conjugate().parts
+                    ]
+                    for fams in itertools.product(*components):
+                        t = FamilyTuple(fams)
+                        label = certificate_from_closed_tuple(spec, t)
+                        assert label == tuple_type(t).conjugate() and label in support, (m, nu)
+                        tuples += 1
+        assert tuples == 330
 
 
 def test_readme_rule_table_matches_the_code():

@@ -7,7 +7,6 @@ import pytest
 from foulkes.partitions import (
     DominanceRelation,
     Partition,
-    _extremal_parts,
     conjugate_join,
     diagonal_hook_lengths,
     dimension,
@@ -214,8 +213,9 @@ class TestExtremalElements:
     def test_empty_single_and_weight_zero_sets(self):
         for sample in ([], [P("255,1")], [Partition()], [Partition(), Partition()]):
             _check_extremes(sample)
-        assert _extremal_parts([()], True) == _extremal_parts([()], False) == [()]
-        assert _extremal_parts([], True) == _extremal_parts([], False) == []
+        empty = {Partition()}
+        assert dominance_minimal_elements(empty) == dominance_maximal_elements(empty) == empty
+        assert dominance_minimal_elements([]) == dominance_maximal_elements([]) == set()
 
 
 def _random_partition(rng, n: int, length: int) -> Partition:
@@ -237,7 +237,7 @@ def _move_box(rng, lam: Partition) -> Partition:
 
 
 def _check_extremes(sample: list[Partition]) -> None:
-    """Both filters, and their tuple-level core, against the pairwise definition."""
+    """Both filters against the pairwise definition."""
     distinct = set(sample)
     minimal = {
         p
@@ -251,10 +251,6 @@ def _check_extremes(sample: list[Partition]) -> None:
     }
     assert dominance_minimal_elements(sample) == minimal, sample
     assert dominance_maximal_elements(iter(sample)) == maximal, sample
-    # The core lists the minima in ascending, the maxima in descending order.
-    for extremal, want in ((True, minimal), (False, maximal)):
-        got = _extremal_parts((p.parts for p in sample), extremal)
-        assert got == sorted((p.parts for p in want), reverse=not extremal), sample
 
 
 class TestConjugateJoin:

@@ -124,8 +124,8 @@ class TestUniqueClassifications:
         assert unique_maximal_classification(2, P("2,1,1")) is None
 
     def test_against_engines(self):
-        for m in (1, 2, 3):
-            for n in range(1, 6):
+        for m in range(1, 8):
+            for n in range(1, 11):
                 for nu in partitions_of(n):
                     mins = minimal_constituents_phi(m, nu)
                     want_min = mins.labels[0] if len(mins.labels) == 1 else None
