@@ -232,21 +232,25 @@ def family_type(fam: Family) -> Partition | None:
     return tuple_type(FamilyTuple((fam,)))
 
 
-def tuple_type(t: FamilyTuple) -> Partition | None:
-    """Type of a family tuple: counts add across components.
-
-    Returns ``None`` when the count sequence is not weakly decreasing (not
-    every tuple possesses a type).
-    """
+def _tuple_counts(t: FamilyTuple) -> tuple[int, ...] | None:
+    """The tuple's counts of 1, 2, ..., the conjugate of its type, if weakly decreasing."""
     # Every value up to the largest element must occur, so that element (last
     # in colex order) is at most the element count; checked before any vector.
     top = max((f.blocks[-1][-1] for f in t.families if f.blocks), default=0)
     if top > t.m * sum(t.shapes):
         return None
     counts = reduce(_add_vectors, map(_vector, t.families), ())
-    if not all(map(ge, counts, counts[1:])):
-        return None
-    return Partition(counts).conjugate()
+    return counts if all(map(ge, counts, counts[1:])) else None
+
+
+def tuple_type(t: FamilyTuple) -> Partition | None:
+    """Type of a family tuple: counts add across components.
+
+    Returns ``None`` when the count sequence is not weakly decreasing (not
+    every tuple possesses a type).
+    """
+    counts = _tuple_counts(t)
+    return None if counts is None else Partition(counts).conjugate()
 
 
 def is_closed(fam: Family) -> bool:
@@ -496,11 +500,11 @@ def is_minimal_tuple(t: FamilyTuple) -> bool:
     exactly when the type is one of them.  Empty components contribute
     nothing.
     """
-    ty = tuple_type(t)
-    if ty is None:
+    counts = _tuple_counts(t)
+    if counts is None:
         raise ValueError("tuple has no defined type")
     shapes = tuple(sorted((nj for nj in t.shapes if nj), reverse=True))
-    return ty.conjugate().parts in _fold(t.m, shapes, t.kind)
+    return counts in _fold(t.m, shapes, t.kind)
 
 
 def colex_initial_segment(m: int, n: int, kind: BlockKind | str) -> Family:

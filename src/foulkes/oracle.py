@@ -512,13 +512,22 @@ def _ribbon_value(mask: int, node: tuple, m: int, column: bool, weight: int) -> 
 def _degree(
     nu: Partition, m: int, flavor: PlethysmFlavor | str, guard: int
 ) -> tuple[PlethysmFlavor, int]:
-    """The flavor and the degree m|nu|; a bad flavor, guard or m raises, in that order."""
+    """The flavor and the degree m|nu|, for a degree at most ``guard``.
+
+    The one guard rule of the oracle: a bad flavor, a negative guard, an m
+    below 1 or a degree above the guard raises, in that order.
+    """
     flavor = PlethysmFlavor(flavor)
     if guard < 0:
         raise ValueError(f"guard must be nonnegative, got {guard}")
     if m < 1:
         raise ValueError("inner degree m must be at least 1")
-    return flavor, m * nu.weight
+    degree = m * nu.weight
+    if degree > guard:
+        raise GuardExceededError(
+            f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
+        )
+    return flavor, degree
 
 
 def _quotient(total: int, scale: int, lam: Partition) -> int:
@@ -556,10 +565,6 @@ def plethysm_expansion(
     returned without the strip walk.
     """
     flavor, degree = _degree(nu, m, flavor, guard)
-    if degree > guard:
-        raise GuardExceededError(
-            f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
-        )
     coeffs: dict[Partition, int] = {}
     if m == 1:  # s_nu o s_(1) = s_nu o s_(1^1) = s_nu
         coeffs[nu] = 1
@@ -582,7 +587,7 @@ def multiplicity(
     lam: Partition,
     flavor: PlethysmFlavor | str = PlethysmFlavor.ROW,
     *,
-    guard: int = DEFAULT_GUARD,
+    guard: int = SINGLE_COEFFICIENT_LIMIT,
     table: CharacterTable | None = None,
 ) -> int:
     """Single Schur coefficient without expanding the whole degree.
@@ -602,26 +607,16 @@ def multiplicity(
     The total is divided exactly by |nu|!; a remainder or a negative
     quotient raises :class:`InternalConsistencyError`.
 
-    Permitted past the guard up to degree ``SINGLE_COEFFICIENT_LIMIT`` with a
-    runtime warning.  ``table``, if given, is only checked to be of this
-    degree; no character value of this degree is read.  A negative guard
-    raises ``ValueError``.
+    Refuses degrees above ``guard`` as :func:`plethysm_expansion` does; the
+    guard defaults to ``SINGLE_COEFFICIENT_LIMIT`` here, not ``DEFAULT_GUARD``.
+    ``table``, if given, is only checked to be of this degree; no character
+    value of this degree is read.  A negative guard raises ``ValueError``.
     """
     flavor, degree = _degree(nu, m, flavor, guard)
     if lam.weight != degree:
         raise ValueError(f"label must have weight {degree}, got {lam.weight}")
     if table is not None and table.degree != degree:
         raise ValueError(f"table holds degree {table.degree} only")
-    if degree > guard:
-        limit = max(guard, SINGLE_COEFFICIENT_LIMIT)
-        if degree > limit:
-            raise GuardExceededError(f"degree {degree} exceeds the single-coefficient limit {limit}")
-        warnings.warn(
-            f"single-coefficient mode at degree {degree} beyond the guard {guard}; "
-            "this may take a while",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     if m == 1:
         # e_1[p_r] = h_1[p_r] = p_r: the character values at (rho, 1, ROW).
         flavor = PlethysmFlavor.ROW

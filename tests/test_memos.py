@@ -7,7 +7,6 @@ import random
 import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import foulkes
@@ -31,10 +30,7 @@ ROW, COLUMN = PlethysmFlavor
 
 
 def _answers(calls):
-    # Degree-20 coefficients are past the guard; any other warning still fails.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "single-coefficient", RuntimeWarning)
-        return [fn(*args) for fn, *args in calls]
+    return [fn(*args) for fn, *args in calls]
 
 
 def test_clear_caches_empties_every_memo():
@@ -113,17 +109,16 @@ def test_degree_36_loop_stays_under_a_memory_cap():
     # 80 single coefficients with the guard raised to 36: ten labels of at
     # most 6 parts and first part at most 12, each in both flavors (the
     # column one at the conjugate label), of (4,4,4) at m = 3 and (3,3),
-    # (2,2,2) and (3,2,1) at m = 6.  In a child process whose address space
-    # is capped at 64 MB, so that memos growing past it fail here instead of
-    # filling the machine's memory.  Measured on one CPU of a 2-core x86 VM,
+    # (2,2,2) and (3,2,1) at m = 6.  In a child process, where any warning
+    # is an error, whose address space is capped at 64 MB, so that memos
+    # growing past it fail here instead of filling the machine's memory.
+    # Measured on one CPU of a 2-core x86 VM,
     # Python 3.11: 0.3-0.6 s, a peak RSS of 18 MB and a peak virtual size of
     # 22 MB (the loop passes under a 24 MB cap there).
     code = (
         "import random, resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))\n"
-        "import warnings\n"
         "from foulkes import Partition, multiplicity, partitions_of\n"
-        "warnings.simplefilter('ignore', RuntimeWarning)\n"
         "band = [lam for lam in partitions_of(36) if len(lam) <= 6 and lam[0] <= 12]\n"
         "labels = random.Random(36).sample(band, 10)\n"
         "values = 0\n"
@@ -136,7 +131,7 @@ def test_degree_36_loop_stays_under_a_memory_cap():
         "print(values)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "80"

@@ -822,9 +822,7 @@ class TestRibbonStrips:
         rng = random.Random(f"{nu}:{m}")
         for flavor in PlethysmFlavor:
             for lam in rng.sample(band, 3):
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "single-coefficient", RuntimeWarning)
-                    got = multiplicity(nu, m, lam, flavor)
+                got = multiplicity(nu, m, lam, flavor)
                 assert got == by_characters(nu, m, lam, flavor), (str(nu), m, flavor, str(lam))
 
     @pytest.mark.parametrize(
@@ -841,15 +839,13 @@ class TestRibbonStrips:
         labels = list(partitions_of(m * nu.weight))
         band = [lam for lam in labels if 4 <= len(lam) <= 8 and lam[0] <= 10]
         rng = random.Random(f"{nu}:{m}")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "single-coefficient", RuntimeWarning)
-            for flavor in PlethysmFlavor:
-                within = [
-                    lam for lam in labels
-                    if (lam[0] if flavor is COLUMN else len(lam)) <= nu.weight
-                ]
-                for lam in rng.sample(band, 3) + rng.sample(within, 3):
-                    multiplicity(nu, m, lam, flavor)
+        for flavor in PlethysmFlavor:
+            within = [
+                lam for lam in labels
+                if (lam[0] if flavor is COLUMN else len(lam)) <= nu.weight
+            ]
+            for lam in rng.sample(band, 3) + rng.sample(within, 3):
+                multiplicity(nu, m, lam, flavor)
         products = {}
         below = 0
         for (rho, k, flavor), (_, _, values) in oracle._RIBBON_CACHE.items():
@@ -938,26 +934,26 @@ class TestMultiplicity:
     def test_zero_coefficient(self):
         assert multiplicity(P("1,1"), 2, P("2,2")) == 0
 
-    def test_matches_expansion(self):
+    def test_m_equals_one_reads_the_filled_character_values(self):
         # s_nu o s_(1) = s_nu.  Every character value of weight <= 12 is
-        # computed first, so the m = 1 ROW coefficients read the nodes that
-        # character_value filled, and store nothing there.
+        # computed first, so the m = 1 coefficients read the nodes that
+        # character_value filled, and store nothing there.  TestForwardAssembly
+        # compares every coefficient with m |nu| <= 12 with the expansion.
         for n in range(13):
             _fill(n)
         held = len(_memo_entries())
         assert held == sum(len(list(partitions_of(n))) ** 2 for n in range(1, 13))
         count = 0
-        for m in range(1, 13):
-            for n in range(1, 12 // m + 1):
-                for nu in partitions_of(n):
-                    for flavor in PlethysmFlavor:
-                        e = plethysm_expansion(nu, m, flavor)
-                        for lam in partitions_of(m * n):
-                            assert multiplicity(nu, m, lam, flavor) == e[lam], (
-                                str(nu), m, flavor, str(lam)
-                            )
-                            count += 1
-        assert count == 30442
+        for n in range(1, 13):
+            labels = list(partitions_of(n))
+            for nu in labels:
+                for flavor in PlethysmFlavor:
+                    for lam in labels:
+                        assert multiplicity(nu, 1, lam, flavor) == (lam == nu), (
+                            str(nu), flavor, str(lam)
+                        )
+                        count += 1
+        assert count == 2 * held
         assert len(_memo_entries()) == held
 
     def test_weight_mismatch(self):
@@ -993,43 +989,51 @@ class TestMultiplicity:
     @pytest.mark.parametrize(
         "call, faults",
         [
-            (lambda a: plethysm_expansion(P("2,1"), a["m"], a["flavor"], guard=a["guard"]), 3),
-            (lambda a: multiplicity(P("2,1"), a["m"], a["lam"], a["flavor"], guard=a["guard"]), 4),
+            (lambda a: plethysm_expansion(P("2,1"), a["m"], a["flavor"], guard=a["guard"]), 4),
+            (lambda a: multiplicity(P("2,1"), a["m"], a["lam"], a["flavor"], guard=a["guard"]), 5),
         ],
         ids=["plethysm_expansion", "multiplicity"],
     )
     def test_argument_faults_are_reported_in_order(self, call, faults):
         # Every fault at once, then mended one at a time: each call reports the
-        # first fault left, in this order.
+        # first fault left, in this order.  The guard is mended twice: from
+        # negative to 5, below the degree 6, and then to 16.
         order = [
-            ("flavor", "bogus", "row", "'bogus' is not a valid PlethysmFlavor"),
-            ("guard", -1, 16, "guard must be nonnegative, got -1"),
-            ("m", 0, 2, "inner degree m must be at least 1"),
-            ("lam", P("5,2"), P("4,2"), "label must have weight 6, got 7"),
+            ("flavor", "row", ValueError, "'bogus' is not a valid PlethysmFlavor"),
+            ("guard", 5, ValueError, "guard must be nonnegative, got -1"),
+            ("m", 2, ValueError, "inner degree m must be at least 1"),
+            (
+                "guard", 16, GuardExceededError,
+                "degree 6 exceeds the guard 5; raise the guard to proceed",
+            ),
+            ("lam", P("4,2"), ValueError, "label must have weight 6, got 7"),
         ][:faults]
-        args = {key: bad for key, bad, _, _ in order}
-        args.setdefault("lam", P("4,2"))
-        for key, _, good, message in order:
-            with pytest.raises(ValueError) as info:
+        args = {"flavor": "bogus", "guard": -1, "m": 0, "lam": P("5,2")}
+        for key, good, error, message in order:
+            with pytest.raises(error) as info:
                 call(args)
             assert str(info.value) == message
             args[key] = good
         assert call(args)
 
-    def test_warns_past_guard_and_caps_at_limit(self):
-        with pytest.warns(RuntimeWarning):
-            assert multiplicity(Partition([6]), 3, Partition([18])) == 1
-        with pytest.raises(GuardExceededError):
-            multiplicity(Partition([13]), 2, Partition([26]))
+    def test_single_coefficients_follow_the_guard_rule(self):
+        # One rule for both entry points, each with its own default guard:
+        # 24 here, so degrees 18 and 24 finish (any warning fails the test)
+        # and degree 26 is refused unless the guard is raised.
+        assert multiplicity(Partition([6]), 3, Partition([18])) == 1
+        assert multiplicity(P("4,4"), 3, P("4,4,4,4,4,4")) >= 1
+        message = "degree 26 exceeds the guard 24; raise the guard to proceed"
+        with pytest.raises(GuardExceededError) as info:
+            multiplicity(P("13"), 2, P("26"))
+        assert str(info.value) == message
+        assert multiplicity(P("13"), 2, P("26"), guard=26) == 1
+        with pytest.raises(GuardExceededError, match="degree 18 exceeds the guard 16"):
+            multiplicity(Partition([6]), 3, Partition([18]), guard=16)
 
 
 class TestOmega:
-    @pytest.mark.parametrize("nu,m", [("2", 2), ("2,1", 3), ("1,1,1", 2)])
-    def test_examples(self, nu, m):
-        assert omega_check(P(nu), m)
-
     def test_degree_36_expansion(self):
-        # Past the single-coefficient limit with the guard raised: s_(3,3) o
+        # Past both default guards with the guard raised: s_(3,3) o
         # s_(6) has 2273 labels, and its largest coefficient, 513, is the one
         # multiplicity gives and the column one at the conjugate label.
         nu, lam = P("3,3"), P("16,10,6,3,1")
@@ -1055,50 +1059,6 @@ class TestOmega:
         # omega of s_(2) o s_(2) = s_(1^4) + s_(2,2)
         e = plethysm_expansion(P("2"), 2, PlethysmFlavor.COLUMN)
         assert e.coefficients == {P("2,2"): 1, P("1,1,1,1"): 1}
-
-
-class TestClassicalIdentities:
-    """Closed-form decompositions known independently of either engine."""
-
-    def test_even_row_partitions(self):
-        # s_(n) o s_(2) is multiplicity-free on partitions with all parts even
-        for n in range(1, 7):
-            e = plethysm_expansion(Partition([n]), 2)
-            want = {
-                lam
-                for lam in partitions_of(2 * n)
-                if all(p % 2 == 0 for p in lam.parts)
-            }
-            assert set(e.support()) == want
-            assert all(mult == 1 for _, mult in e.items())
-
-    def test_even_column_partitions(self):
-        # s_(n) o s_(1,1) is multiplicity-free on partitions with even columns
-        for n in range(1, 7):
-            e = plethysm_expansion(Partition([n]), 2, PlethysmFlavor.COLUMN)
-            want = {
-                lam
-                for lam in partitions_of(2 * n)
-                if all(p % 2 == 0 for p in lam.conjugate().parts)
-            }
-            assert set(e.support()) == want
-            assert all(mult == 1 for _, mult in e.items())
-
-    def test_two_row_decompositions(self):
-        # s_(1,1) o s_(m) hits the two-row labels (2m-r, r) with r odd,
-        # s_(2) o s_(m) those with r even
-        for m in range(2, 7):
-            anti = plethysm_expansion(P("1,1"), m, guard=2 * m)
-            assert set(anti.support()) == {
-                Partition([2 * m - r, r]) for r in range(1, m + 1, 2)
-            }
-            sym = plethysm_expansion(P("2"), m, guard=2 * m)
-            assert set(sym.support()) == {
-                Partition([2 * m - r, r]) if r else Partition([2 * m])
-                for r in range(0, m + 1, 2)
-            }
-            assert all(mult == 1 for _, mult in anti.items())
-            assert all(mult == 1 for _, mult in sym.items())
 
 
 class TestMonomialCrossOracle:

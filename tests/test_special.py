@@ -198,10 +198,6 @@ class TestTheta:
         assert theta_decomposition(3).coefficients == {P("4,1,1"): 1, P("3,3"): 1}
         assert theta_decomposition(4).coefficients == {P("5,1,1,1"): 1, P("4,3,1"): 1}
 
-    def test_complete_decomposition_vs_oracle(self):
-        for n in range(1, 7):
-            assert theta_decomposition(n) == plethysm_expansion(Partition([1] * n), 2)
-
     def test_every_constituent_minimal_and_maximal(self):
         from foulkes.partitions import (
             dominance_maximal_elements,
