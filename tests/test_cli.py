@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from foulkes import families
 from foulkes.cli import (
     EXIT_GUARD,
     EXIT_MISMATCH,
@@ -338,6 +339,27 @@ class TestOtherCommands:
                     for row in json.loads(out)["families"]:
                         fam = Family(m, kind, row["blocks"])
                         assert row["minimal"] == is_minimal_tuple(FamilyTuple([fam])), (m, n)
+
+    def test_families_builds_each_type_once(self, capsys, monkeypatch):
+        # One type per listed family: the minimal flag reads the family's
+        # count vector, not a second type.
+        calls = []
+        tuple_type = families.tuple_type
+
+        def counted(t):
+            calls.append(t)
+            return tuple_type(t)
+
+        monkeypatch.setattr(families, "tuple_type", counted)
+        for kind in ("set", "multiset"):
+            calls.clear()
+            code, out, _ = run(
+                capsys, "families", "--m", "3", "--n", "5", "--kind", kind, "--format", "json"
+            )
+            assert code == EXIT_OK
+            listed = json.loads(out)["families"]
+            assert len(listed) > 1 and any(row["minimal"] for row in listed)
+            assert len(calls) == len(listed), kind
 
     def test_families_empty_shape_is_minimal(self, capsys):
         # the one family of shape (m^0) is the empty family, a minimal tuple

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from foulkes import clear_caches
+from foulkes import clear_caches, families
 from foulkes.families import (
     BlockKind,
     Family,
     FamilyTuple,
     _colex_bounded,
     _ground_top,
+    _tuple_counts,
     _upper_covers,
     _vector,
     closure,
@@ -230,6 +231,36 @@ class TestTypes:
             if len(t.families) == 1:
                 assert occurrence_counts(t.families[0]) == want_counts
                 assert family_type(t.families[0]) == want_type
+
+    def test_counts_are_the_conjugate_of_the_type(self):
+        # is_minimal_tuple looks the count vector up in the fold without
+        # building the type, so the vector must be the type's conjugate
+        # exactly, with no trailing zeros, and None just when there is no type.
+        closed = {
+            (m, kind): [fam for n in range(6) for fam in enumerate_closed_families(m, n, kind)]
+            for kind in (SET, MULTI)
+            for m in range(1, 4)
+        }
+        tuples = [FamilyTuple([fam]) for fams in closed.values() for fam in fams]
+        rng = random.Random(7)
+        for _ in range(400):
+            m, kind = rng.choice(list(closed))
+            fams = [rng.choice(closed[m, kind]) for _ in range(rng.randint(1, 3))]
+            pool = _bounded_blocks(m, 5, kind)
+            fams.append(Family(m, kind, rng.sample(pool, rng.randint(0, 3))))
+            tuples.append(FamilyTuple(fams))
+        undefined = 0
+        for t in tuples:
+            counts, ty = _tuple_counts(t), tuple_type(t)
+            occurrences = occurrence_counts(t)
+            dense = tuple(occurrences.get(x, 0) for x in range(1, max(occurrences, default=0) + 1))
+            if ty is None:
+                undefined += 1
+                assert counts is None, t
+                assert any(a < b for a, b in zip(dense, dense[1:])), t
+            else:
+                assert counts == dense == ty.conjugate().parts, t
+        assert 0 < undefined < len(tuples)
 
     def test_huge_element_has_no_type_at_once(self):
         # a type needs every value up to the largest element to occur, so a
@@ -542,6 +573,22 @@ class TestIsMinimalTuple:
         for t, ty in typed:
             want = not any(self._strictly_dominates(ty, other) for other in types)
             assert is_minimal_tuple(t) == want, t
+
+    def test_builds_no_type(self, monkeypatch):
+        # The fold keeps count vectors, and the tuple's own vector is looked
+        # up there directly: no type is built and conjugated back.
+        def refuse(t):
+            raise AssertionError("is_minimal_tuple built a type")
+
+        golden = FamilyTuple(
+            [Family(2, SET, [(1, 2), (1, 3), (1, 4)]), Family(2, SET, [(1, 2)])]
+        )
+        p1 = down_set_family(2, SET, [(2, 4)])
+        p2 = down_set_family(2, SET, [(1, 5)])
+        monkeypatch.setattr(families, "tuple_type", refuse)
+        monkeypatch.setattr(Partition, "conjugate", refuse)
+        assert is_minimal_tuple(golden)
+        assert not is_minimal_tuple(FamilyTuple([p1, p2]))
 
     def test_empty_components_contribute_nothing(self):
         empty = Family(2, SET, [])

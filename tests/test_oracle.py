@@ -1031,6 +1031,45 @@ class TestMultiplicity:
             multiplicity(Partition([6]), 3, Partition([18]), guard=16)
 
 
+    def test_each_entry_point_stops_at_its_own_default(self):
+        # One rule with two defaults, read from the constants: expansions
+        # finish at DEFAULT_GUARD, single coefficients at SINGLE_COEFFICIENT_LIMIT,
+        # and one degree more is refused with the same message by both.
+        for guard, call in (
+            (oracle.DEFAULT_GUARD, lambda nu: plethysm_expansion(nu, 1)[nu]),
+            (oracle.SINGLE_COEFFICIENT_LIMIT, lambda nu: multiplicity(nu, 1, nu)),
+        ):
+            assert call(Partition([guard])) == 1
+            with pytest.raises(GuardExceededError) as info:
+                call(Partition([guard + 1]))
+            assert str(info.value) == (
+                f"degree {guard + 1} exceeds the guard {guard}; raise the guard to proceed"
+            )
+
+    @pytest.mark.parametrize("nu, m", [("2,1", 2), ("3", 3), ("1,1,1", 4)])
+    def test_expansion_and_coefficient_refuse_alike(self, nu, m):
+        # Below the degree every guard refuses both calls with one message;
+        # at the degree both finish and agree on every coefficient.
+        nu = P(nu)
+        degree = m * nu.weight
+        labels = list(partitions_of(degree))
+        for flavor in PlethysmFlavor:
+            for guard in range(degree):
+                messages = set()
+                for call in (
+                    lambda: plethysm_expansion(nu, m, flavor, guard=guard),
+                    lambda: multiplicity(nu, m, labels[0], flavor, guard=guard),
+                ):
+                    with pytest.raises(GuardExceededError) as info:
+                        call()
+                    messages.add(str(info.value))
+                assert messages == {
+                    f"degree {degree} exceeds the guard {guard}; raise the guard to proceed"
+                }
+            e = plethysm_expansion(nu, m, flavor, guard=degree)
+            for lam in labels:
+                assert multiplicity(nu, m, lam, flavor, guard=degree) == e[lam], (flavor, lam)
+
 class TestOmega:
     def test_degree_36_expansion(self):
         # Past both default guards with the guard raised: s_(3,3) o
