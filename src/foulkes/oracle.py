@@ -10,14 +10,15 @@ h_m[p_{rho_j}] (e_m for s_(1^m)), and h_m[p_r] (e_m[p_r]) adds a horizontal
 (vertical) strip of m ribbons of length r.  A full expansion adds strips: it
 multiplies by one h_m[p_r] (e_m[p_r]) at a time over the trie of the
 classes and divides each coefficient of the one vector that results by n!.  A single
-coefficient removes strips: it recurses on lam's mask down the suffixes of
-rho, memoized per (suffix, m, flavor), and divides by n!.  One walk lists
-the strips of both directions.  At m = 1, h_1[p_r] = p_r and the strips are
-single border strips, so a character value chi^lam(rho) = <s_lam, p_rho> is
-the memo's value at (rho, 1, ROW); those nodes are the one store of
-character values, which a :class:`CharacterTable` saves to a file of one
-degree and loads from it.  The monomial cross-oracle is in
-:mod:`foulkes.monomial`.
+coefficient removes strips: one memoized recursion, :func:`_ribbon_value`,
+takes lam's mask down the suffixes of rho, reading, computing and storing
+every value at its own (suffix, m, flavor) node, and the sum is divided by
+n!.  One walk lists the strips of both directions.  At m = 1, h_1[p_r] =
+p_r and the strips are single border strips, so a character value
+chi^lam(rho) = <s_lam, p_rho> is the memo's value at (rho, 1, ROW); those
+nodes are the one store of character values, which a
+:class:`CharacterTable` saves to a file of one degree and loads from it.
+The monomial cross-oracle is in :mod:`foulkes.monomial`.
 """
 
 from __future__ import annotations
@@ -462,13 +463,13 @@ def _strip_walk(mask: int, starts: int, step: int, m: int, column: bool) -> list
     return out
 
 
-def _ribbon_sum(mask: int, node: tuple, m: int, column: bool, weight: int) -> int:
-    """<s_lam, prod_j f[p_{rho_j}]> for the bead ``mask`` of lam and rho's ``node``.
+def _ribbon_value(mask: int, node: tuple, m: int, column: bool, weight: int) -> int:
+    """<s_lam, prod_j f[p_{rho_j}]> for the bead ``mask`` of lam at rho's ``node``.
 
-    ``weight`` is |rho|.  The first part r of rho, its largest, is stripped
-    first.  The value of each partition mu left is read from, or stored in,
-    the memo of the child node, whose suffix weighs |rho| - r; the value
-    returned is stored by :func:`_ribbon_value`, at rho's node.
+    ``weight`` is |rho|.  A value held at the node is returned; otherwise
+    the first part r of rho, its largest, is stripped, the value of each
+    partition mu left is taken at the child node, whose suffix weighs
+    |rho| - r, and the signed sum is stored at rho's node.
 
     A mu past the child's bound has value 0 and is skipped, neither searched
     nor stored: under ROW a mu with more than |rho| - r parts, under COLUMN
@@ -483,29 +484,16 @@ def _ribbon_sum(mask: int, node: tuple, m: int, column: bool, weight: int) -> in
     At m = 1 nothing is skipped: no partition has more parts, or a larger
     first part, than its weight.
     """
-    r, child, _ = node
-    memo = child[2]
-    weight -= r
-    total = 0
-    for nxt, sign in _ribbon_strips(mask, r, m, column):
-        if (nxt.bit_length() - nxt.bit_count() if column else nxt.bit_count()) > weight:
-            continue
-        term = memo.get(nxt)
-        if term is None:
-            term = memo[nxt] = _ribbon_sum(nxt, child, m, column, weight)
-        total += sign * term
-    return total
-
-
-def _ribbon_value(mask: int, node: tuple, m: int, column: bool, weight: int) -> int:
-    """The value of ``mask`` at ``node``: read, or found by :func:`_ribbon_sum` and stored.
-
-    ``weight`` is the weight of the node's suffix rho.
-    """
     values = node[2]
     value = values.get(mask)
     if value is None:
-        value = values[mask] = _ribbon_sum(mask, node, m, column, weight)
+        r, child, _ = node
+        weight -= r
+        value = 0
+        for nxt, sign in _ribbon_strips(mask, r, m, column):
+            if (nxt.bit_length() - nxt.bit_count() if column else nxt.bit_count()) <= weight:
+                value += sign * _ribbon_value(nxt, child, m, column, weight)
+        values[mask] = value
     return value
 
 
@@ -596,14 +584,12 @@ def multiplicity(
     most p(|nu|) terms: w_rho = chi^nu(rho) |nu|!/z_rho times <s_lam, prod_j
     f[p_{rho_j}]> with f = h_m (ROW) or e_m (COLUMN), which removes one strip
     of m ribbons per part of rho, largest first, and is memoized per (suffix
-    of rho, m, flavor).  A strip of m r-ribbons removes at most r rows
-    (ROW) or r columns (COLUMN), so a partition left at a suffix of weight k
-    with more than k rows (ROW) or a first part above k (COLUMN) cannot reach
-    the empty partition: it is skipped, neither searched nor stored (the
-    abacus argument is in :func:`_ribbon_sum`); a label past the bound at
-    the top, with more than |nu| rows or a first part above |nu|, is 0 at
-    once.  At m = 1 both flavors are the character values, read from and
-    stored at the (rho, 1, ROW) nodes.
+    of rho, m, flavor) by :func:`_ribbon_value`, which skips every partition
+    past the row (ROW) or column (COLUMN) bound of its suffix and gives the
+    argument for it.  A label past that bound at the top, with more than
+    |nu| rows or a first part above |nu|, is 0 at once.  At m = 1 both
+    flavors are the character values, read from and stored at the
+    (rho, 1, ROW) nodes.
     The total is divided exactly by |nu|!; a remainder or a negative
     quotient raises :class:`InternalConsistencyError`.
 

@@ -14,6 +14,7 @@ from math import factorial
 from foulkes import clear_caches
 from foulkes.constituents import (
     maximal_constituents_phi,
+    maximal_constituents_psi,
     minimal_constituents_phi,
     minimal_constituents_psi,
 )
@@ -139,8 +140,13 @@ def test_criterion_2_theorem_oracle_sweep():
                     assert set(
                         minimal_constituents_psi(m, nu).labels
                     ) == dominance_minimal_elements(col.support()), (m, nu)
+                    assert set(
+                        maximal_constituents_psi(m, nu).labels
+                    ) == dominance_maximal_elements(col.support()), (m, nu)
 
-    _criterion(2, "theorem-oracle equivalence for m in {2,3}, mn <= 12", 300.0, body)
+    _criterion(
+        2, "theorem-oracle equivalence of all four rules for m in {2,3}, mn <= 12", 300.0, body
+    )
 
 
 def test_criterion_3_theta_complete_decomposition():

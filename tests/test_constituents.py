@@ -334,27 +334,6 @@ class TestSignTwistConsistency:
                     assert set(maximal_constituents_phi(m, nu).labels) == twisted
 
 
-class TestOracleAgreement:
-    def test_sweep_small(self):
-        for m in (2, 3):
-            for n in range(1, 10 // m + 1):
-                for nu in partitions_of(n):
-                    row = plethysm_expansion(nu, m)
-                    col = plethysm_expansion(nu, m, "column")
-                    assert set(
-                        minimal_constituents_phi(m, nu).labels
-                    ) == dominance_minimal_elements(row.support())
-                    assert set(
-                        maximal_constituents_phi(m, nu).labels
-                    ) == dominance_maximal_elements(row.support())
-                    assert set(
-                        minimal_constituents_psi(m, nu).labels
-                    ) == dominance_minimal_elements(col.support())
-                    assert set(
-                        maximal_constituents_psi(m, nu).labels
-                    ) == dominance_maximal_elements(col.support())
-
-
 class TestVerify:
     def test_names_in_order_and_agreement(self):
         checks = verify(2, P("2,1,1"))

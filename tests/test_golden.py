@@ -1,5 +1,7 @@
 """Golden transcripts: every command in README.md, replayed byte for byte.
 
+The README's library example is run as well, and its first print checked.
+
 Each README command is run with its ``--format`` option dropped, once as
 text and once with ``--format json``.  ``golden/readme_commands.json`` holds
 the argv, exit code and stdout of every run.  After an intended change of
@@ -68,6 +70,16 @@ def test_every_readme_command_is_recorded():
 def test_transcript_replays_byte_for_byte(argv):
     recorded = {tuple(t["argv"]): t for t in _recorded()}
     assert replay(argv) == recorded[tuple(argv)]
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    blocks = section.split("\n## ", 1)[0].split("```python\n")[1:]
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(blocks[0].split("```", 1)[0], {})
+    assert out.getvalue().splitlines()[0] == "['4,2,1,1', '3,3,2']"
 
 
 if __name__ == "__main__":

@@ -398,7 +398,7 @@ class TestCharacterTable:
         assert sorted(_memo_entries()) == sorted(
             (rho, oracle._beads(mu), v) for (mu, rho), v in saved.items()
         )
-        monkeypatch.setattr(oracle, "_ribbon_sum", None)
+        monkeypatch.setattr(oracle, "_ribbon_strips", None)
         for (mu, rho), v in saved.items():
             assert character_value(Partition(mu), Partition(rho)) == v
         assert loaded.values == saved
@@ -776,8 +776,38 @@ class TestRibbonStrips:
                 entries += 1
         assert entries > 100
 
+    def test_every_stored_value_is_stored_by_the_one_recursion(self, monkeypatch):
+        # _ribbon_value is the whole recursion: every value in the memo, below
+        # a top node as at one, was stored by a call of it at that node and
+        # mask.  _EMPTY_PRODUCT is not in the memo; it holds {0: 1} from the start.
+        seen = set()
+        recurse = oracle._ribbon_value
+
+        def spy(mask, node, m, column, weight):
+            seen.add((id(node), mask))
+            return recurse(mask, node, m, column, weight)
+
+        monkeypatch.setattr(oracle, "_ribbon_value", spy)
+        for nu, m in [("3,1", 2), ("2,1", 3)]:
+            nu = P(nu)
+            for flavor in PlethysmFlavor:
+                for lam in partitions_of(m * nu.weight):
+                    multiplicity(nu, m, lam, flavor)
+        character_value(P("4,2,1"), P("3,2,1,1"))
+        stored = {
+            (id(node), mask)
+            for node in oracle._RIBBON_CACHE.values()
+            for mask in node[2]
+        }
+        below = {
+            (id(child), mask)
+            for _, child, _ in oracle._RIBBON_CACHE.values() if child is not oracle._EMPTY_PRODUCT
+            for mask in child[2]
+        }
+        assert below and stored - seen == set()
+
     def test_a_strip_removes_at_most_r_rows_or_columns(self):
-        # The bound _ribbon_sum skips by: a ROW strip of m r-ribbons keeps at
+        # The bound _ribbon_value skips by: a ROW strip of m r-ribbons keeps at
         # least len(lam) - r parts, and a COLUMN strip lowers the first part
         # by at most r.  Both are reached, so r is the least such bound.
         checked = reached = 0
