@@ -12,6 +12,17 @@ Ground-set bound, never left by the closed-family search: a closed family of
 the blocks ``{1,..,m-1,y}`` for ``m <= y <= x`` (sets), respectively
 ``{1,..,1,y}`` for ``1 <= y <= x`` (multisets), so ``x <= m + n - 1``
 (sets) or ``x <= n`` (multisets).
+
+Shift bijection: raising the i-th smallest element of a multiset block by
+``i`` (``i = 0, .., m-1``) gives a set block, and every set block arises
+once.  Both blocks of a pair are raised by the same vector, so the map keeps
+majorization (elementwise), its covers (a decrement at position r is valid
+for the multiset exactly when it is for the set: ``a_r - 1 >= a_{r-1}``
+becomes ``a_r + r - 1 > a_{r-1} + r - 1``) and colex order (the largest
+differing position decides by the same margin).  So it maps the closed
+multiset families of shape (m^n) onto the closed set families, in the same
+search order, and the two ground-set bounds differ by its largest shift:
+``m + n - 1 = n + (m - 1)``.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from bisect import insort
 from collections import Counter
 from enum import Enum
 from functools import lru_cache, reduce
-from operator import attrgetter, ge
+from operator import add, attrgetter, ge
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, _add_vectors, _packed_maxima, _packer
@@ -342,27 +353,35 @@ def _ground_top(m: int, n: int, kind: BlockKind) -> int:
 
 
 @lru_cache(maxsize=None)
-def _closed_families(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
+def _closed_families(m: int, n: int) -> dict[BlockKind, tuple[Family, ...]]:
+    """The closed families of shape (m^n) of both kinds, from one search."""
     if n == 0:
-        return (Family(m, kind, []),)
-    # Colex order is a linear extension of majorization, so every ideal is
-    # produced exactly once by adding its blocks in colex order, each block
-    # only after all its lower covers.  A stack entry (depth, b, rest) is the
-    # node path[:depth] + [b]; its frontier, in colex order, is `rest` (what
-    # the parent's frontier holds past b) plus the upper covers b completed,
-    # merged in on popping, so never at a leaf.  Every branch ends in a
-    # family: an ideal of fewer than n blocks with largest element x can add
-    # {1,..,m-1,x+1} (sets) or {1,..,1,x+1} (multisets).  A block past the
-    # ground-set bound has at least n blocks below it, so it is completed
-    # only at a leaf and never added.  The count vector of the path follows
-    # its blocks in and out, and colex order puts its largest element in b.
-    out: list[Family] = []
-    least = next(_colex_bounded(m, m, kind))
-    stack: list[tuple[int, Block, list[Block]]] = [(0, least, [])]
+        return {kind: (Family(m, kind, []),) for kind in BlockKind}
+    # One search lists both kinds: it runs over multiset blocks, and the
+    # shift bijection (see the module docstring) carries each node to the
+    # set family of the same search order.  Colex order is a linear
+    # extension of majorization, so every ideal is produced exactly once by
+    # adding its blocks in colex order, each block only after all its lower
+    # covers.  A stack entry (depth, b, rest) is the node path[:depth] + [b];
+    # its frontier, in colex order, is `rest` (what the parent's frontier
+    # holds past b) plus the upper covers b completed, merged in on popping,
+    # so never at a leaf.  Every branch ends in a family: an ideal of fewer
+    # than n blocks with largest element x can add {1,..,1,x+1}.  A block
+    # past the ground-set bound has at least n blocks below it, so it is
+    # completed only at a leaf and never added.  The count vectors of the
+    # path and of its shifted set blocks follow their blocks in and out, and
+    # colex order puts the largest element in b.
+    SET, MULTI = BlockKind.SET, BlockKind.MULTISET
+    found: dict[BlockKind, list[Family]] = {SET: [], MULTI: []}
+    stack: list[tuple[int, Block, list[Block]]] = [(0, (1,) * m, [])]
     above: dict[Block, list[tuple[Block, list[Block]]]] = {}  # upper covers, their lower covers
+    shifted: dict[Block, Block] = {}  # multiset block -> set block
     path: list[Block] = []
+    set_path: list[Block] = []  # the shifted blocks of path
     have: set[Block] = set()  # the blocks of path
-    counts = [0] * (_ground_top(m, n, kind) + 1)  # counts[x]: occurrences of x in path
+    counts = [0] * (_ground_top(m, n, MULTI) + 1)  # counts[x]: occurrences of x in path
+    set_counts = [0] * (_ground_top(m, n, SET) + 1)  # the same for set_path
+    lift = range(m)
     while stack:
         depth, b, frontier = stack.pop()
         gone = path[depth:]
@@ -370,23 +389,33 @@ def _closed_families(m: int, n: int, kind: BlockKind) -> tuple[Family, ...]:
         for block in gone:
             for x in block:
                 counts[x] -= 1
+        for block in set_path[depth:]:
+            for x in block:
+                set_counts[x] -= 1
+        s = shifted.get(b)
+        if s is None:
+            s = shifted[b] = tuple(map(add, b, lift))
         path[depth:] = [b]
+        set_path[depth:] = [s]
         have.add(b)
         for x in b:
             counts[x] += 1
+        for x in s:
+            set_counts[x] += 1
         if depth + 1 == n:
-            fam = Family._trusted(m, kind, tuple(path))
-            fam._counts = tuple(counts[1 : b[-1] + 1])
-            out.append(fam)
+            for kind, blocks, vector in ((MULTI, path, counts), (SET, set_path, set_counts)):
+                fam = Family._trusted(m, kind, tuple(blocks))
+                fam._counts = tuple(vector[1 : blocks[-1][-1] + 1])
+                found[kind].append(fam)
             continue
         if b not in above:
-            above[b] = [(u, lower_covers(u, kind)) for u in _upper_covers(b, kind)]
+            above[b] = [(u, lower_covers(u, MULTI)) for u in _upper_covers(b, MULTI)]
         for u, below in above[b]:
             if have.issuperset(below):
                 insort(frontier, u, key=colex_key)
         for j in reversed(range(len(frontier))):
             stack.append((depth + 1, frontier[j], frontier[j + 1 :]))
-    return tuple(out)
+    return {kind: tuple(fams) for kind, fams in found.items()}
 
 
 def enumerate_closed_families(m: int, n: int, kind: BlockKind | str) -> Iterator[Family]:
@@ -396,7 +425,7 @@ def enumerate_closed_families(m: int, n: int, kind: BlockKind | str) -> Iterator
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    yield from _closed_families(m, n, BlockKind(kind))
+    yield from _closed_families(m, n)[BlockKind(kind)]
 
 
 def enumerate_minimal_tuple_types(
@@ -439,7 +468,7 @@ def _fold(m: int, shapes: tuple[int, ...], kind: BlockKind) -> dict[tuple[int, .
     node = _PREFIX_FOLDS.setdefault((m, kind), {})
     for nj in shapes:
         if nj not in node:
-            fams = sorted(_closed_families(m, nj, kind), key=attrgetter("blocks"))
+            fams = sorted(_closed_families(m, nj)[kind], key=attrgetter("blocks"))
             node[nj] = (_fold_step(kept, fams), {})
         kept, node = node[nj]
     return kept
@@ -456,7 +485,14 @@ def _fold_step(
     r*F + i, which orders the pairs as their witnesses, and each candidate
     keeps the least code that reaches it: the least witness of a type
     extends the least prefix of its own prefix vector.
+
+    One family is a translation: adding one vector to every kept prefix
+    keeps their antichain, and with F = 1 the codes are the kept order.
     """
+    if len(fams) == 1:
+        (fam,) = fams
+        vector = _vector(fam)
+        return {_add_vectors(p, vector): w + (fam,) for p, w in kept.items()}
     prefixes = list(kept)
     vectors = list(map(_vector, fams))
     width = max(map(len, itertools.chain(prefixes, vectors)))

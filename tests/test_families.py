@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from foulkes import clear_caches, families
+from foulkes import clear_caches, constituents, families
 from foulkes.families import (
     BlockKind,
     Family,
@@ -399,6 +399,15 @@ class TestEnumeration:
     def test_count_at_former_cliff(self):
         assert sum(1 for _ in enumerate_closed_families(4, 20, SET)) == 1068
 
+    @pytest.mark.parametrize("first, second", [(SET, MULTI), (MULTI, SET)])
+    def test_one_search_lists_both_kinds(self, first, second):
+        clear_caches()
+        list(enumerate_closed_families(3, 6, first))
+        assert families._closed_families.cache_info().misses == 1
+        list(enumerate_closed_families(3, 6, second))
+        info = families._closed_families.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_search_families_equal_validated_families(self):
         # The search builds its families without validation or the colex
         # sort, so both must leave its blocks unchanged.
@@ -506,6 +515,31 @@ class TestMinimalTupleFold:
         ty = Partition((3,) * 1500) if kind is SET else Partition((1,) * 4500)
         assert list(got) == [ty]
         assert got[ty] == FamilyTuple([Family(3, kind, [block])] * 1500)
+
+    def test_one_family_steps_skip_the_maxima_kernel(self, monkeypatch):
+        # Components of 1 or 2 blocks have one closed family, and their fold
+        # steps are translations; every other step calls the kernel once.
+        kernel = families._packed_maxima
+        calls = []
+        monkeypatch.setattr(families, "_packed_maxima", lambda *a: calls.append(a) or kernel(*a))
+        m, steps = 3, set()
+        for nu in (P("15"), P("5,5,4,1")):
+            for (flavor, extremum), rule in constituents._RULES.items():
+                shapes = constituents._shapes(rule, m, nu)
+                steps.update((rule.kind, shapes[: k + 1]) for k in range(len(shapes)))
+                report = constituents._report(m, nu, flavor, extremum)
+                want = {
+                    ty.conjugate() if rule.conjugate_label else ty: witness
+                    for ty, witness in self._brute_force(m, shapes, rule.kind)
+                }
+                assert report.witnesses == want, (nu, flavor, extremum)
+        several = [
+            (kind, prefix)
+            for kind, prefix in steps
+            if len(list(enumerate_closed_families(m, prefix[-1], kind))) > 1
+        ]
+        assert all(prefix[-1] > 2 for _, prefix in several)
+        assert len(calls) == len(several) < len(steps)
 
     @pytest.mark.parametrize("shapes", [(11,), (11, 1)])
     def test_equal_types_keep_the_least_family(self, shapes):
