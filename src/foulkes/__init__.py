@@ -72,12 +72,13 @@ def clear_caches() -> None:
 
     A process memoizes, in four memos, ribbon-strip values per (cycle-type
     suffix, m, flavor), whose m = 1 nodes hold the character values, the
-    class weights of each s_nu, closed families and prefix folds, and frees
-    none of them on its own.  Answers never depend on what the memos hold.
+    class weights of each s_nu, the closed-family search tree of each m and
+    prefix folds, and frees none of them on its own.  Answers never depend
+    on what the memos hold.
     """
     oracle._RIBBON_CACHE.clear()
     oracle._power_sum_coefficients.cache_clear()
-    families._closed_families.cache_clear()
+    families._SEARCHES.clear()
     families._PREFIX_FOLDS.clear()
 
 

@@ -23,16 +23,28 @@ differing position decides by the same margin).  So it maps the closed
 multiset families of shape (m^n) onto the closed set families, in the same
 search order, and the two ground-set bounds differ by its largest shift:
 ``m + n - 1 = n + (m - 1)``.
+
+Search tree: a process keeps one closed-family search per m and grows it
+(see ``_Search``).  The search adds blocks in colex order, so a node of
+depth k is a colex-increasing sequence of k blocks, and it visits the
+children of a node in the colex order of the block added.  Its pre-order
+restricted to depth k is therefore the lexicographic order of these
+sequences, compared by colex index, whatever depth the search goes on to:
+a search to n blocks lists the closed families of every k < n in the order
+a search to k lists them, and a search resumed from the families of depth
+k, in their order, lists depth n in the order of one search from the empty
+family.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import insort
 from collections import Counter
 from enum import Enum
-from functools import lru_cache, reduce
-from operator import add, attrgetter, ge
+from functools import reduce
+from operator import add, attrgetter, ge, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, _add_vectors, _packed_maxima, _packer
@@ -240,17 +252,25 @@ def _vector(fam: Family) -> tuple[int, ...]:
 
 def family_type(fam: Family) -> Partition | None:
     """The partition whose conjugate lists the occurrence counts, if defined."""
-    return tuple_type(FamilyTuple((fam,)))
+    return tuple_type(FamilyTuple._trusted(fam.m, fam.kind, (fam,)))
 
 
 def _tuple_counts(t: FamilyTuple) -> tuple[int, ...] | None:
     """The tuple's counts of 1, 2, ..., the conjugate of its type, if weakly decreasing."""
     # Every value up to the largest element must occur, so that element (last
     # in colex order) is at most the element count; checked before any vector.
-    top = max((f.blocks[-1][-1] for f in t.families if f.blocks), default=0)
-    if top > t.m * sum(t.shapes):
-        return None
-    counts = reduce(_add_vectors, map(_vector, t.families), ())
+    # One family carries its counts, as a search's families do.
+    if len(t.families) == 1:
+        (fam,) = t.families
+        blocks = fam.blocks
+        if blocks and blocks[-1][-1] > t.m * len(blocks):
+            return None
+        counts = _vector(fam)
+    else:
+        top = max((f.blocks[-1][-1] for f in t.families if f.blocks), default=0)
+        if top > t.m * sum(t.shapes):
+            return None
+        counts = reduce(_add_vectors, map(_vector, t.families), ())
     return counts if all(map(ge, counts, counts[1:])) else None
 
 
@@ -261,7 +281,8 @@ def tuple_type(t: FamilyTuple) -> Partition | None:
     every tuple possesses a type).
     """
     counts = _tuple_counts(t)
-    return None if counts is None else Partition(counts).conjugate()
+    # Weakly decreasing and ending at the largest element's count, so positive.
+    return None if counts is None else Partition._trusted(counts, sum(counts)).conjugate()
 
 
 def is_closed(fam: Family) -> bool:
@@ -352,70 +373,185 @@ def _ground_top(m: int, n: int, kind: BlockKind) -> int:
     return m + n - 1 if kind is BlockKind.SET else n
 
 
-@lru_cache(maxsize=None)
+class _Search:
+    """The closed-family search of one block size m, kept as a tree.
+
+    Level k lists the ideals of k blocks in search order.  ``blocks[k]``
+    holds the multiset block each adds to its parent in level k - 1, and
+    ``kids[k - 1]`` the number of children of each ideal of level k - 1:
+    the children of one parent are consecutive, and their blocks are the
+    frontier the search held for that parent, in colex order.
+    ``families[k]`` holds level k's families of both kinds, or None until
+    they are asked for; the deepest level's are always there.
+    """
+
+    __slots__ = ("m", "blocks", "kids", "families")
+
+    def __init__(self, m: int):
+        self.m = m
+        self.blocks: list[list[Block]] = [[()]]
+        self.kids: list[array] = []
+        self.families: list[dict[BlockKind, tuple[Family, ...]] | None] = [
+            {kind: (Family._trusted(m, kind, ()),) for kind in BlockKind}
+        ]
+
+    def level(self, n: int) -> dict[BlockKind, tuple[Family, ...]]:
+        """The families of n blocks of both kinds, in search order."""
+        if n >= len(self.blocks):
+            self._grow(n)
+        built = n
+        while self.families[built] is None:
+            built -= 1
+        for k in range(built + 1, n + 1):
+            self.families[k] = self._extend(k)
+        return self.families[n]
+
+    def _extend(self, k: int) -> dict[BlockKind, tuple[Family, ...]]:
+        """Level k's families from level k - 1's, one block more each.
+
+        The block added is colex-largest, so its largest element is the
+        family's, and the parent's count vector is never the longer one.
+        """
+        m, lift = self.m, range(self.m)
+        out = {}
+        for kind, parents in self.families[k - 1].items():
+            added = iter(self.blocks[k])
+            fams = []
+            for parent, c in zip(parents, self.kids[k - 1]):
+                base = list(parent._counts) if k > 1 else []
+                for b in itertools.islice(added, c):
+                    if kind is BlockKind.SET:
+                        b = tuple(map(add, b, lift))
+                    counts = base + [0] * (b[-1] - len(base))
+                    for x in b:
+                        counts[x - 1] += 1
+                    fam = Family._trusted(m, kind, parent.blocks + (b,))
+                    fam._counts = tuple(counts)
+                    fams.append(fam)
+            out[kind] = tuple(fams)
+        return out
+
+    def _grow(self, n: int) -> None:
+        """Extend the tree to level n and make level n's families.
+
+        A tree grown before has been asked for more than one size, so the
+        families of the levels passed are made as well.
+        """
+        # One search lists both kinds: it runs over multiset blocks, and the
+        # shift bijection (see the module docstring) carries each node to the
+        # set family of the same search order.  Colex order is a linear
+        # extension of majorization, so every ideal is produced exactly once
+        # by adding its blocks in colex order, each block only after all its
+        # lower covers.  A stack entry (depth, siblings, j) is the node
+        # path[:depth] + [b] of b = siblings[j]; its frontier, in colex
+        # order, is its rest siblings[j + 1 :] (what the parent's frontier
+        # holds past b) plus the upper covers b completed, merged in on
+        # popping, so never at a leaf.  Every branch ends in a family: an
+        # ideal of fewer than n blocks with largest element x can add
+        # {1,..,1,x+1}.  A block past the ground-set bound has at least n
+        # blocks below it, so it is completed only at a leaf and never added.
+        # The count vectors of the path and of its shifted set blocks follow
+        # their blocks in and out, and colex order puts the largest element
+        # in b.  The search goes on from each ideal of the deepest level in
+        # turn, restored from its families; popping its entry re-adds its
+        # last block.  Each ideal short of n blocks appends its frontier, its
+        # children, to the next level, and the new levels join the tree only
+        # once the search is done.
+        m = self.m
+        SET, MULTI = BlockKind.SET, BlockKind.MULTISET
+        deepest = len(self.blocks) - 1
+        grown = deepest > 0
+        levels = self.blocks + [[] for _ in range(deepest, n)]
+        kids = self.kids + [array("I") for _ in range(deepest, n)]
+        found = {k: {SET: [], MULTI: []} for k in range(deepest + 1 if grown else n, n + 1)}
+        if grown:
+            level = levels[deepest]
+            runs = itertools.pairwise(itertools.accumulate(kids[deepest - 1], initial=0))
+            entries = (
+                (deepest - 1, level[p:end], 0) for first, end in runs for p in range(first, end)
+            )
+        else:
+            levels[1].append((1,) * m)
+            kids[0].append(1)
+            entries = [(0, levels[1], 0)]
+        start = self.families[deepest]
+        # upper covers, each with its lower covers
+        above: dict[Block, list[tuple[Block, list[Block]]]] = {}
+        shifted: dict[Block, Block] = {}  # multiset block -> set block
+        lift = range(m)
+        colex = itemgetter(*reversed(lift))  # colex_key, or for m = 1 its one element
+        for multi, sets, entry in zip(start[MULTI], start[SET], entries):
+            path = list(multi.blocks)
+            set_path = list(sets.blocks)  # the shifted blocks of path
+            have = set(path)  # the blocks of path
+            counts = [0] * (_ground_top(m, n, MULTI) + 1)  # counts[x]: occurrences of x in path
+            set_counts = [0] * (_ground_top(m, n, SET) + 1)  # the same for set_path
+            if grown:
+                counts[1 : len(multi._counts) + 1] = multi._counts
+                set_counts[1 : len(sets._counts) + 1] = sets._counts
+            stack = [entry]
+            while stack:
+                depth, siblings, j = stack.pop()
+                b = siblings[j]
+                gone = path[depth:]
+                have.difference_update(gone)
+                for block in gone:
+                    for x in block:
+                        counts[x] -= 1
+                for block in set_path[depth:]:
+                    for x in block:
+                        set_counts[x] -= 1
+                s = shifted.get(b)
+                if s is None:
+                    s = shifted[b] = tuple(map(add, b, lift))
+                path[depth:] = [b]
+                set_path[depth:] = [s]
+                have.add(b)
+                for x in b:
+                    counts[x] += 1
+                for x in s:
+                    set_counts[x] += 1
+                k = depth + 1
+                if k == n or (grown and k > deepest):
+                    made = found[k]
+                    for kind, blocks, vector in (
+                        (MULTI, path, counts),
+                        (SET, set_path, set_counts),
+                    ):
+                        fam = Family._trusted(m, kind, tuple(blocks))
+                        fam._counts = tuple(vector[1 : blocks[-1][-1] + 1])
+                        made[kind].append(fam)
+                    if k == n:
+                        continue
+                frontier = siblings[j + 1 :]
+                covers = above.get(b)
+                if covers is None:
+                    covers = above[b] = [
+                        (u, lower_covers(u, MULTI)) for u in _upper_covers(b, MULTI)
+                    ]
+                for u, below in covers:
+                    if have.issuperset(below):
+                        insort(frontier, u, key=colex)
+                levels[k + 1] += frontier
+                kids[k].append(len(frontier))
+                for i in reversed(range(len(frontier))):
+                    stack.append((k, frontier, i))
+        self.blocks, self.kids = levels, kids
+        self.families += [None] * (n - deepest)
+        for k, fams in found.items():
+            self.families[k] = {kind: tuple(listed) for kind, listed in fams.items()}
+
+
+# The closed-family search of each block size m met so far.
+_SEARCHES: dict[int, _Search] = {}
+
+
 def _closed_families(m: int, n: int) -> dict[BlockKind, tuple[Family, ...]]:
-    """The closed families of shape (m^n) of both kinds, from one search."""
-    if n == 0:
-        return {kind: (Family(m, kind, []),) for kind in BlockKind}
-    # One search lists both kinds: it runs over multiset blocks, and the
-    # shift bijection (see the module docstring) carries each node to the
-    # set family of the same search order.  Colex order is a linear
-    # extension of majorization, so every ideal is produced exactly once by
-    # adding its blocks in colex order, each block only after all its lower
-    # covers.  A stack entry (depth, b, rest) is the node path[:depth] + [b];
-    # its frontier, in colex order, is `rest` (what the parent's frontier
-    # holds past b) plus the upper covers b completed, merged in on popping,
-    # so never at a leaf.  Every branch ends in a family: an ideal of fewer
-    # than n blocks with largest element x can add {1,..,1,x+1}.  A block
-    # past the ground-set bound has at least n blocks below it, so it is
-    # completed only at a leaf and never added.  The count vectors of the
-    # path and of its shifted set blocks follow their blocks in and out, and
-    # colex order puts the largest element in b.
-    SET, MULTI = BlockKind.SET, BlockKind.MULTISET
-    found: dict[BlockKind, list[Family]] = {SET: [], MULTI: []}
-    stack: list[tuple[int, Block, list[Block]]] = [(0, (1,) * m, [])]
-    above: dict[Block, list[tuple[Block, list[Block]]]] = {}  # upper covers, their lower covers
-    shifted: dict[Block, Block] = {}  # multiset block -> set block
-    path: list[Block] = []
-    set_path: list[Block] = []  # the shifted blocks of path
-    have: set[Block] = set()  # the blocks of path
-    counts = [0] * (_ground_top(m, n, MULTI) + 1)  # counts[x]: occurrences of x in path
-    set_counts = [0] * (_ground_top(m, n, SET) + 1)  # the same for set_path
-    lift = range(m)
-    while stack:
-        depth, b, frontier = stack.pop()
-        gone = path[depth:]
-        have.difference_update(gone)
-        for block in gone:
-            for x in block:
-                counts[x] -= 1
-        for block in set_path[depth:]:
-            for x in block:
-                set_counts[x] -= 1
-        s = shifted.get(b)
-        if s is None:
-            s = shifted[b] = tuple(map(add, b, lift))
-        path[depth:] = [b]
-        set_path[depth:] = [s]
-        have.add(b)
-        for x in b:
-            counts[x] += 1
-        for x in s:
-            set_counts[x] += 1
-        if depth + 1 == n:
-            for kind, blocks, vector in ((MULTI, path, counts), (SET, set_path, set_counts)):
-                fam = Family._trusted(m, kind, tuple(blocks))
-                fam._counts = tuple(vector[1 : blocks[-1][-1] + 1])
-                found[kind].append(fam)
-            continue
-        if b not in above:
-            above[b] = [(u, lower_covers(u, MULTI)) for u in _upper_covers(b, MULTI)]
-        for u, below in above[b]:
-            if have.issuperset(below):
-                insort(frontier, u, key=colex_key)
-        for j in reversed(range(len(frontier))):
-            stack.append((depth + 1, frontier[j], frontier[j + 1 :]))
-    return {kind: tuple(fams) for kind, fams in found.items()}
+    """The closed families of shape (m^n) of both kinds, from one search per m."""
+    search = _SEARCHES.get(m)
+    if search is None:
+        search = _SEARCHES[m] = _Search(m)
+    return search.level(n)
 
 
 def enumerate_closed_families(m: int, n: int, kind: BlockKind | str) -> Iterator[Family]:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import pickle
 import random
 
@@ -402,11 +403,13 @@ class TestEnumeration:
     @pytest.mark.parametrize("first, second", [(SET, MULTI), (MULTI, SET)])
     def test_one_search_lists_both_kinds(self, first, second):
         clear_caches()
-        list(enumerate_closed_families(3, 6, first))
-        assert families._closed_families.cache_info().misses == 1
-        list(enumerate_closed_families(3, 6, second))
-        info = families._closed_families.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        listed = list(enumerate_closed_families(3, 6, first))
+        search = families._SEARCHES[3]
+        level = search.families[6]
+        assert list(level[first]) == listed and len(level[second]) == len(listed) == 6
+        levels = search.blocks
+        again = list(enumerate_closed_families(3, 6, second))
+        assert all(map(operator.is_, again, level[second])) and search.blocks is levels
 
     def test_search_families_equal_validated_families(self):
         # The search builds its families without validation or the colex

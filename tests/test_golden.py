@@ -2,7 +2,8 @@
 
 The README's library example is run as well, and its first print checked,
 and the rule engine's reports and listings are checked against recorded
-digests (see ``RULE_DIGESTS``).
+digests (see ``RULE_DIGESTS``).  The closed-family search of each m, grown
+from one request to the next, must list what a fresh search lists.
 
 Each README command is run with its ``--format`` option dropped, once as
 text and once with ``--format json``.  ``golden/readme_commands.json`` holds
@@ -18,6 +19,7 @@ import contextlib
 import hashlib
 import io
 import json
+import operator
 import random
 import shlex
 from pathlib import Path
@@ -29,6 +31,7 @@ from foulkes import (
     Partition,
     clear_caches,
     enumerate_closed_families,
+    families,
     maximal_constituents_phi,
     maximal_constituents_psi,
     minimal_constituents_phi,
@@ -162,6 +165,67 @@ def rule_digests() -> dict[str, tuple[int, str]]:
 
 def test_rule_reports_and_listings_match_their_digests():
     assert rule_digests() == RULE_DIGESTS
+
+
+def _listing(m: int, n: int) -> dict:
+    """Blocks and carried count vectors of the closed families of (m^n), both kinds."""
+    return {
+        kind: [(fam.blocks, getattr(fam, "_counts", None)) for fam in fams]
+        for kind, fams in families._closed_families(m, n).items()
+    }
+
+
+def test_grown_searches_list_what_fresh_searches_list():
+    requests = [(m, n) for m in range(1, 6) for n in range(13)]
+    random.Random(40).shuffle(requests)
+    clear_caches()
+    grown = {request: _listing(*request) for request in requests}
+    for request in requests:
+        clear_caches()
+        assert _listing(*request) == grown[request], request
+
+
+# Closed families of n = 0, 1, 2, ... blocks (ROADMAP item 20).
+LEVEL_SIZES = {
+    3: [
+        1, 1, 1, 2, 3, 4, 6, 9, 12, 17, 24, 32, 44, 60, 80, 107, 143, 188, 248, 326, 425, 553, 718
+    ],
+    4: [1, 1, 1, 2, 3, 5, 7, 11, 16, 24, 35, 50, 72, 103, 146, 206, 289],
+}
+
+
+@pytest.mark.parametrize("m", sorted(LEVEL_SIZES))
+def test_one_search_passes_every_smaller_level(m):
+    clear_caches()
+    list(enumerate_closed_families(m, len(LEVEL_SIZES[m]) - 1, "set"))
+    assert list(map(len, families._SEARCHES[m].blocks)) == LEVEL_SIZES[m]
+
+
+def test_pairs_of_blocks_have_q_of_n_closed_families():
+    # At m = 2 a closed family is a shifted diagram, so there are q(n) of
+    # them: partitions of n into distinct parts, the coefficients of
+    # prod(1 + x^k).
+    q = [1] + [0] * 50
+    for k in range(1, 51):
+        for n in range(50, k - 1, -1):
+            q[n] += q[n - k]
+    assert q[50] == 3658
+    clear_caches()
+    list(enumerate_closed_families(2, 50, "multiset"))
+    assert list(map(len, families._SEARCHES[2].blocks)) == q
+
+
+def test_a_deeper_request_keeps_the_families_built():
+    clear_caches()
+    built = {n: families._closed_families(3, n) for n in (8, 5)}
+    search = families._SEARCHES[3]
+    assert search.families[6] is None  # one search to 8 made only level 8
+    families._closed_families(3, 12)
+    # Asked for a second size, the search made every level it passed.
+    assert all(search.families[n] is not None for n in range(9, 13))
+    for n, level in built.items():
+        for kind, fams in level.items():
+            assert all(map(operator.is_, search.families[n][kind], fams)), (n, kind)
 
 
 if __name__ == "__main__":
