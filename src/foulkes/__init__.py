@@ -72,7 +72,7 @@ def clear_caches() -> None:
 
     A process memoizes, in four memos, ribbon-strip values per (cycle-type
     suffix, m, flavor), whose m = 1 nodes hold the character values, the
-    class weights of each s_nu, the closed-family search tree of each m and
+    class weights of each s_nu, the closed families of each m, by size, and
     prefix folds, and frees none of them on its own.  Answers never depend
     on what the memos hold.
     """

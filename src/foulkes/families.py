@@ -30,8 +30,9 @@ depth k is a colex-increasing sequence of k blocks, and it visits the
 children of a node in the colex order of the block added.  Its pre-order
 restricted to depth k is therefore the lexicographic order of these
 sequences, compared by colex index, whatever depth the search goes on to:
-a search to n blocks lists the closed families of every k < n in the order
-a search to k lists them, and a search resumed from the families of depth
+a search to n blocks passes the closed families of every k < n in the
+order a search to k lists them, so they are the distinct k-block prefixes
+of its families, in order, and a search resumed from the families of depth
 k, in their order, lists depth n in the order of one search from the empty
 family.
 """
@@ -39,7 +40,6 @@ family.
 from __future__ import annotations
 
 import itertools
-from array import array
 from bisect import insort
 from collections import Counter
 from enum import Enum
@@ -259,7 +259,8 @@ def _tuple_counts(t: FamilyTuple) -> tuple[int, ...] | None:
     """The tuple's counts of 1, 2, ..., the conjugate of its type, if weakly decreasing."""
     # Every value up to the largest element must occur, so that element (last
     # in colex order) is at most the element count; checked before any vector.
-    # One family carries its counts, as a search's families do.
+    # One family carries its counts, as a search's families do, and is asked
+    # about once per family listed, so it skips the generators of the rest.
     if len(t.families) == 1:
         (fam,) = t.families
         blocks = fam.blocks
@@ -270,7 +271,7 @@ def _tuple_counts(t: FamilyTuple) -> tuple[int, ...] | None:
         top = max((f.blocks[-1][-1] for f in t.families if f.blocks), default=0)
         if top > t.m * sum(t.shapes):
             return None
-        counts = reduce(_add_vectors, map(_vector, t.families), ())
+        counts = reduce(_add_vectors, map(_vector, t.families))
     return counts if all(map(ge, counts, counts[1:])) else None
 
 
@@ -374,69 +375,60 @@ def _ground_top(m: int, n: int, kind: BlockKind) -> int:
 
 
 class _Search:
-    """The closed-family search of one block size m, kept as a tree.
+    """The closed-family search of one block size m, kept as the levels it listed.
 
-    Level k lists the ideals of k blocks in search order.  ``blocks[k]``
-    holds the multiset block each adds to its parent in level k - 1, and
-    ``kids[k - 1]`` the number of children of each ideal of level k - 1:
-    the children of one parent are consecutive, and their blocks are the
-    frontier the search held for that parent, in colex order.
-    ``families[k]`` holds level k's families of both kinds, or None until
-    they are asked for; the deepest level's are always there.
+    ``families[k]`` holds the ideals of k blocks as families of both kinds,
+    in search order, or None until they are asked for; the deepest level's
+    are always there.  Every ideal of fewer blocks extends to the deepest
+    level (one with largest element x can add {1,..,1,x+1}), and the search
+    lists the descendants of an ideal together, so level k is the distinct
+    k-block prefixes of any deeper level, in order.
     """
 
-    __slots__ = ("m", "blocks", "kids", "families")
+    __slots__ = ("m", "families")
 
     def __init__(self, m: int):
         self.m = m
-        self.blocks: list[list[Block]] = [[()]]
-        self.kids: list[array] = []
         self.families: list[dict[BlockKind, tuple[Family, ...]] | None] = [
             {kind: (Family._trusted(m, kind, ()),) for kind in BlockKind}
         ]
 
     def level(self, n: int) -> dict[BlockKind, tuple[Family, ...]]:
         """The families of n blocks of both kinds, in search order."""
-        if n >= len(self.blocks):
+        if n >= len(self.families):
             self._grow(n)
-        built = n
-        while self.families[built] is None:
-            built -= 1
-        for k in range(built + 1, n + 1):
-            self.families[k] = self._extend(k)
+        elif self.families[n] is None:
+            self.families[n] = self._prefixes(n)
         return self.families[n]
 
-    def _extend(self, k: int) -> dict[BlockKind, tuple[Family, ...]]:
-        """Level k's families from level k - 1's, one block more each.
+    def _prefixes(self, k: int) -> dict[BlockKind, tuple[Family, ...]]:
+        """Level k's families, cut from the nearest deeper level built.
 
-        The block added is colex-largest, so its largest element is the
-        family's, and the parent's count vector is never the longer one.
+        The blocks cut off are colex-largest, so the last block kept holds
+        the family's largest element.
         """
-        m, lift = self.m, range(self.m)
+        deeper = next(level for level in self.families[k + 1 :] if level is not None)
         out = {}
-        for kind, parents in self.families[k - 1].items():
-            added = iter(self.blocks[k])
-            fams = []
-            for parent, c in zip(parents, self.kids[k - 1]):
-                base = list(parent._counts) if k > 1 else []
-                for b in itertools.islice(added, c):
-                    if kind is BlockKind.SET:
-                        b = tuple(map(add, b, lift))
-                    counts = base + [0] * (b[-1] - len(base))
-                    for x in b:
-                        counts[x - 1] += 1
-                    fam = Family._trusted(m, kind, parent.blocks + (b,))
-                    fam._counts = tuple(counts)
-                    fams.append(fam)
-            out[kind] = tuple(fams)
+        for kind, fams in deeper.items():
+            listed = []
+            last = None
+            for fam in fams:
+                blocks = fam.blocks[:k]
+                if blocks == last:
+                    continue
+                last = blocks
+                counts = list(fam._counts)
+                for block in fam.blocks[k:]:
+                    for x in block:
+                        counts[x - 1] -= 1
+                cut = Family._trusted(self.m, kind, blocks)
+                cut._counts = tuple(counts[: blocks[-1][-1]])
+                listed.append(cut)
+            out[kind] = tuple(listed)
         return out
 
     def _grow(self, n: int) -> None:
-        """Extend the tree to level n and make level n's families.
-
-        A tree grown before has been asked for more than one size, so the
-        families of the levels passed are made as well.
-        """
+        """Go on from the deepest level to level n, making only level n's families."""
         # One search lists both kinds: it runs over multiset blocks, and the
         # shift bijection (see the module docstring) carries each node to the
         # set family of the same search order.  Colex order is a linear
@@ -453,28 +445,26 @@ class _Search:
         # The count vectors of the path and of its shifted set blocks follow
         # their blocks in and out, and colex order puts the largest element
         # in b.  The search goes on from each ideal of the deepest level in
-        # turn, restored from its families; popping its entry re-adds its
-        # last block.  Each ideal short of n blocks appends its frontier, its
-        # children, to the next level, and the new levels join the tree only
-        # once the search is done.
+        # turn, restored from its families: the children of an ideal are the
+        # frontier the search held for it, so the siblings of a deepest ideal
+        # are the last blocks of its run of families sharing all other
+        # blocks, and popping its entry re-adds its last block.  Level n is
+        # kept in one step once the search is done, so a search cut short
+        # leaves the levels as they were.
         m = self.m
         SET, MULTI = BlockKind.SET, BlockKind.MULTISET
-        deepest = len(self.blocks) - 1
-        grown = deepest > 0
-        levels = self.blocks + [[] for _ in range(deepest, n)]
-        kids = self.kids + [array("I") for _ in range(deepest, n)]
-        found = {k: {SET: [], MULTI: []} for k in range(deepest + 1 if grown else n, n + 1)}
-        if grown:
-            level = levels[deepest]
-            runs = itertools.pairwise(itertools.accumulate(kids[deepest - 1], initial=0))
+        deepest = len(self.families) - 1
+        start = self.families[deepest]
+        if deepest:
+            runs = itertools.groupby(start[MULTI], key=lambda fam: fam.blocks[:-1])
             entries = (
-                (deepest - 1, level[p:end], 0) for first, end in runs for p in range(first, end)
+                (deepest - 1, siblings, j)
+                for siblings in ([fam.blocks[-1] for fam in run] for _, run in runs)
+                for j in range(len(siblings))
             )
         else:
-            levels[1].append((1,) * m)
-            kids[0].append(1)
-            entries = [(0, levels[1], 0)]
-        start = self.families[deepest]
+            entries = [(0, [(1,) * m], 0)]
+        found = {SET: [], MULTI: []}
         # upper covers, each with its lower covers
         above: dict[Block, list[tuple[Block, list[Block]]]] = {}
         shifted: dict[Block, Block] = {}  # multiset block -> set block
@@ -486,7 +476,7 @@ class _Search:
             have = set(path)  # the blocks of path
             counts = [0] * (_ground_top(m, n, MULTI) + 1)  # counts[x]: occurrences of x in path
             set_counts = [0] * (_ground_top(m, n, SET) + 1)  # the same for set_path
-            if grown:
+            if deepest:
                 counts[1 : len(multi._counts) + 1] = multi._counts
                 set_counts[1 : len(sets._counts) + 1] = sets._counts
             stack = [entry]
@@ -512,17 +502,15 @@ class _Search:
                 for x in s:
                     set_counts[x] += 1
                 k = depth + 1
-                if k == n or (grown and k > deepest):
-                    made = found[k]
+                if k == n:
                     for kind, blocks, vector in (
                         (MULTI, path, counts),
                         (SET, set_path, set_counts),
                     ):
                         fam = Family._trusted(m, kind, tuple(blocks))
                         fam._counts = tuple(vector[1 : blocks[-1][-1] + 1])
-                        made[kind].append(fam)
-                    if k == n:
-                        continue
+                        found[kind].append(fam)
+                    continue
                 frontier = siblings[j + 1 :]
                 covers = above.get(b)
                 if covers is None:
@@ -532,14 +520,10 @@ class _Search:
                 for u, below in covers:
                     if have.issuperset(below):
                         insort(frontier, u, key=colex)
-                levels[k + 1] += frontier
-                kids[k].append(len(frontier))
                 for i in reversed(range(len(frontier))):
                     stack.append((k, frontier, i))
-        self.blocks, self.kids = levels, kids
-        self.families += [None] * (n - deepest)
-        for k, fams in found.items():
-            self.families[k] = {kind: tuple(listed) for kind, listed in fams.items()}
+        made = {kind: tuple(listed) for kind, listed in found.items()}
+        self.families = self.families + [None] * (n - deepest - 1) + [made]
 
 
 # The closed-family search of each block size m met so far.

@@ -407,9 +407,9 @@ class TestEnumeration:
         search = families._SEARCHES[3]
         level = search.families[6]
         assert list(level[first]) == listed and len(level[second]) == len(listed) == 6
-        levels = search.blocks
+        levels = search.families
         again = list(enumerate_closed_families(3, 6, second))
-        assert all(map(operator.is_, again, level[second])) and search.blocks is levels
+        assert all(map(operator.is_, again, level[second])) and search.families is levels
 
     def test_search_families_equal_validated_families(self):
         # The search builds its families without validation or the colex

@@ -194,11 +194,21 @@ LEVEL_SIZES = {
 }
 
 
+def _level_sizes(m: int, n: int) -> list[int]:
+    """Sizes of levels 0, ..., n of one search to n, each cut from the level above."""
+    clear_caches()
+    list(enumerate_closed_families(m, n, "set"))
+    search = families._SEARCHES[m]
+    assert all(level is None for level in search.families[1:n])  # one search made only n
+    levels = search.families
+    sizes = [len(list(enumerate_closed_families(m, k, "multiset"))) for k in range(n, -1, -1)]
+    assert search.families is levels  # and never searched again
+    return sizes[::-1]
+
+
 @pytest.mark.parametrize("m", sorted(LEVEL_SIZES))
 def test_one_search_passes_every_smaller_level(m):
-    clear_caches()
-    list(enumerate_closed_families(m, len(LEVEL_SIZES[m]) - 1, "set"))
-    assert list(map(len, families._SEARCHES[m].blocks)) == LEVEL_SIZES[m]
+    assert _level_sizes(m, len(LEVEL_SIZES[m]) - 1) == LEVEL_SIZES[m]
 
 
 def test_pairs_of_blocks_have_q_of_n_closed_families():
@@ -210,9 +220,7 @@ def test_pairs_of_blocks_have_q_of_n_closed_families():
         for n in range(50, k - 1, -1):
             q[n] += q[n - k]
     assert q[50] == 3658
-    clear_caches()
-    list(enumerate_closed_families(2, 50, "multiset"))
-    assert list(map(len, families._SEARCHES[2].blocks)) == q
+    assert _level_sizes(2, 50) == q
 
 
 def test_a_deeper_request_keeps_the_families_built():
@@ -221,11 +229,31 @@ def test_a_deeper_request_keeps_the_families_built():
     search = families._SEARCHES[3]
     assert search.families[6] is None  # one search to 8 made only level 8
     families._closed_families(3, 12)
-    # Asked for a second size, the search made every level it passed.
-    assert all(search.families[n] is not None for n in range(9, 13))
+    assert all(search.families[n] is None for n in (6, 7, 9, 10, 11))
     for n, level in built.items():
         for kind, fams in level.items():
             assert all(map(operator.is_, search.families[n][kind], fams)), (n, kind)
+
+
+def test_a_deeper_request_goes_on_from_the_deepest_level(monkeypatch):
+    covers = families._upper_covers
+    asked = []
+
+    def counted(block, kind):
+        asked.append(block)
+        return covers(block, kind)
+
+    monkeypatch.setattr(families, "_upper_covers", counted)
+    clear_caches()
+    families._closed_families(3, 12)
+    fresh = len(asked)
+    clear_caches()
+    families._closed_families(3, 8)
+    asked.clear()
+    families._closed_families(3, 12)
+    # Only ideals of at least 8 blocks are visited again, so the first
+    # block, (1, 1, 1), never is.
+    assert (1, 1, 1) not in asked and len(asked) < fresh
 
 
 if __name__ == "__main__":
