@@ -72,13 +72,13 @@ def clear_caches() -> None:
 
     A process memoizes, in four memos, ribbon-strip values per (cycle-type
     suffix, m, flavor), whose m = 1 nodes hold the character values, the
-    class weights of each s_nu, the closed families of each m, by size, and
-    prefix folds, and frees none of them on its own.  Answers never depend
-    on what the memos hold.
+    class weights of each s_nu, the closed families of each (m, n) asked
+    for, and prefix folds, and frees none of them on its own.  Answers never
+    depend on what the memos hold.
     """
     oracle._RIBBON_CACHE.clear()
     oracle._power_sum_coefficients.cache_clear()
-    families._SEARCHES.clear()
+    families._LEVELS.clear()
     families._PREFIX_FOLDS.clear()
 
 

@@ -24,17 +24,23 @@ multiset families of shape (m^n) onto the closed set families, in the same
 search order, and the two ground-set bounds differ by its largest shift:
 ``m + n - 1 = n + (m - 1)``.
 
-Search tree: a process keeps one closed-family search per m and grows it
-(see ``_Search``).  The search adds blocks in colex order, so a node of
-depth k is a colex-increasing sequence of k blocks, and it visits the
-children of a node in the colex order of the block added.  Its pre-order
-restricted to depth k is therefore the lexicographic order of these
-sequences, compared by colex index, whatever depth the search goes on to:
-a search to n blocks passes the closed families of every k < n in the
-order a search to k lists them, so they are the distinct k-block prefixes
-of its families, in order, and a search resumed from the families of depth
-k, in their order, lists depth n in the order of one search from the empty
-family.
+Cone correspondence: subtracting 1 from each element of a multiset block
+and reversing the order gives a point ``x_1 >= .. >= x_m >= 0`` of the cone
+C_m in N^m (a partition of at most m parts).  Majorization becomes the
+componentwise order, an upper cover adds 1 to one coordinate, and colex
+order becomes lex order, so the closed multiset families of n blocks are
+the order ideals of n points of C_m; through the shift, so are the set
+families.  At m = 2 these are the shifted diagrams, q(n) of them.
+
+Search order: the search adds blocks in colex order, so a node of depth k
+is a colex-increasing sequence of k blocks, and it visits the children of
+a node in the colex order of the block added.  Its pre-order restricted to
+depth k is therefore the lexicographic order of these sequences, compared
+by colex index, whatever depth the search goes on to.  An ideal of k < n
+blocks grows to n blocks one block at a time, each time adding {1,..,1,x+1}
+for its largest element x, so a search to n passes the closed families of
+every k < n in the order a search to k lists them: they are the distinct
+k-block prefixes of its families, in order (see ``_cut``).
 """
 
 from __future__ import annotations
@@ -374,168 +380,121 @@ def _ground_top(m: int, n: int, kind: BlockKind) -> int:
     return m + n - 1 if kind is BlockKind.SET else n
 
 
-class _Search:
-    """The closed-family search of one block size m, kept as the levels it listed.
+# A level: the closed families of one size of both kinds, in search order.
+_Level = dict[BlockKind, tuple[Family, ...]]
 
-    ``families[k]`` holds the ideals of k blocks as families of both kinds,
-    in search order, or None until they are asked for; the deepest level's
-    are always there.  Every ideal of fewer blocks extends to the deepest
-    level (one with largest element x can add {1,..,1,x+1}), and the search
-    lists the descendants of an ideal together, so level k is the distinct
-    k-block prefixes of any deeper level, in order.
+
+def _search(m: int, n: int) -> _Level:
+    """The closed families of n >= 1 blocks of both kinds, in search order."""
+    # One search lists both kinds: it runs over multiset blocks, and the
+    # shift bijection (see the module docstring) carries each node to the
+    # set family of the same search order.  Colex order is a linear
+    # extension of majorization, so every ideal is produced exactly once by
+    # adding its blocks in colex order, each block only after all its lower
+    # covers.  A stack entry (depth, siblings, j) is the node path[:depth] +
+    # [b] of b = siblings[j]; its frontier, in colex order, is its rest
+    # siblings[j + 1 :] (what the parent's frontier holds past b) plus the
+    # upper covers b completed, merged in on popping, so never at a leaf.
+    # Every branch ends in a family: an ideal of fewer than n blocks with
+    # largest element x can add {1,..,1,x+1}.  A block past the ground-set
+    # bound has at least n blocks below it, so it is completed only at a
+    # leaf and never added.  The count vectors of the path and of its
+    # shifted set blocks follow their blocks in and out, and colex order
+    # puts the largest element in b.
+    SET, MULTI = BlockKind.SET, BlockKind.MULTISET
+    found: dict[BlockKind, list[Family]] = {SET: [], MULTI: []}
+    stack = [(0, [(1,) * m], 0)]
+    # upper covers, each with its lower covers
+    above: dict[Block, list[tuple[Block, list[Block]]]] = {}
+    shifted: dict[Block, Block] = {}  # multiset block -> set block
+    path: list[Block] = []
+    set_path: list[Block] = []  # the shifted blocks of path
+    have: set[Block] = set()  # the blocks of path
+    counts = [0] * (_ground_top(m, n, MULTI) + 1)  # counts[x]: occurrences of x in path
+    set_counts = [0] * (_ground_top(m, n, SET) + 1)  # the same for set_path
+    lift = range(m)
+    colex = itemgetter(*reversed(lift))  # colex_key, or for m = 1 its one element
+    while stack:
+        depth, siblings, j = stack.pop()
+        b = siblings[j]
+        gone = path[depth:]
+        have.difference_update(gone)
+        for block in gone:
+            for x in block:
+                counts[x] -= 1
+        for block in set_path[depth:]:
+            for x in block:
+                set_counts[x] -= 1
+        s = shifted.get(b)
+        if s is None:
+            s = shifted[b] = tuple(map(add, b, lift))
+        path[depth:] = [b]
+        set_path[depth:] = [s]
+        have.add(b)
+        for x in b:
+            counts[x] += 1
+        for x in s:
+            set_counts[x] += 1
+        k = depth + 1
+        if k == n:
+            for kind, blocks, vector in ((MULTI, path, counts), (SET, set_path, set_counts)):
+                fam = Family._trusted(m, kind, tuple(blocks))
+                fam._counts = tuple(vector[1 : blocks[-1][-1] + 1])
+                found[kind].append(fam)
+            continue
+        frontier = siblings[j + 1 :]
+        covers = above.get(b)
+        if covers is None:
+            covers = above[b] = [(u, lower_covers(u, MULTI)) for u in _upper_covers(b, MULTI)]
+        for u, below in covers:
+            if have.issuperset(below):
+                insort(frontier, u, key=colex)
+        for i in reversed(range(len(frontier))):
+            stack.append((k, frontier, i))
+    return {kind: tuple(listed) for kind, listed in found.items()}
+
+
+def _cut(deeper: _Level, k: int) -> _Level:
+    """Level k >= 1: the distinct k-block prefixes of a deeper level, in order.
+
+    The blocks cut off are colex-largest, so the last block kept holds the
+    family's largest element.
     """
-
-    __slots__ = ("m", "families")
-
-    def __init__(self, m: int):
-        self.m = m
-        self.families: list[dict[BlockKind, tuple[Family, ...]] | None] = [
-            {kind: (Family._trusted(m, kind, ()),) for kind in BlockKind}
-        ]
-
-    def level(self, n: int) -> dict[BlockKind, tuple[Family, ...]]:
-        """The families of n blocks of both kinds, in search order."""
-        if n >= len(self.families):
-            self._grow(n)
-        elif self.families[n] is None:
-            self.families[n] = self._prefixes(n)
-        return self.families[n]
-
-    def _prefixes(self, k: int) -> dict[BlockKind, tuple[Family, ...]]:
-        """Level k's families, cut from the nearest deeper level built.
-
-        The blocks cut off are colex-largest, so the last block kept holds
-        the family's largest element.
-        """
-        deeper = next(level for level in self.families[k + 1 :] if level is not None)
-        out = {}
-        for kind, fams in deeper.items():
-            listed = []
-            last = None
-            for fam in fams:
-                blocks = fam.blocks[:k]
-                if blocks == last:
-                    continue
-                last = blocks
-                counts = list(fam._counts)
-                for block in fam.blocks[k:]:
-                    for x in block:
-                        counts[x - 1] -= 1
-                cut = Family._trusted(self.m, kind, blocks)
-                cut._counts = tuple(counts[: blocks[-1][-1]])
-                listed.append(cut)
-            out[kind] = tuple(listed)
-        return out
-
-    def _grow(self, n: int) -> None:
-        """Go on from the deepest level to level n, making only level n's families."""
-        # One search lists both kinds: it runs over multiset blocks, and the
-        # shift bijection (see the module docstring) carries each node to the
-        # set family of the same search order.  Colex order is a linear
-        # extension of majorization, so every ideal is produced exactly once
-        # by adding its blocks in colex order, each block only after all its
-        # lower covers.  A stack entry (depth, siblings, j) is the node
-        # path[:depth] + [b] of b = siblings[j]; its frontier, in colex
-        # order, is its rest siblings[j + 1 :] (what the parent's frontier
-        # holds past b) plus the upper covers b completed, merged in on
-        # popping, so never at a leaf.  Every branch ends in a family: an
-        # ideal of fewer than n blocks with largest element x can add
-        # {1,..,1,x+1}.  A block past the ground-set bound has at least n
-        # blocks below it, so it is completed only at a leaf and never added.
-        # The count vectors of the path and of its shifted set blocks follow
-        # their blocks in and out, and colex order puts the largest element
-        # in b.  The search goes on from each ideal of the deepest level in
-        # turn, restored from its families: the children of an ideal are the
-        # frontier the search held for it, so the siblings of a deepest ideal
-        # are the last blocks of its run of families sharing all other
-        # blocks, and popping its entry re-adds its last block.  Level n is
-        # kept in one step once the search is done, so a search cut short
-        # leaves the levels as they were.
-        m = self.m
-        SET, MULTI = BlockKind.SET, BlockKind.MULTISET
-        deepest = len(self.families) - 1
-        start = self.families[deepest]
-        if deepest:
-            runs = itertools.groupby(start[MULTI], key=lambda fam: fam.blocks[:-1])
-            entries = (
-                (deepest - 1, siblings, j)
-                for siblings in ([fam.blocks[-1] for fam in run] for _, run in runs)
-                for j in range(len(siblings))
-            )
-        else:
-            entries = [(0, [(1,) * m], 0)]
-        found = {SET: [], MULTI: []}
-        # upper covers, each with its lower covers
-        above: dict[Block, list[tuple[Block, list[Block]]]] = {}
-        shifted: dict[Block, Block] = {}  # multiset block -> set block
-        lift = range(m)
-        colex = itemgetter(*reversed(lift))  # colex_key, or for m = 1 its one element
-        for multi, sets, entry in zip(start[MULTI], start[SET], entries):
-            path = list(multi.blocks)
-            set_path = list(sets.blocks)  # the shifted blocks of path
-            have = set(path)  # the blocks of path
-            counts = [0] * (_ground_top(m, n, MULTI) + 1)  # counts[x]: occurrences of x in path
-            set_counts = [0] * (_ground_top(m, n, SET) + 1)  # the same for set_path
-            if deepest:
-                counts[1 : len(multi._counts) + 1] = multi._counts
-                set_counts[1 : len(sets._counts) + 1] = sets._counts
-            stack = [entry]
-            while stack:
-                depth, siblings, j = stack.pop()
-                b = siblings[j]
-                gone = path[depth:]
-                have.difference_update(gone)
-                for block in gone:
-                    for x in block:
-                        counts[x] -= 1
-                for block in set_path[depth:]:
-                    for x in block:
-                        set_counts[x] -= 1
-                s = shifted.get(b)
-                if s is None:
-                    s = shifted[b] = tuple(map(add, b, lift))
-                path[depth:] = [b]
-                set_path[depth:] = [s]
-                have.add(b)
-                for x in b:
-                    counts[x] += 1
-                for x in s:
-                    set_counts[x] += 1
-                k = depth + 1
-                if k == n:
-                    for kind, blocks, vector in (
-                        (MULTI, path, counts),
-                        (SET, set_path, set_counts),
-                    ):
-                        fam = Family._trusted(m, kind, tuple(blocks))
-                        fam._counts = tuple(vector[1 : blocks[-1][-1] + 1])
-                        found[kind].append(fam)
-                    continue
-                frontier = siblings[j + 1 :]
-                covers = above.get(b)
-                if covers is None:
-                    covers = above[b] = [
-                        (u, lower_covers(u, MULTI)) for u in _upper_covers(b, MULTI)
-                    ]
-                for u, below in covers:
-                    if have.issuperset(below):
-                        insort(frontier, u, key=colex)
-                for i in reversed(range(len(frontier))):
-                    stack.append((k, frontier, i))
-        made = {kind: tuple(listed) for kind, listed in found.items()}
-        self.families = self.families + [None] * (n - deepest - 1) + [made]
+    out = {}
+    for kind, fams in deeper.items():
+        listed = []
+        last = None
+        for fam in fams:
+            blocks = fam.blocks[:k]
+            if blocks == last:
+                continue
+            last = blocks
+            counts = list(fam._counts)
+            for block in fam.blocks[k:]:
+                for x in block:
+                    counts[x - 1] -= 1
+            cut = Family._trusted(fam.m, kind, blocks)
+            cut._counts = tuple(counts[: blocks[-1][-1]])
+            listed.append(cut)
+        out[kind] = tuple(listed)
+    return out
 
 
-# The closed-family search of each block size m met so far.
-_SEARCHES: dict[int, _Search] = {}
+# The levels of each block size m met so far: _LEVELS[m][n] is level n.  A
+# level is stored in one assignment once complete, so a search or cut
+# stopped partway leaves the memo as it was.
+_LEVELS: dict[int, dict[int, _Level]] = {}
 
 
-def _closed_families(m: int, n: int) -> dict[BlockKind, tuple[Family, ...]]:
-    """The closed families of shape (m^n) of both kinds, from one search per m."""
-    search = _SEARCHES.get(m)
-    if search is None:
-        search = _SEARCHES[m] = _Search(m)
-    return search.level(n)
+def _closed_families(m: int, n: int) -> _Level:
+    """Level n of block size m: stored, else cut from the nearest deeper one, else searched."""
+    levels = _LEVELS.get(m) or {0: {kind: (Family._trusted(m, kind, ()),) for kind in BlockKind}}
+    level = levels.get(n)
+    if level is None:
+        deeper = min((k for k in levels if k > n), default=None)
+        level = _search(m, n) if deeper is None else _cut(levels[deeper], n)
+        _LEVELS[m] = {**levels, n: level}
+    return level
 
 
 def enumerate_closed_families(m: int, n: int, kind: BlockKind | str) -> Iterator[Family]:

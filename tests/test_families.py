@@ -355,6 +355,40 @@ class TestEnumeration:
                     assert got == brute, (kind, m, n)
 
     @staticmethod
+    def _cone_ideals(m, n):
+        """The order ideals of n cells of the cone x_1 >= .. >= x_m >= 0 in N^m,
+        grown one cell at a time: a cell joins once all its lower covers are in."""
+
+        def in_cone(x):
+            return all(map(operator.ge, x, x[1:]))
+
+        ideals = {frozenset()}
+        for _ in range(n):
+            grown = set()
+            for ideal in ideals:
+                cells = {x[:i] + (x[i] + 1,) + x[i + 1 :] for x in ideal for i in range(m)}
+                for c in cells - ideal if ideal else {(0,) * m}:
+                    below = (c[:i] + (c[i] - 1,) + c[i + 1 :] for i in range(m) if c[i])
+                    if in_cone(c) and all(y in ideal for y in below if in_cone(y)):
+                        grown.add(ideal | {c})
+            ideals = grown
+        return ideals
+
+    @pytest.mark.parametrize("m, top", [(1, 14), (2, 14), (3, 14), (4, 12)])
+    def test_matches_cone_ideals(self, m, top):
+        # Item 20's correspondence: subtract 1 from each element of a block
+        # (and 0, 1, .., m-1 from a set block) and reverse it.
+        lift = {MULTI: (1,) * m, SET: tuple(range(1, m + 1))}
+        for n in range(top + 1):
+            cone = self._cone_ideals(m, n)
+            for kind in (SET, MULTI):
+                got = [
+                    frozenset(tuple(map(operator.sub, b, lift[kind]))[::-1] for b in fam.blocks)
+                    for fam in enumerate_closed_families(m, n, kind)
+                ]
+                assert len(set(got)) == len(got) and set(got) == cone, (m, n, kind)
+
+    @staticmethod
     def _scan_search(m, n, kind):
         """The earlier search: at every depth, scan every bounded block past
         the last one added and take those whose lower covers are all chosen."""
@@ -401,15 +435,20 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_closed_families(4, 20, SET)) == 1068
 
     @pytest.mark.parametrize("first, second", [(SET, MULTI), (MULTI, SET)])
-    def test_one_search_lists_both_kinds(self, first, second):
+    def test_one_search_lists_both_kinds(self, first, second, monkeypatch):
         clear_caches()
+        search, searched = families._search, []
+
+        def counted(m, n):
+            searched.append((m, n))
+            return search(m, n)
+
+        monkeypatch.setattr(families, "_search", counted)
         listed = list(enumerate_closed_families(3, 6, first))
-        search = families._SEARCHES[3]
-        level = search.families[6]
+        level = families._LEVELS[3][6]
         assert list(level[first]) == listed and len(level[second]) == len(listed) == 6
-        levels = search.families
         again = list(enumerate_closed_families(3, 6, second))
-        assert all(map(operator.is_, again, level[second])) and search.families is levels
+        assert all(map(operator.is_, again, level[second])) and searched == [(3, 6)]
 
     def test_search_families_equal_validated_families(self):
         # The search builds its families without validation or the colex

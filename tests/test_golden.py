@@ -2,8 +2,8 @@
 
 The README's library example is run as well, and its first print checked,
 and the rule engine's reports and listings are checked against recorded
-digests (see ``RULE_DIGESTS``).  The closed-family search of each m, grown
-from one request to the next, must list what a fresh search lists.
+digests (see ``RULE_DIGESTS``).  The closed families of each size, searched
+or cut from a deeper size stored before, must list what a fresh search lists.
 
 Each README command is run with its ``--format`` option dropped, once as
 text and once with ``--format json``.  ``golden/readme_commands.json`` holds
@@ -19,7 +19,6 @@ import contextlib
 import hashlib
 import io
 import json
-import operator
 import random
 import shlex
 from pathlib import Path
@@ -27,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from foulkes import (
+    BlockKind,
     FamilyTuple,
     Partition,
     clear_caches,
@@ -175,11 +175,42 @@ def _listing(m: int, n: int) -> dict:
     }
 
 
-def test_grown_searches_list_what_fresh_searches_list():
+def _record(monkeypatch) -> tuple[list, list]:
+    """The (m, n) of every closed-family search and the (deeper size, k) of
+    every level cut from now on."""
+    searched, cut = [], []
+    search, cutter = families._search, families._cut
+
+    def counted_search(m, n):
+        searched.append((m, n))
+        return search(m, n)
+
+    def counted_cut(deeper, k):
+        cut.append((deeper[BlockKind.MULTISET][0].size, k))
+        return cutter(deeper, k)
+
+    monkeypatch.setattr(families, "_search", counted_search)
+    monkeypatch.setattr(families, "_cut", counted_cut)
+    return searched, cut
+
+
+@pytest.mark.parametrize("order", ["shuffled", "ascending", "descending"])
+def test_grown_searches_list_what_fresh_searches_list(order, monkeypatch):
+    # Ascending, every request is a fresh search; descending, every request
+    # is cut from the size above it.
     requests = [(m, n) for m in range(1, 6) for n in range(13)]
-    random.Random(40).shuffle(requests)
+    if order == "shuffled":
+        random.Random(40).shuffle(requests)
+    elif order == "descending":
+        requests.reverse()
+    searched, cut = _record(monkeypatch)
     clear_caches()
     grown = {request: _listing(*request) for request in requests}
+    if order == "ascending":
+        assert searched == [(m, n) for m, n in requests if n] and not cut
+    elif order == "descending":
+        assert searched == [(m, 12) for m in range(5, 0, -1)]
+        assert cut == [(n + 1, n) for m, n in requests if 0 < n < 12]
     for request in requests:
         clear_caches()
         assert _listing(*request) == grown[request], request
@@ -194,24 +225,25 @@ LEVEL_SIZES = {
 }
 
 
-def _level_sizes(m: int, n: int) -> list[int]:
-    """Sizes of levels 0, ..., n of one search to n, each cut from the level above."""
+def _level_sizes(m: int, n: int, monkeypatch) -> list[int]:
+    """Sizes of levels 0, ..., n from one search to n, each smaller level cut
+    from the level above."""
     clear_caches()
+    searched, cut = _record(monkeypatch)
     list(enumerate_closed_families(m, n, "set"))
-    search = families._SEARCHES[m]
-    assert all(level is None for level in search.families[1:n])  # one search made only n
-    levels = search.families
+    assert sorted(families._LEVELS[m]) == [0, n]  # one search stored only n
     sizes = [len(list(enumerate_closed_families(m, k, "multiset"))) for k in range(n, -1, -1)]
-    assert search.families is levels  # and never searched again
+    assert searched == [(m, n)]  # and never searched again
+    assert cut == [(k + 1, k) for k in range(n - 1, 0, -1)]
     return sizes[::-1]
 
 
 @pytest.mark.parametrize("m", sorted(LEVEL_SIZES))
-def test_one_search_passes_every_smaller_level(m):
-    assert _level_sizes(m, len(LEVEL_SIZES[m]) - 1) == LEVEL_SIZES[m]
+def test_one_search_passes_every_smaller_level(m, monkeypatch):
+    assert _level_sizes(m, len(LEVEL_SIZES[m]) - 1, monkeypatch) == LEVEL_SIZES[m]
 
 
-def test_pairs_of_blocks_have_q_of_n_closed_families():
+def test_pairs_of_blocks_have_q_of_n_closed_families(monkeypatch):
     # At m = 2 a closed family is a shifted diagram, so there are q(n) of
     # them: partitions of n into distinct parts, the coefficients of
     # prod(1 + x^k).
@@ -220,40 +252,56 @@ def test_pairs_of_blocks_have_q_of_n_closed_families():
         for n in range(50, k - 1, -1):
             q[n] += q[n - k]
     assert q[50] == 3658
-    assert _level_sizes(2, 50) == q
+    assert _level_sizes(2, 50, monkeypatch) == q
 
 
-def test_a_deeper_request_keeps_the_families_built():
+def test_a_deeper_request_keeps_the_families_built(monkeypatch):
     clear_caches()
     built = {n: families._closed_families(3, n) for n in (8, 5)}
-    search = families._SEARCHES[3]
-    assert search.families[6] is None  # one search to 8 made only level 8
+    searched, cut = _record(monkeypatch)
     families._closed_families(3, 12)
-    assert all(search.families[n] is None for n in (6, 7, 9, 10, 11))
+    assert searched == [(3, 12)]  # a larger size is a fresh search
     for n, level in built.items():
-        for kind, fams in level.items():
-            assert all(map(operator.is_, search.families[n][kind], fams)), (n, kind)
+        assert families._closed_families(3, n) is level
+    for n in (10, 6, 4):
+        families._closed_families(3, n)
+    assert cut == [(12, 10), (8, 6), (5, 4)]  # each from the nearest deeper level
+    assert sorted(families._LEVELS[3]) == [0, 4, 5, 6, 8, 10, 12]
 
 
-def test_a_deeper_request_goes_on_from_the_deepest_level(monkeypatch):
-    covers = families._upper_covers
-    asked = []
-
-    def counted(block, kind):
-        asked.append(block)
-        return covers(block, kind)
-
-    monkeypatch.setattr(families, "_upper_covers", counted)
+@pytest.mark.parametrize(
+    "before, n",
+    [((), 12), ((5,), 12), ((12,), 7)],
+    ids=["first-search", "second-search", "cut"],
+)
+def test_a_search_or_cut_stopped_partway_leaves_the_memo_as_it_was(before, n, monkeypatch):
+    # Aim 3: a family built partway through (say a MemoryError or an
+    # interrupt) stops the level, and the memo keeps only whole levels.
     clear_caches()
-    families._closed_families(3, 12)
-    fresh = len(asked)
+    fresh = _listing(3, n)
     clear_caches()
-    families._closed_families(3, 8)
-    asked.clear()
-    families._closed_families(3, 12)
-    # Only ideals of at least 8 blocks are visited again, so the first
-    # block, (1, 1, 1), never is.
-    assert (1, 1, 1) not in asked and len(asked) < fresh
+    for k in before:
+        families._closed_families(3, k)
+    kept = {m: dict(levels) for m, levels in families._LEVELS.items()}
+    trusted = families.Family._trusted
+    made = []
+
+    def failing(cls, m, kind, blocks):
+        made.append(blocks)
+        if len(made) == 10:
+            raise MemoryError("stopped partway")
+        return trusted(m, kind, blocks)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(families.Family, "_trusted", classmethod(failing))
+        with pytest.raises(MemoryError):
+            families._closed_families(3, n)
+    assert len(made) == 10
+    assert families._LEVELS.keys() == kept.keys()
+    for m, levels in kept.items():
+        assert families._LEVELS[m].keys() == levels.keys()
+        assert all(families._LEVELS[m][k] is level for k, level in levels.items())
+    assert _listing(3, n) == fresh
 
 
 if __name__ == "__main__":

@@ -52,10 +52,10 @@ def test_clear_caches_empties_every_memo():
     # Exactly these, so a memo that clear_caches does not know of fails here.
     assert {memo.__name__ for memo in lru_memos} == {"_power_sum_coefficients"}
     assert all(memo.cache_info().currsize for memo in lru_memos)
-    assert oracle._RIBBON_CACHE and families._PREFIX_FOLDS and families._SEARCHES
+    assert oracle._RIBBON_CACHE and families._PREFIX_FOLDS and families._LEVELS
     clear_caches()
     assert [memo.cache_info().currsize for memo in lru_memos] == [0] * len(lru_memos)
-    assert not oracle._RIBBON_CACHE and not families._PREFIX_FOLDS and not families._SEARCHES
+    assert not oracle._RIBBON_CACHE and not families._PREFIX_FOLDS and not families._LEVELS
     assert oracle._EMPTY_PRODUCT[2] == {0: 1}
     assert _answers(calls) == answers
 
