@@ -12,9 +12,11 @@ too large, 3 verify mismatch, 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
+import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .constituents import (
     CharacterFlavor,
@@ -271,29 +273,23 @@ def _cmd_certificate(args) -> int:
     return _emit(args, "certificate", payload, lines)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="foulkes", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _constituents_args(p: argparse.ArgumentParser, extremum: str) -> None:
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--nu", required=True, help="partition, e.g. 2,1,1")
+    p.add_argument("--character", choices=("phi", "psi"), default="phi")
+    p.add_argument("--no-witness", action="store_true")
+    p.set_defaults(func=lambda a: _cmd_constituents(a, extremum))
 
-    for extremum in ("minimal", "maximal"):
-        name = f"{extremum[:3]}-constituents"
-        p = sub.add_parser(name, parents=[common], help=f"{extremum} constituent labels")
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--nu", required=True, help="partition, e.g. 2,1,1")
-        p.add_argument("--character", choices=("phi", "psi"), default="phi")
-        p.add_argument("--no-witness", action="store_true")
-        p.set_defaults(func=lambda a, e=extremum: _cmd_constituents(a, e))
 
-    p = sub.add_parser("expand", parents=[common], help="exact Schur expansion (oracle)")
+def _expand_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--flavor", choices=("row", "column"), default="row")
     p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("verify", parents=[common], help="theorem engines vs oracle")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--nu")
     p.add_argument("--n", type=int, help="weight of nu for --seed-sweep")
@@ -301,23 +297,27 @@ def build_parser() -> _Parser:
     p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("agaoka", parents=[common], help="lex-least single-family type")
+
+def _agaoka_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("set", "multiset"), default="set")
     p.set_defaults(func=_cmd_agaoka)
 
-    p = sub.add_parser("theta", parents=[common], help="decomposition of s_(1^n) o s_(2)")
+
+def _theta_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_theta)
 
-    p = sub.add_parser("families", parents=[common], help="closed families of one shape")
+
+def _families_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("set", "multiset"), default="set")
     p.set_defaults(func=_cmd_families)
 
-    p = sub.add_parser("certificate", parents=[common], help="closed-tuple certificate")
+
+def _certificate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--character", choices=("phi", "psi"), default="phi")
@@ -325,12 +325,50 @@ def build_parser() -> _Parser:
     p.add_argument("--tuple-file")
     p.set_defaults(func=_cmd_certificate)
 
+
+# command -> (help text, argument builder), in the order --help lists them.
+_COMMANDS = {
+    "min-constituents": (
+        "minimal constituent labels",
+        lambda p: _constituents_args(p, "minimal"),
+    ),
+    "max-constituents": (
+        "maximal constituent labels",
+        lambda p: _constituents_args(p, "maximal"),
+    ),
+    "expand": ("exact Schur expansion (oracle)", _expand_args),
+    "verify": ("theorem engines vs oracle", _verify_args),
+    "agaoka": ("lex-least single-family type", _agaoka_args),
+    "theta": ("decomposition of s_(1^n) o s_(2)", _theta_args),
+    "families": ("closed families of one shape", _families_args),
+    "certificate": ("closed-tuple certificate", _certificate_args),
+}
+
+
+def build_parser(argv: Sequence[str] | None = None) -> _Parser:
+    """The argument parser; with ``argv``, only the command it names gets its arguments.
+
+    Every command is registered with its help text, so the top-level help and
+    the choice check are those of the full parser.  argparse hands argv to
+    the subparser of the first token not starting with ``-`` (an earlier
+    positional token would be an invalid choice), so arguments are added to
+    that command alone when it is one, and to every command otherwise.
+    """
+    parser = _Parser(prog="foulkes", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((a for a in argv or () if not a.startswith("-")), None)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == named or named not in _COMMANDS:
+            p.add_argument("--format", choices=("text", "json"), default="text")
+            add_args(p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except GuardExceededError as exc:
@@ -347,5 +385,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """Exit with ``main``'s status, skipping the interpreter's teardown.
+
+    The entry point of ``python -m foulkes.cli`` and the ``foulkes`` script.
+    A normal exit frees every module and object first, which costs a short
+    command a good share of its process time; here the exit handlers run and
+    stdout and stderr are flushed, and then the process ends at once.  The
+    command holds no other open file or thread.  If a flush fails (say the
+    reader closed the pipe), the normal exit reports it as before.  argparse's
+    own exits (``--help``, usage errors) keep the normal exit.
+    """
+    status = main()
+    atexit._run_exitfuncs()  # also unregisters them, so the fallback runs none twice
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

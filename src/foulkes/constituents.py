@@ -170,9 +170,17 @@ def verify(
     agrees with the oracle when the two sets are equal.  Degrees above
     ``guard`` raise :class:`GuardExceededError`, and a negative guard
     ``ValueError``.
+
+    The omega involution gives omega(s_nu o s_(m)) = s_kappa o s_(1^m), so
+    when kappa = nu (m even, or nu self-conjugate) the psi expansion is the
+    phi expansion with every label conjugated, and only one is computed.
+    ``plethysm_expansion`` and ``omega_check`` still compute both flavors.
     """
     row = plethysm_expansion(nu, m, PlethysmFlavor.ROW, guard=guard)
-    col = plethysm_expansion(nu, m, PlethysmFlavor.COLUMN, guard=guard)
+    if kappa_partition(m, nu) == nu:
+        col = row.conjugated()
+    else:
+        col = plethysm_expansion(nu, m, PlethysmFlavor.COLUMN, guard=guard)
     supports = {CharacterFlavor.PHI: row.support(), CharacterFlavor.PSI: col.support()}
     checks = []
     for flavor, extremum in _VERIFIED:

@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from foulkes import families
+from foulkes import cli, families
 from foulkes.cli import (
     EXIT_GUARD,
     EXIT_MISMATCH,
@@ -21,12 +22,24 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_process(*argv):
-    """The CLI in its own process, so that stderr is exactly what a user sees."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "foulkes.cli", *argv],
-        capture_output=True, text=True, timeout=120,
-    )
+def child_env():
+    """The environment now, less PYTHONUNBUFFERED: output a process fails to
+    flush before it exits is then lost, as it is for a user."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def run_process(*argv, prelude=None):
+    """The CLI in its own process, so that stderr is exactly what a user sees.
+
+    With ``prelude``, the process runs that code and then ``foulkes.cli.run``
+    with ``argv``, as the ``foulkes`` script does; else ``python -m foulkes.cli``.
+    """
+    if prelude is None:
+        cmd = [sys.executable, "-m", "foulkes.cli", *argv]
+    else:
+        script = f"{prelude}\nfrom foulkes.cli import run\nrun()\n"
+        cmd = [sys.executable, "-c", script, *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=child_env(), timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -484,6 +497,133 @@ class TestOtherCommands:
         )
         assert code == EXIT_USAGE
         assert "shapes" in err
+
+
+class TestExitPath:
+    """``python -m foulkes.cli`` and the ``foulkes`` script exit through ``cli.run``,
+    which skips the interpreter's teardown: what main printed, its status and
+    the exit handlers must all come through."""
+
+    @pytest.mark.parametrize("fmt, size", [("text", 347_944), ("json", 2_384_092)])
+    def test_a_long_listing_comes_out_whole(self, capsys, fmt, size):
+        argv = ("families", "--m", "2", "--n", "40", "--kind", "set", "--format", fmt)
+        code, out, err = run_process(*argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert len(out.encode()) == size
+        assert (code, out, err) == run(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("expand", "--m", "2", "--nu", "2,1", "--guard", "-1"), EXIT_USAGE),
+            (("expand", "--m", "2", "--nu", "1,2"), EXIT_USAGE),
+            (("expand", "--m", "3", "--nu", "3,2,1"), EXIT_GUARD),
+        ],
+        ids=["bad-guard", "bad-partition", "guard-exceeded"],
+    )
+    def test_exit_codes_pass_through(self, argv, code):
+        got, out, err = run_process(*argv)
+        assert (got, out) == (code, "")
+        assert "error: " in err and "Traceback" not in err
+
+    def test_exit_handlers_run(self):
+        prelude = "import atexit\natexit.register(print, 'handler ran')"
+        code, out, err = run_process("theta", "--n", "3", prelude=prelude)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[0] == "theta n=3 degree=6"
+        assert out.splitlines()[-1] == "handler ran"
+
+    def test_a_closed_pipe_is_reported_once(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "foulkes.cli", "families", "--m", "2", "--n", "40"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_USAGE
+        assert err == "error: [Errno 32] Broken pipe\n"
+
+    def test_a_failed_last_flush_takes_the_normal_exit(self):
+        # The output fits the buffer and the pipe is closed before it is
+        # flushed: run's flush fails, and the interpreter's own flush at
+        # exit fails again and sets status 120, as for any Python program.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "foulkes.cli", "theta", "--n", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=child_env(), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 120
+        assert "BrokenPipeError" in err and "Traceback" not in err
+
+
+COMMANDS = [
+    "min-constituents", "max-constituents", "expand", "verify",
+    "agaoka", "theta", "families", "certificate",
+]
+
+
+# argv, and the one command whose arguments main builds for it (None: every command).
+PARSER_CASES = [((name, "--help"), name) for name in COMMANDS] + [
+    ((), None),
+    (("--help",), None),
+    (("not-a-command",), None),
+    (("--format", "json", "verify"), None),  # "json" is the command argparse reads
+    (("--format=json", "verify", "--m", "2", "--nu", "2"), "verify"),
+    (("expand", "--nu", "2,1"), "expand"),
+    (("expand", "--m", "2", "--nu", "2,1", "--flavor", "diagonal"), "expand"),
+    (("verify", "--m", "2", "--seed-sweep"), "verify"),
+    (("verify", "--m", "x", "--nu", "2"), "verify"),
+    (("theta", "--n", "3", "extra"), "theta"),
+    (("families", "--m", "2", "--n", "3", "--format", "json"), "families"),
+]
+
+
+def with_arguments(parser):
+    """The subcommands of ``parser`` that have more arguments than --help, in order."""
+    (action,) = (a for a in parser._actions if a.dest == "command")
+    return [name for name, p in action.choices.items() if p._actions[1:]]
+
+
+class TestParserPerCommand:
+    """main builds the arguments of the named command only; what a user sees
+    must be what the full parser, ``build_parser()``, gives."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_the_full_parser_has_every_command(self):
+        assert with_arguments(cli.build_parser()) == COMMANDS
+
+    @pytest.mark.parametrize(
+        "argv, named", PARSER_CASES, ids=[" ".join(argv) or "no-command" for argv, _ in PARSER_CASES]
+    )
+    def test_output_and_exit_code_are_the_full_parsers(self, capsys, monkeypatch, argv, named):
+        built = []
+        real = cli.build_parser
+
+        def recording(argv=None):
+            parser = real(argv)
+            built.append(parser)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        got = self.outcome(capsys, argv)
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: real())
+        assert got == self.outcome(capsys, argv)
+        assert with_arguments(built[0]) == ([named] if named else COMMANDS)
 
 
 class TestUsageErrors:

@@ -33,7 +33,7 @@ from foulkes.families import (
     tuple_to_json,
     tuple_type,
 )
-from foulkes.oracle import multiplicity, plethysm_expansion
+from foulkes.oracle import PlethysmFlavor, multiplicity, plethysm_expansion
 from foulkes.partitions import (
     DominanceRelation,
     Partition,
@@ -360,6 +360,36 @@ class TestVerify:
     def test_degree_above_the_guard_is_refused(self):
         with pytest.raises(GuardExceededError):
             verify(2, P("3,2"), guard=9)
+
+    @pytest.mark.parametrize(
+        "m, nu, calls",
+        [(2, "2,1", 1), (3, "2,1", 1), (3, "3,1", 2)],
+        ids=["even-m", "odd-m-self-conjugate", "odd-m"],
+    )
+    def test_one_expansion_when_kappa_is_nu(self, monkeypatch, m, nu, calls):
+        # omega(s_nu o s_(m)) = s_kappa o s_(1^m): when kappa = nu the psi
+        # support is the conjugated phi support, and no column walk runs.
+        import foulkes.constituents as constituents
+
+        flavors = []
+        real = constituents.plethysm_expansion
+
+        def counting(nu, m, flavor, **kw):
+            flavors.append(PlethysmFlavor(flavor))
+            return real(nu, m, flavor, **kw)
+
+        monkeypatch.setattr(constituents, "plethysm_expansion", counting)
+        checks = verify(m, P(nu))
+        assert all(rule == oracle for _, rule, oracle in checks)
+        assert flavors == [PlethysmFlavor.ROW, PlethysmFlavor.COLUMN][:calls]
+
+    def test_psi_oracle_labels_are_those_of_the_column_walk(self):
+        for m in range(1, 5):
+            for n in range(1, 16 // m + 1):
+                for nu in partitions_of(n):
+                    col = plethysm_expansion(nu, m, "column").support()
+                    oracle = {name: labels for name, _, labels in verify(m, nu)}
+                    assert oracle["min-psi"] == dominance_minimal_elements(col), (m, nu)
 
 
 ENGINES = {
