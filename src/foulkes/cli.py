@@ -6,7 +6,8 @@ produce byte-identical text or JSON (schema version 1, labels in descending
 lexicographic order).
 
 Exit codes: 0 ok, 1 usage error, 2 degree guard exceeded or input refused as
-too large, 3 verify mismatch, 4 internal consistency failure.
+too large, 3 verify mismatch, 4 internal consistency failure, 130 interrupted
+(Ctrl-C), 141 output pipe closed by its reader.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 SCHEMA = 1
 
@@ -380,6 +383,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        raise  # the reader has gone: no usage error, and nowhere to report it
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -392,15 +397,27 @@ def run() -> NoReturn:
     A normal exit frees every module and object first, which costs a short
     command a good share of its process time; here the exit handlers run and
     stdout and stderr are flushed, and then the process ends at once.  The
-    command holds no other open file or thread.  If a flush fails (say the
-    reader closed the pipe), the normal exit reports it as before.  argparse's
-    own exits (``--help``, usage errors) keep the normal exit.
+    command holds no other open file or thread.  If the reader of stdout has
+    closed the pipe, whether a print or the last flush finds it, the rest of
+    the output goes to the null device and the status is 141, as for a
+    process that SIGPIPE ends, with nothing on stderr.  Ctrl-C prints one
+    line and exits with 130.  If a flush fails otherwise (say the disk is
+    full), the normal exit reports it.  argparse's own exits (``--help``,
+    usage errors) keep the normal exit.
     """
-    status = main()
-    atexit._run_exitfuncs()  # also unregisters them, so the fallback runs none twice
     try:
+        try:
+            status = main()
+        except KeyboardInterrupt:
+            print("error: interrupted", file=sys.stderr)
+            status = EXIT_INTERRUPTED
+        atexit._run_exitfuncs()  # also unregisters them, so none runs twice
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        atexit._run_exitfuncs()
+        status = EXIT_PIPE
     except OSError:
         sys.exit(status)
     os._exit(status)

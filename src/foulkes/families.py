@@ -53,7 +53,7 @@ from functools import reduce
 from operator import add, attrgetter, ge, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .partitions import Partition, _add_vectors, _packed_maxima, _packer
+from .partitions import Partition, _add_vectors, _conjugate_parts, _packed_maxima, _packer
 
 __all__ = [
     "BlockKind",
@@ -600,12 +600,13 @@ def _minimal_types(
     # The fold's vectors are weakly decreasing, of weight m * sum(shapes),
     # and its families share m and kind.
     weight = m * sum(shapes)
-    found = []
-    for counts, fams in _fold(m, shapes, kind).items():
-        label = Partition._trusted(counts, weight)
-        found.append((label.conjugate() if types else label, fams))
-    found.sort(key=lambda item: item[0].parts, reverse=True)
-    return {label: FamilyTuple._trusted(m, kind, fams) for label, fams in found}
+    found = _fold(m, shapes, kind).items()
+    if types:
+        found = [(_conjugate_parts(counts), fams) for counts, fams in found]
+    return {
+        Partition._trusted(parts, weight): FamilyTuple._trusted(m, kind, fams)
+        for parts, fams in sorted(found, key=itemgetter(0), reverse=True)
+    }
 
 
 def is_minimal_tuple(t: FamilyTuple) -> bool:

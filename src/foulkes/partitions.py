@@ -13,9 +13,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from enum import Enum
 from functools import reduce, total_ordering
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import factorial
-from operator import add, and_, ge, indexOf, mul, sub
+from operator import add, ge, mul
 from operator import index as _as_int
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -105,19 +105,23 @@ class Partition:
     def conjugate(self) -> "Partition":
         """The partition of column lengths of the Young diagram (memoized)."""
         if self._conj is None:
-            # Columns done+1, ..., ps[length-1] are reached by exactly the
-            # first `length` parts.  A list, not a lazy repeat, so a part too
-            # large to hold fails at once.
-            ps = self.parts
-            cols: list[int] = []
-            done = 0
-            for length in range(len(ps), 0, -1):
-                cols += [length] * (ps[length - 1] - done)
-                done = ps[length - 1]
-            conj = Partition._trusted(tuple(cols), self.weight)
+            conj = Partition._trusted(_conjugate_parts(self.parts), self.weight)
             conj._conj = self
             self._conj = conj
         return self._conj
+
+
+def _conjugate_parts(ps: tuple[int, ...]) -> tuple[int, ...]:
+    """The column lengths of a weakly decreasing tuple of positive parts."""
+    # Columns done+1, ..., ps[length-1] are reached by exactly the first
+    # `length` parts.  A list, not a lazy repeat, so a part too large to hold
+    # fails at once.
+    cols: list[int] = []
+    done = 0
+    for length in range(len(ps), 0, -1):
+        cols += [length] * (ps[length - 1] - done)
+        done = ps[length - 1]
+    return tuple(cols)
 
 
 def parse_partition(text: str) -> Partition:
@@ -237,10 +241,11 @@ def _packed_maxima(keys: Iterable[int], guards: int, total_mask: int) -> list[in
             continue
         total = p & total_mask
         at = bisect_right(totals, total)
-        above = raised[at:]
-        try:
-            last = above[indexOf(map(and_, map(sub, above, repeat(p)), repeat(guards)), guards)]
-        except ValueError:  # nothing kept exceeds p
+        for q in raised[at:]:
+            if (q - p) & guards == guards:
+                last = q
+                break
+        else:  # nothing kept exceeds p
             kept.append(p)
             totals.insert(at, total)
             raised.insert(at, p | guards)

@@ -8,8 +8,10 @@ import pytest
 from foulkes import cli, families
 from foulkes.cli import (
     EXIT_GUARD,
+    EXIT_INTERRUPTED,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     main,
 )
@@ -534,6 +536,8 @@ class TestExitPath:
         assert out.splitlines()[-1] == "handler ran"
 
     def test_a_closed_pipe_is_reported_once(self):
+        # A print in the command meets the closed pipe: no usage error, and
+        # the status a SIGPIPE death gives, as `foulkes ... | head` expects.
         proc = subprocess.Popen(
             [sys.executable, "-m", "foulkes.cli", "families", "--m", "2", "--n", "40"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
@@ -542,13 +546,13 @@ class TestExitPath:
         proc.stdout.close()
         err = proc.stderr.read().decode()
         proc.stderr.close()
-        assert proc.wait(timeout=120) == EXIT_USAGE
-        assert err == "error: [Errno 32] Broken pipe\n"
+        assert proc.wait(timeout=120) == EXIT_PIPE
+        assert err == ""
 
     def test_a_failed_last_flush_takes_the_normal_exit(self):
         # The output fits the buffer and the pipe is closed before it is
-        # flushed: run's flush fails, and the interpreter's own flush at
-        # exit fails again and sets status 120, as for any Python program.
+        # flushed: run's last flush meets the closed pipe, and the exit is
+        # the one a print meeting it takes, quiet and with status 141.
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -558,9 +562,17 @@ class TestExitPath:
             )
         finally:
             os.close(write_end)
-        err = proc.stderr.decode()
-        assert proc.returncode == 120
-        assert "BrokenPipeError" in err and "Traceback" not in err
+        assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
+
+    def test_ctrl_c_is_one_line_and_status_130(self):
+        prelude = (
+            "import foulkes.special\n"
+            "def interrupt(n):\n"
+            "    raise KeyboardInterrupt\n"
+            "foulkes.special.theta_decomposition = interrupt"
+        )
+        code, out, err = run_process("theta", "--n", "3", prelude=prelude)
+        assert (code, out, err) == (EXIT_INTERRUPTED, "", "error: interrupted\n")
 
 
 COMMANDS = [

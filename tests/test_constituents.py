@@ -418,6 +418,24 @@ def test_reports_equal_the_public_minimal_types(m):
                 assert report.witnesses == want, (m, nu, key)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_labels_and_witnesses_are_what_their_constructors_build(m):
+    # Labels and witness families are built unchecked: each must be what the
+    # checking constructors build from its parts or blocks, weight included,
+    # which equality (parts, or blocks, m and kind) alone would not see.
+    for weight in range(1, 16 // m + 1):
+        for nu in partitions_of(weight):
+            for key, rule in _RULES.items():
+                report = ENGINES[key](m, nu)
+                for label, t in report.witnesses.items():
+                    rebuilt = Partition(label.parts)
+                    assert (label.parts, label.weight) == (rebuilt.parts, rebuilt.weight)
+                    assert label.weight == report.spec.degree, (m, nu, key, label)
+                    assert (t.m, t.kind) == (m, rule.kind)
+                    for fam in t.families:
+                        assert fam == Family(m, rule.kind, fam.blocks), (m, nu, key, fam)
+
+
 class TestAntichain:
     def test_all_reports_are_antichains(self):
         engines = (

@@ -1,12 +1,16 @@
 import random
 import subprocess
 import sys
+from itertools import accumulate
+from operator import ge
 
 import pytest
 
 from foulkes.partitions import (
     DominanceRelation,
     Partition,
+    _packed_maxima,
+    _packer,
     conjugate_join,
     diagonal_hook_lengths,
     dimension,
@@ -216,6 +220,76 @@ class TestExtremalElements:
         empty = {Partition()}
         assert dominance_minimal_elements(empty) == dominance_maximal_elements(empty) == empty
         assert dominance_minimal_elements([]) == dominance_maximal_elements([]) == set()
+
+
+class TestPackedMaxima:
+    """The maxima kernel against the pairwise definition, on vectors packed
+    by ``_packer``: the same kept keys, in the same (descending) order."""
+
+    @staticmethod
+    def check(vectors, width: int, weight: int) -> list[int]:
+        pack, guards, total_mask = _packer(width, weight)
+        sums = {pack(v): tuple(accumulate(v + (0,) * (width - len(v)))) for v in vectors}
+        want = [
+            key
+            for key in sorted(sums, reverse=True)
+            if not any(q != key and all(map(ge, sums[q], sums[key])) for q in sums)
+        ]
+        assert _packed_maxima(iter(sums), guards, total_mask) == want, vectors
+        return want
+
+    @staticmethod
+    def random_vector(rng, width: int, weight: int) -> tuple[int, ...]:
+        """At most ``width`` entries of total at most ``weight``; each entry is
+        often 0 or all that is left, so prefix sums sit at 0 and at weight."""
+        left = rng.choice([0, weight, rng.randint(0, weight)])
+        v = []
+        for _ in range(rng.randint(0, width)):
+            x = rng.choice([0, left, rng.randint(0, left)])
+            v.append(x)
+            left -= x
+        return tuple(v)
+
+    @staticmethod
+    def lowered(rng, v: tuple[int, ...], width: int) -> tuple[int, ...]:
+        """v with one unit moved to a later entry: every prefix sum weakly
+        below v's, so v beats it, and it sorts just below v."""
+        v = list(v) + [0] * (width - len(v))
+        i = rng.choice([i for i, x in enumerate(v[:-1]) if x])
+        v[i] -= 1
+        v[rng.randrange(i + 1, width)] += 1
+        return tuple(v)
+
+    # 2^k - 1 is the largest value below a field's guard bit, so weight
+    # sums reach it; 2^k is the first weight of a wider field.
+    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize("weight", [1, 3, 7, 8, 63, 64, 255])
+    def test_random_vectors_match_pairwise_definition(self, width, weight):
+        rng = random.Random(width * 1000 + weight)
+        for _ in range(4):
+            self.check([self.random_vector(rng, width, weight) for _ in range(40)], width, weight)
+        self.check([(), (weight,), (0,) * (width - 1) + (weight,)], width, weight)
+
+    @pytest.mark.parametrize("width", range(2, 9))
+    def test_one_kept_key_beats_a_run_of_candidates(self, width):
+        # A few leaders, each followed in int order by candidates it beats:
+        # the kept key that beat the last candidate is tried first.
+        rng = random.Random(width)
+        weight = 15
+        for _ in range(8):
+            vectors = []
+            for _ in range(rng.randint(1, 4)):
+                top = (weight,) if rng.random() < 0.3 else self.random_vector(rng, width, weight)
+                if any(top[: width - 1]):  # a unit that can move to a later entry
+                    vectors += [top] + [self.lowered(rng, top, width) for _ in range(6)]
+            kept = self.check(vectors, width, weight)
+            if len(vectors) == 7:  # one leader: it alone is kept
+                assert kept == [_packer(width, weight)[0](vectors[0])]
+
+    def test_empty_and_single(self):
+        pack, guards, total_mask = _packer(3, 5)
+        assert _packed_maxima([], guards, total_mask) == []
+        assert _packed_maxima([pack((2, 2))], guards, total_mask) == [pack((2, 2))]
 
 
 def _random_partition(rng, n: int, length: int) -> Partition:
