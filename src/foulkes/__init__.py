@@ -84,9 +84,8 @@ def clear_caches() -> None:
 
 __version__ = "0.1.0"
 
-# Two modules serve few callers, so each is imported on first use of it or of
-# one of its names (PEP 562): the corollaries in ``special`` serve two CLI
-# commands, and the monomial cross-oracle in ``monomial`` serves none.
+# The corollaries in ``special`` serve two CLI commands, so the module is
+# imported on first use of it or of one of its names (PEP 562).
 _LAZY = {
     "special": (
         "AgaokaData",
@@ -99,7 +98,6 @@ _LAZY = {
         "unique_maximal_classification",
         "unique_minimal_classification",
     ),
-    "monomial": ("monomial_expansion",),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 __all__ = [n for n in globals() if not n.startswith("_")] + [*_LAZY, *sorted(_LAZY_NAMES)]

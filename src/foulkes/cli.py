@@ -7,7 +7,8 @@ lexicographic order).
 
 Exit codes: 0 ok, 1 usage error, 2 degree guard exceeded or input refused as
 too large, 3 verify mismatch, 4 internal consistency failure, 130 interrupted
-(Ctrl-C), 141 output pipe closed by its reader.
+(Ctrl-C), 120 output could not be written, 141 output pipe closed by its
+reader.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
+EXIT_OUTPUT = 120  # CPython's status when the flush at exit fails
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_PIPE = 141  # 128 + SIGPIPE
 
@@ -252,8 +254,11 @@ def _cmd_certificate(args) -> int:
     if args.tuple is not None and args.tuple_file is not None:
         raise ValueError("--tuple and --tuple-file both give the tuple; pass only one")
     if args.tuple_file:
-        with open(args.tuple_file, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.tuple_file, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:  # a bad path is a usage error, unlike a failed write
+            raise ValueError(str(exc)) from None
     elif args.tuple:
         data = json.loads(args.tuple)
     else:
@@ -383,9 +388,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except BrokenPipeError:
-        raise  # the reader has gone: no usage error, and nowhere to report it
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -400,10 +403,12 @@ def run() -> NoReturn:
     command holds no other open file or thread.  If the reader of stdout has
     closed the pipe, whether a print or the last flush finds it, the rest of
     the output goes to the null device and the status is 141, as for a
-    process that SIGPIPE ends, with nothing on stderr.  Ctrl-C prints one
-    line and exits with 130.  If a flush fails otherwise (say the disk is
-    full), the normal exit reports it.  argparse's own exits (``--help``,
-    usage errors) keep the normal exit.
+    process that SIGPIPE ends, with nothing on stderr.  Any other failed
+    write (say the disk is full) does the same but prints one line on stderr
+    and exits with 120, CPython's status for a failed flush at exit, so that
+    buffered and unbuffered output agree.  Ctrl-C prints one line and exits
+    with 130.  argparse's own exits (``--help``, usage errors) keep the
+    normal exit.
     """
     try:
         try:
@@ -414,12 +419,17 @@ def run() -> NoReturn:
         atexit._run_exitfuncs()  # also unregisters them, so none runs twice
         sys.stdout.flush()
         sys.stderr.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            status = EXIT_PIPE
+        else:
+            try:
+                print(f"error: cannot write output: {exc}", file=sys.stderr, flush=True)
+            except OSError:
+                pass  # stderr fails too: the status alone tells
+            status = EXIT_OUTPUT
         atexit._run_exitfuncs()
-        status = EXIT_PIPE
-    except OSError:
-        sys.exit(status)
     os._exit(status)
 
 

@@ -18,7 +18,7 @@ p_r and the strips are single border strips, so a character value
 chi^lam(rho) = <s_lam, p_rho> is the memo's value at (rho, 1, ROW); those
 nodes are the one store of character values, which a
 :class:`CharacterTable` saves to a file of one degree and loads from it.
-The monomial cross-oracle is in :mod:`foulkes.monomial`.
+The monomial cross-oracle that checks this one is in ``tests/monomial.py``.
 """
 
 from __future__ import annotations

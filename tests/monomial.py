@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
-from .errors import InternalConsistencyError
-from .oracle import PlethysmFlavor, SchurExpansion
-from .partitions import DominanceRelation, Partition, dominance_compare, partitions_of
+from foulkes.errors import InternalConsistencyError
+from foulkes.oracle import PlethysmFlavor, SchurExpansion
+from foulkes.partitions import DominanceRelation, Partition, dominance_compare, partitions_of
 
 __all__ = ["monomial_expansion"]
 

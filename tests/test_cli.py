@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from foulkes.cli import (
     EXIT_INTERRUPTED,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_OUTPUT,
     EXIT_PIPE,
     EXIT_USAGE,
     main,
@@ -500,6 +502,25 @@ class TestOtherCommands:
         assert code == EXIT_USAGE
         assert "shapes" in err
 
+    @pytest.mark.parametrize("name, reason", [
+        ("missing.json", "[Errno 2] No such file or directory"),
+        ("", "[Errno 21] Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_an_unreadable_tuple_file_is_usage_error(self, capsys, tmp_path, name, reason):
+        path = str(tmp_path / name) if name else str(tmp_path)
+        code, out, err = run(capsys, "certificate", "--m", "2", "--nu", "1", "--tuple-file", path)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {reason}: {path!r}\n")
+
+
+class FullStream:
+    """A stdout on which every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
 
 class TestExitPath:
     """``python -m foulkes.cli`` and the ``foulkes`` script exit through ``cli.run``,
@@ -563,6 +584,36 @@ class TestExitPath:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
+
+    def test_an_output_error_is_not_a_usage_error(self, monkeypatch):
+        # main reports no failed write; run does, once, with status 120.
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        with pytest.raises(OSError) as info:
+            main(["theta", "--n", "3"])
+        assert info.value.errno == errno.ENOSPC
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_full_disk_is_one_line_and_status_120(self, unbuffered):
+        # Buffered, the last flush meets the full disk; unbuffered, the first
+        # print does.  Either way: one line on stderr, no traceback, 120.
+        env = child_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "foulkes.cli", "theta", "--n", "3"],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=120, text=True,
+            )
+            # With stderr full too, a usage error's line cannot be written
+            # either, and the status alone tells.
+            both = subprocess.run(
+                [sys.executable, "-m", "foulkes.cli", "expand", "--m", "2", "--nu", "1,2"],
+                stdout=full, stderr=full, env=env, timeout=120,
+            )
+        line = f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert (proc.returncode, proc.stderr) == (EXIT_OUTPUT, line)
+        assert both.returncode == EXIT_OUTPUT
 
     def test_ctrl_c_is_one_line_and_status_130(self):
         prelude = (

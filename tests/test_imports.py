@@ -4,15 +4,17 @@ Each ``src/foulkes/*.py`` module but ``__init__.py`` is parsed with ``ast``;
 a name bound by ``import`` or ``from ... import`` must appear as a name in the
 module's code or be listed in its ``__all__``.  The oracle, the independent
 judge of the rules, imports nothing of the rule modules, and the monomial
-cross-oracle nothing but the oracle.  Importing the package loads neither
-``dataclasses`` nor ``foulkes.special`` nor ``foulkes.monomial``, whose names
-load on first use; the command line never loads ``monomial``, and loading
-``special`` brings in no ``dataclasses`` or ``inspect`` either.
+cross-oracle in ``tests/monomial.py``, which judges the oracle, nothing of the
+package but the oracle, ``partitions`` and ``errors``; the package no longer
+has a ``monomial`` module.  Importing the package loads neither
+``dataclasses`` nor ``foulkes.special``, whose names load on first use, and
+loading ``special`` brings in no ``dataclasses`` or ``inspect`` either.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -21,9 +23,10 @@ from pathlib import Path
 import pytest
 
 import foulkes
-from foulkes import monomial, special
+from foulkes import special
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "foulkes"
+CROSS_ORACLE = Path(__file__).resolve().parent / "monomial.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -46,7 +49,7 @@ def test_every_module_is_scanned():
     assert {p.stem for p in MODULES} >= {"cli", "constituents", "families", "oracle"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, CROSS_ORACLE], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == set()
 
@@ -57,11 +60,18 @@ def test_a_stale_import_is_found():
 
 
 def package_imports(source: str) -> set[str]:
-    """The package modules a module imports from; the package imports itself relatively."""
+    """The package modules a module imports from: relatively inside the
+    package, as ``foulkes.<module>`` from outside it."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level:
             found.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and node.module == "foulkes":
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("foulkes."):
+            found.add(node.module.removeprefix("foulkes."))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.removeprefix("foulkes.") for a in node.names if a.name.startswith("foulkes."))
     return found
 
 
@@ -71,13 +81,15 @@ def test_the_oracle_imports_no_rule_code():
 
 
 def test_the_cross_oracle_imports_only_the_oracle():
-    source = (PACKAGE / "monomial.py").read_text(encoding="utf-8")
+    source = CROSS_ORACLE.read_text(encoding="utf-8")
     assert package_imports(source) == {"oracle", "partitions", "errors"}
 
 
 def test_package_imports_are_found():
     source = "from .families import BlockKind\nfrom . import special\nimport json\n"
     assert package_imports(source) == {"families", "special"}
+    source = "from foulkes.families import BlockKind\nfrom foulkes import special\nimport foulkes.cli\n"
+    assert package_imports(source) == {"families", "special", "cli"}
 
 
 # Run with -S and only the source tree on the path, so that nothing but the
@@ -85,7 +97,7 @@ def test_package_imports_are_found():
 START_UP = """
 import contextlib, io, sys
 import foulkes
-print(sorted(m for m in ("dataclasses", "inspect", "foulkes.special", "foulkes.monomial") if m in sys.modules))
+print(sorted(m for m in ("dataclasses", "inspect", "foulkes.special") if m in sys.modules))
 from foulkes.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(["expand", "--m", "2", "--nu", "2,1"])
@@ -95,7 +107,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print("foulkes.special" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     main(["verify", "--m", "2", "--nu", "2,1"])
-print(sorted(m for m in ("dataclasses", "inspect", "foulkes.monomial") if m in sys.modules))
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
 """
 
 
@@ -116,12 +128,12 @@ def test_corollaries_resolve_from_the_package(name):
     assert name in dir(foulkes) and name in foulkes.__all__
 
 
-def test_cross_oracle_resolves_from_the_package():
-    namespace: dict = {}
-    exec("from foulkes import monomial_expansion", namespace)
-    assert foulkes.monomial_expansion is monomial.monomial_expansion is namespace["monomial_expansion"]
-    assert foulkes.monomial is monomial
-    assert {"monomial", "monomial_expansion"} <= set(dir(foulkes)) & set(foulkes.__all__)
+def test_the_cross_oracle_is_not_in_the_package():
+    with pytest.raises(ModuleNotFoundError, match="foulkes.monomial"):
+        importlib.import_module("foulkes.monomial")
+    with pytest.raises(AttributeError, match="no attribute 'monomial_expansion'"):
+        foulkes.monomial_expansion
+    assert not {"monomial", "monomial_expansion"} & ({*dir(foulkes)} | {*foulkes.__all__})
 
 
 def test_unknown_package_attribute_raises():

@@ -7,10 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from foulkes import clear_caches, monomial, oracle
+from foulkes import clear_caches, oracle
 from foulkes.constituents import verify
 from foulkes.errors import GuardExceededError, InternalConsistencyError
-from foulkes.monomial import monomial_expansion
 from foulkes.oracle import (
     CharacterTable,
     PlethysmFlavor,
@@ -24,6 +23,7 @@ from foulkes.oracle import (
     z_order,
 )
 from foulkes.partitions import Partition, dimension, dominates, parse_partition, partitions_of
+from monomial import _plethystic_tableau_count, monomial_expansion
 from power_sums import by_characters, power_sum_terms, rational_power_sum_coefficients
 
 # A full degree-4 table as ``CharacterTable.save_to`` writes it.
@@ -442,6 +442,18 @@ class TestSchurExpansion:
         with pytest.raises(ValueError, match=r"multiplicity of 2 must be an int, not 1\.5"):
             SchurExpansion(2, {P("2"): 1.5})
         assert SchurExpansion(3, {P("2,1"): 0, P("3"): 2}).coefficients == {P("3"): 2}
+
+    def test_conjugated_labels_are_checked_partitions_up_to_degree_12(self):
+        # conjugated relabels by conjugate, which builds its result unchecked.
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for nu in partitions_of(n):
+                    for flavor in PlethysmFlavor:
+                        e = plethysm_expansion(nu, m, flavor).conjugated()
+                        for label in e.coefficients:
+                            rebuilt = Partition(label.parts)
+                            assert (label.parts, label.weight) == (rebuilt.parts, rebuilt.weight)
+                            assert label.weight == e.degree == m * n, (m, str(nu), flavor, str(label))
 
     def test_support_descending_lex(self):
         e = SchurExpansion(4, {P("2,2"): 1, P("4"): 2, P("1,1,1,1"): 1})
@@ -1149,7 +1161,7 @@ class TestMonomialCrossOracle:
 
 def _kostka(kappa: Partition, lam: Partition) -> int:
     """K_{kappa,lam} read from the plethystic counter: at m = 1 a block is one letter."""
-    return monomial._plethystic_tableau_count(kappa.parts, 1, PlethysmFlavor.ROW, lam.parts)
+    return _plethystic_tableau_count(kappa.parts, 1, PlethysmFlavor.ROW, lam.parts)
 
 
 class TestKostkaCounter:

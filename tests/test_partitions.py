@@ -116,6 +116,16 @@ class TestConjugate:
             for lam in partitions_of(n):
                 assert lam.conjugate().conjugate() == lam
 
+    def test_conjugates_are_checked_partitions_weight_le_12(self):
+        # conjugate builds its result unchecked: it must equal the checked
+        # partition of its parts, weight included, and conjugate back to lam.
+        for n in range(13):
+            for lam in partitions_of(n):
+                conj = lam.conjugate()
+                rebuilt = Partition(conj.parts)
+                assert (conj.parts, conj.weight) == (rebuilt.parts, rebuilt.weight), str(lam)
+                assert conj.conjugate() is lam, str(lam)
+
     def test_order_reversing_weight_le_10(self):
         for n in range(11):
             parts = list(partitions_of(n))
