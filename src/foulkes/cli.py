@@ -8,7 +8,8 @@ lexicographic order).
 Exit codes: 0 ok, 1 usage error, 2 degree guard exceeded or input refused as
 too large, 3 verify mismatch, 4 internal consistency failure, 130 interrupted
 (Ctrl-C), 120 output could not be written, 141 output pipe closed by its
-reader.
+reader.  The process ends through ``run`` whatever the outcome, argparse's
+``--help`` and usage errors included, so 120 and 141 cover their text too.
 """
 
 from __future__ import annotations
@@ -59,12 +60,21 @@ SCHEMA = 1
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage failures exit with status 1."""
+    """ArgumentParser whose usage failures exit with status 1, and whose failed
+    writes of help or usage text raise, for ``run`` to report, instead of
+    being dropped."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    def _print_message(self, message, file=None):
+        if message:
+            try:
+                (file or sys.stderr).write(message)
+            except AttributeError:  # no stream at all, as argparse allows
+                pass
 
 
 def _guard(text: str) -> int:
@@ -407,12 +417,15 @@ def run() -> NoReturn:
     write (say the disk is full) does the same but prints one line on stderr
     and exits with 120, CPython's status for a failed flush at exit, so that
     buffered and unbuffered output agree.  Ctrl-C prints one line and exits
-    with 130.  argparse's own exits (``--help``, usage errors) keep the
-    normal exit.
+    with 130.  argparse's own exits (``--help``, usage errors) raise
+    ``SystemExit`` in ``main``; its code is the status, and they end here
+    too.
     """
     try:
         try:
             status = main()
+        except SystemExit as exc:
+            status = exc.code
         except KeyboardInterrupt:
             print("error: interrupted", file=sys.stderr)
             status = EXIT_INTERRUPTED

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
@@ -22,6 +24,16 @@ from foulkes.families import Family, FamilyTuple, is_minimal_tuple
 
 def run(capsys, *argv):
     code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def outcome(capsys, argv):
+    """Like ``run``, but argparse's ``SystemExit`` gives its code as the status."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -536,18 +548,34 @@ class TestExitPath:
         assert (code, out, err) == run(capsys, *argv)
 
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, usage",
         [
-            (("expand", "--m", "2", "--nu", "2,1", "--guard", "-1"), EXIT_USAGE),
-            (("expand", "--m", "2", "--nu", "1,2"), EXIT_USAGE),
-            (("expand", "--m", "3", "--nu", "3,2,1"), EXIT_GUARD),
+            (("expand", "--m", "2", "--nu", "2,1", "--guard", "-1"), EXIT_USAGE, True),
+            (("expand", "--m", "2", "--nu", "1,2"), EXIT_USAGE, False),
+            (("expand", "--m", "3", "--nu", "3,2,1"), EXIT_GUARD, False),
+            (("expand", "--m", "2"), EXIT_USAGE, True),
         ],
-        ids=["bad-guard", "bad-partition", "guard-exceeded"],
+        ids=["bad-guard", "bad-partition", "guard-exceeded", "missing-nu"],
     )
-    def test_exit_codes_pass_through(self, argv, code):
+    def test_exit_codes_pass_through(self, capsys, monkeypatch, argv, code, usage):
+        # argparse's usage errors (usage, then one error line) end through run
+        # as main's own errors do: the status, stdout and stderr of main in process.
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
         got, out, err = run_process(*argv)
         assert (got, out) == (code, "")
-        assert "error: " in err and "Traceback" not in err
+        assert err.startswith("usage: foulkes expand ") == usage
+        assert err.count("error: ") == 1 and "Traceback" not in err
+        assert (got, out, err) == outcome(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [("--help",), ("expand", "-h")], ids=["help", "expand-h"])
+    def test_help_is_what_main_prints_with_status_0(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert (info.value.code, out.err) == (EXIT_OK, "")
+        assert out.out.startswith("usage: foulkes")
+        assert run_process(*argv) == (EXIT_OK, out.out, "")
 
     def test_exit_handlers_run(self):
         prelude = "import atexit\natexit.register(print, 'handler ran')"
@@ -570,16 +598,23 @@ class TestExitPath:
         assert proc.wait(timeout=120) == EXIT_PIPE
         assert err == ""
 
-    def test_a_failed_last_flush_takes_the_normal_exit(self):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("theta", "--n", "3"), ("--help",)], ids=["theta", "help"])
+    def test_a_failed_last_flush_takes_the_normal_exit(self, argv, unbuffered):
         # The output fits the buffer and the pipe is closed before it is
         # flushed: run's last flush meets the closed pipe, and the exit is
         # the one a print meeting it takes, quiet and with status 141.
+        # Unbuffered, the first write meets it; argparse's help is no
+        # different.
+        env = child_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "foulkes.cli", "theta", "--n", "3"],
-                stdout=write_end, stderr=subprocess.PIPE, env=child_env(), timeout=120,
+                [sys.executable, "-m", "foulkes.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
             )
         finally:
             os.close(write_end)
@@ -594,15 +629,21 @@ class TestExitPath:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_a_full_disk_is_one_line_and_status_120(self, unbuffered):
+    @pytest.mark.parametrize(
+        "argv",
+        [("theta", "--n", "3"), ("--help",), ("expand", "--help")],
+        ids=["theta", "help", "expand-help"],
+    )
+    def test_a_full_disk_is_one_line_and_status_120(self, argv, unbuffered):
         # Buffered, the last flush meets the full disk; unbuffered, the first
-        # print does.  Either way: one line on stderr, no traceback, 120.
+        # print, or argparse's write of the help, does.  Either way: one line
+        # on stderr, no traceback, 120.
         env = child_env()
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(
-                [sys.executable, "-m", "foulkes.cli", "theta", "--n", "3"],
+                [sys.executable, "-m", "foulkes.cli", *argv],
                 stdout=full, stderr=subprocess.PIPE, env=env, timeout=120, text=True,
             )
             # With stderr full too, a usage error's line cannot be written
@@ -648,24 +689,20 @@ PARSER_CASES = [((name, "--help"), name) for name in COMMANDS] + [
 ]
 
 
+def subparsers(parser):
+    """The subcommands of ``parser``: name -> parser, in order."""
+    (action,) = (a for a in parser._actions if a.dest == "command")
+    return action.choices
+
+
 def with_arguments(parser):
     """The subcommands of ``parser`` that have more arguments than --help, in order."""
-    (action,) = (a for a in parser._actions if a.dest == "command")
-    return [name for name, p in action.choices.items() if p._actions[1:]]
+    return [name for name, p in subparsers(parser).items() if p._actions[1:]]
 
 
 class TestParserPerCommand:
     """main builds the arguments of the named command only; what a user sees
     must be what the full parser, ``build_parser()``, gives."""
-
-    @staticmethod
-    def outcome(capsys, argv):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        out = capsys.readouterr()
-        return code, out.out, out.err
 
     def test_the_full_parser_has_every_command(self):
         assert with_arguments(cli.build_parser()) == COMMANDS
@@ -683,9 +720,9 @@ class TestParserPerCommand:
             return parser
 
         monkeypatch.setattr(cli, "build_parser", recording)
-        got = self.outcome(capsys, argv)
+        got = outcome(capsys, argv)
         monkeypatch.setattr(cli, "build_parser", lambda argv=None: real())
-        assert got == self.outcome(capsys, argv)
+        assert got == outcome(capsys, argv)
         assert with_arguments(built[0]) == ([named] if named else COMMANDS)
 
 
@@ -739,3 +776,87 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+def fuzzed_argv(st, missing_file):
+    """A command, or a junk token, then options in any order with small values.
+    Each option of the command comes seven times in eight, one of any command
+    once in eight, and an invalid choice or partition is one value in eight."""
+
+    def mostly(usual, rare):
+        """``usual`` seven draws in eight, else ``rare``."""
+        return st.sampled_from([usual] * 7 + [rare]).flatmap(lambda chosen: chosen)
+
+    def choices(*valid, invalid):
+        return mostly(st.sampled_from(valid), st.just(invalid))
+
+    ints = st.integers(-2, 6).map(str)
+    valid_parts = st.lists(st.integers(1, 5), max_size=4).map(lambda p: sorted(p, reverse=True))
+    partitions = mostly(valid_parts, st.lists(st.integers(-1, 5), max_size=4)).map(
+        lambda p: ",".join(map(str, p))
+    )
+    tuples = st.one_of(
+        st.fixed_dictionaries({
+            "m": st.integers(-1, 3),
+            "kind": choices("set", "multiset", invalid="bag"),
+            "families": st.lists(st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=3), max_size=2),
+        }).map(json.dumps),
+        st.sampled_from(["{not json", "[]", "null", '{"m": 2}', '{"m": true, "kind": "set", "families": []}']),
+    )
+    values = {  # None: a flag without a value
+        "--m": ints,
+        "--n": ints,
+        "--nu": partitions,
+        "--guard": choices("0", "8", "16", invalid="-1"),
+        "--kind": choices("set", "multiset", invalid="bag"),
+        "--flavor": choices("row", "column", invalid="diagonal"),
+        "--character": choices("phi", "psi", invalid="chi"),
+        "--format": choices("text", "json", invalid="yaml"),
+        "--tuple": tuples,
+        "--tuple-file": st.just(missing_file),
+        "--seed-sweep": None,
+        "--no-witness": None,
+    }
+
+    def option(flag):
+        if values[flag] is None:
+            return st.just((flag,))
+        return values[flag].map(lambda value: (flag, value))
+
+    flags = {
+        name: [a.option_strings[0] for a in p._actions[1:]]
+        for name, p in subparsers(cli.build_parser()).items()
+    }
+    flags["not-a-command"] = list(values)
+    nothing = st.just(())
+    anything = st.sampled_from(list(values)).flatmap(option)
+
+    def argv_of(head):
+        own = [mostly(option(flag), nothing) for flag in flags[head]]
+        return st.tuples(*own, mostly(nothing, anything)).flatmap(
+            st.permutations
+        ).map(lambda opts: [head, *(arg for opt in opts for arg in opt)])
+
+    return st.sampled_from(list(flags)).flatmap(argv_of)
+
+
+class TestExitContract:
+    def test_every_argv_ends_in_a_documented_status(self, tmp_path):
+        # main returns 0, 1 or 2, or argparse raises SystemExit(0 or 1); no
+        # other exception escapes and nothing prints a traceback.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=300, derandomize=True, deadline=2000, database=None)
+        @hypothesis.given(fuzzed_argv(st, str(tmp_path / "missing.json")))
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    status = ("exit", exc.code)
+            assert status in {EXIT_OK, EXIT_USAGE, EXIT_GUARD, ("exit", EXIT_OK), ("exit", EXIT_USAGE)}
+            assert "Traceback" not in err.getvalue()
+
+        check()
