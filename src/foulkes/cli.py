@@ -3,7 +3,8 @@
 Subcommands: min-constituents, max-constituents, expand, verify, agaoka,
 theta, families, certificate.  Output is deterministic: identical inputs
 produce byte-identical text or JSON (schema version 1, labels in descending
-lexicographic order).
+lexicographic order).  Options must be spelled in full: a prefix such as
+``--fl`` for ``--flavor`` is a usage error (exit 1).
 
 Exit codes: 0 ok, 1 usage error, 2 degree guard exceeded or input refused as
 too large, 3 verify mismatch, 4 internal consistency failure, 130 interrupted
@@ -60,9 +61,13 @@ SCHEMA = 1
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage failures exit with status 1, and whose failed
+    """ArgumentParser whose usage failures exit with status 1, whose failed
     writes of help or usage text raise, for ``run`` to report, instead of
-    being dropped."""
+    being dropped, and which takes only full option names, as do the
+    subparsers ``add_parser`` makes with it: a prefix is a usage error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -88,21 +93,21 @@ def _guard(text: str) -> int:
     return guard
 
 
-def _emit(args, command: str, payload: dict, text_lines: list[str], code: int = EXIT_OK) -> int:
+def _emit(args, payload: dict, text_lines: list[str], code: int = EXIT_OK) -> int:
     """Print the payload under the schema envelope, or the text lines; return ``code``."""
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "command": command, **payload}, indent=2))
+        print(json.dumps({"schema": SCHEMA, "command": args.command, **payload}, indent=2))
     else:
         for line in text_lines:
             print(line)
     return code
 
 
-def _emit_expansion(args, command: str, fields: dict, header: str, expansion) -> int:
+def _emit_expansion(args, fields: dict, header: str, expansion) -> int:
     """Emit a Schur expansion: one ``label: multiplicity`` line per constituent."""
     lines = [f"{header} degree={expansion.degree}"]
     lines.extend(f"  {lab}: {mult}" for lab, mult in expansion.items())
-    return _emit(args, command, {**fields, **expansion.to_json_dict()}, lines)
+    return _emit(args, {**fields, **expansion.to_json_dict()}, lines)
 
 
 def _label_list(labels) -> list[list[int]]:
@@ -117,11 +122,11 @@ def _render_tuple(t: FamilyTuple) -> str:
     return " | ".join(map(_render_family, t.families))
 
 
-def _cmd_constituents(args, extremum: str) -> int:
+def _cmd_constituents(args) -> int:
     nu = parse_partition(args.nu)
     flavor = CharacterFlavor(args.character)
-    report = _report(args.m, nu, flavor, Extremum(extremum))
-    command = f"{extremum[:3]}-constituents"
+    extremum = Extremum.MINIMAL if args.command == "min-constituents" else Extremum.MAXIMAL
+    report = _report(args.m, nu, flavor, extremum)
     payload = {
         "character": flavor.value,
         "m": args.m,
@@ -130,7 +135,7 @@ def _cmd_constituents(args, extremum: str) -> int:
         "labels": _label_list(report.labels),
     }
     lines = [
-        f"{command} character={flavor.value} m={args.m} nu={nu} degree={report.spec.degree}"
+        f"{args.command} character={flavor.value} m={args.m} nu={nu} degree={report.spec.degree}"
     ]
     if args.no_witness:
         lines.extend(f"  {lab}" for lab in report.labels)
@@ -142,7 +147,7 @@ def _cmd_constituents(args, extremum: str) -> int:
             f"  {lab}  witness: {_render_tuple(report.witnesses[lab])}"
             for lab in report.labels
         )
-    return _emit(args, command, payload, lines)
+    return _emit(args, payload, lines)
 
 
 def _cmd_expand(args) -> int:
@@ -151,7 +156,7 @@ def _cmd_expand(args) -> int:
     expansion = plethysm_expansion(nu, args.m, flavor, guard=args.guard)
     fields = {"m": args.m, "nu": list(nu.parts), "flavor": flavor.value}
     header = f"expand flavor={flavor.value} m={args.m} nu={nu}"
-    return _emit_expansion(args, "expand", fields, header, expansion)
+    return _emit_expansion(args, fields, header, expansion)
 
 
 def _cmd_verify(args) -> int:
@@ -202,7 +207,7 @@ def _cmd_verify(args) -> int:
                 line += f" oracle=[{oracle_shown}]"
             lines.append(line)
     lines.append(f"verdict: {'AGREE' if agree else 'MISMATCH'}")
-    return _emit(args, "verify", payload, lines, EXIT_OK if agree else EXIT_MISMATCH)
+    return _emit(args, payload, lines, EXIT_OK if agree else EXIT_MISMATCH)
 
 
 def _cmd_agaoka(args) -> int:
@@ -224,14 +229,14 @@ def _cmd_agaoka(args) -> int:
         f"  indices={list(data.indices)} residuals={list(data.residuals)} widths={list(data.widths)}",
         f"  lex-least type: {data.assembled}",
     ]
-    return _emit(args, "agaoka", payload, lines)
+    return _emit(args, payload, lines)
 
 
 def _cmd_theta(args) -> int:
     from .special import theta_decomposition
 
     expansion = theta_decomposition(args.n)
-    return _emit_expansion(args, "theta", {"n": args.n}, f"theta n={args.n}", expansion)
+    return _emit_expansion(args, {"n": args.n}, f"theta n={args.n}", expansion)
 
 
 def _cmd_families(args) -> int:
@@ -257,7 +262,7 @@ def _cmd_families(args) -> int:
     for fam, ty, is_min in rows:
         mark = "  [minimal]" if is_min else ""
         lines.append(f"  {_render_family(fam)}  type={ty}{mark}")
-    return _emit(args, "families", payload, lines)
+    return _emit(args, payload, lines)
 
 
 def _cmd_certificate(args) -> int:
@@ -288,98 +293,72 @@ def _cmd_certificate(args) -> int:
         f"certificate character={spec.flavor.value} m={args.m} nu={nu}",
         f"  constituent with multiplicity >= 1: {label}",
     ]
-    return _emit(args, "certificate", payload, lines)
+    return _emit(args, payload, lines)
 
 
-def _constituents_args(p: argparse.ArgumentParser, extremum: str) -> None:
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nu", required=True, help="partition, e.g. 2,1,1")
-    p.add_argument("--character", choices=("phi", "psi"), default="phi")
-    p.add_argument("--no-witness", action="store_true")
-    p.set_defaults(func=lambda a: _cmd_constituents(a, extremum))
+# Options shared by several commands: (flag, add_argument keywords).
+_M = ("--m", {"type": int, "required": True})
+_N = ("--n", {"type": int, "required": True})
+_NU = ("--nu", {"required": True})
+_GUARD = ("--guard", {"type": _guard, "default": DEFAULT_GUARD})
+_KIND = ("--kind", {"choices": ("set", "multiset"), "default": "set"})
+_CHARACTER = ("--character", {"choices": ("phi", "psi"), "default": "phi"})
+_CONSTITUENTS = (
+    _M,
+    ("--nu", {"required": True, "help": "partition, e.g. 2,1,1"}),
+    _CHARACTER,
+    ("--no-witness", {"action": "store_true"}),
+)
 
-
-def _expand_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--flavor", choices=("row", "column"), default="row")
-    p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
-    p.set_defaults(func=_cmd_expand)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nu")
-    p.add_argument("--n", type=int, help="weight of nu for --seed-sweep")
-    p.add_argument("--seed-sweep", action="store_true", help="verify every nu of weight --n")
-    p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
-    p.set_defaults(func=_cmd_verify)
-
-
-def _agaoka_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=("set", "multiset"), default="set")
-    p.set_defaults(func=_cmd_agaoka)
-
-
-def _theta_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_theta)
-
-
-def _families_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=("set", "multiset"), default="set")
-    p.set_defaults(func=_cmd_families)
-
-
-def _certificate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--character", choices=("phi", "psi"), default="phi")
-    p.add_argument("--tuple", help='family tuple JSON, e.g. {"m":2,"kind":"set","families":[...]}')
-    p.add_argument("--tuple-file")
-    p.set_defaults(func=_cmd_certificate)
-
-
-# command -> (help text, argument builder), in the order --help lists them.
+# command -> (help text, handler, options), in the order --help lists them.
 _COMMANDS = {
-    "min-constituents": (
-        "minimal constituent labels",
-        lambda p: _constituents_args(p, "minimal"),
-    ),
-    "max-constituents": (
-        "maximal constituent labels",
-        lambda p: _constituents_args(p, "maximal"),
-    ),
-    "expand": ("exact Schur expansion (oracle)", _expand_args),
-    "verify": ("theorem engines vs oracle", _verify_args),
-    "agaoka": ("lex-least single-family type", _agaoka_args),
-    "theta": ("decomposition of s_(1^n) o s_(2)", _theta_args),
-    "families": ("closed families of one shape", _families_args),
-    "certificate": ("closed-tuple certificate", _certificate_args),
+    "min-constituents": ("minimal constituent labels", _cmd_constituents, _CONSTITUENTS),
+    "max-constituents": ("maximal constituent labels", _cmd_constituents, _CONSTITUENTS),
+    "expand": ("exact Schur expansion (oracle)", _cmd_expand, (
+        _M, _NU, ("--flavor", {"choices": ("row", "column"), "default": "row"}), _GUARD,
+    )),
+    "verify": ("theorem engines vs oracle", _cmd_verify, (
+        _M,
+        ("--nu", {}),
+        ("--n", {"type": int, "help": "weight of nu for --seed-sweep"}),
+        ("--seed-sweep", {"action": "store_true", "help": "verify every nu of weight --n"}),
+        _GUARD,
+    )),
+    "agaoka": ("lex-least single-family type", _cmd_agaoka, (_M, _N, _KIND)),
+    "theta": ("decomposition of s_(1^n) o s_(2)", _cmd_theta, (_N,)),
+    "families": ("closed families of one shape", _cmd_families, (_M, _N, _KIND)),
+    "certificate": ("closed-tuple certificate", _cmd_certificate, (
+        _M, _NU, _CHARACTER,
+        ("--tuple", {"help": 'family tuple JSON, e.g. {"m":2,"kind":"set","families":[...]}'}),
+        ("--tuple-file", {}),
+    )),
 }
 
 
 def build_parser(argv: Sequence[str] | None = None) -> _Parser:
     """The argument parser; with ``argv``, only the command it names gets its arguments.
 
-    Every command is registered with its help text, so the top-level help and
-    the choice check are those of the full parser.  argparse hands argv to
-    the subparser of the first token not starting with ``-`` (an earlier
-    positional token would be an invalid choice), so arguments are added to
-    that command alone when it is one, and to every command otherwise.
+    ``_COMMANDS`` has one row per command: its help text, its handler and
+    its options, each a ``(flag, add_argument keywords)`` pair that names
+    an option several commands share once.  Every command is registered
+    with its help text, so the top-level help and the choice check are
+    those of the full parser.  A command given its arguments gets
+    ``--format``, its row's options in order, and its handler as ``func``.
+    argparse hands argv to the subparser of the first token not starting
+    with ``-`` (an earlier positional token would be an invalid choice), so
+    arguments are added to that command alone when it is one, and to every
+    command otherwise.
     """
     parser = _Parser(prog="foulkes", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     named = next((a for a in argv or () if not a.startswith("-")), None)
-    for name, (help_text, add_args) in _COMMANDS.items():
+    for name, (help_text, handler, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == named or named not in _COMMANDS:
             p.add_argument("--format", choices=("text", "json"), default="text")
-            add_args(p)
+            for flag, keywords in options:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(func=handler)
     return parser
 
 

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -548,23 +549,43 @@ class TestExitPath:
         assert (code, out, err) == run(capsys, *argv)
 
     @pytest.mark.parametrize(
-        "argv, code, usage",
+        "argv, code, usage, error",
         [
-            (("expand", "--m", "2", "--nu", "2,1", "--guard", "-1"), EXIT_USAGE, True),
-            (("expand", "--m", "2", "--nu", "1,2"), EXIT_USAGE, False),
-            (("expand", "--m", "3", "--nu", "3,2,1"), EXIT_GUARD, False),
-            (("expand", "--m", "2"), EXIT_USAGE, True),
+            (
+                ("expand", "--m", "2", "--nu", "2,1", "--guard", "-1"), EXIT_USAGE,
+                "foulkes expand [-h]", "argument --guard: must be nonnegative, got -1",
+            ),
+            (("expand", "--m", "2", "--nu", "1,2"), EXIT_USAGE, None, "weakly decreasing"),
+            (("expand", "--m", "3", "--nu", "3,2,1"), EXIT_GUARD, None, "guard"),
+            (
+                ("expand", "--m", "2"), EXIT_USAGE,
+                "foulkes expand [-h]", "the following arguments are required: --nu",
+            ),
+            # Only full option names parse: a prefix of --flavor is not --flavor,
+            # and --n in min-constituents is not ambiguous but unknown.
+            (
+                ("expand", "--m", "2", "--nu", "2", "--fl", "column"), EXIT_USAGE,
+                "foulkes [-h]", "unrecognized arguments: --fl column",
+            ),
+            (
+                ("min-constituents", "--m", "2", "--n", "3"), EXIT_USAGE,
+                "foulkes min-constituents [-h]", "the following arguments are required: --nu",
+            ),
         ],
-        ids=["bad-guard", "bad-partition", "guard-exceeded", "missing-nu"],
+        ids=[
+            "bad-guard", "bad-partition", "guard-exceeded", "missing-nu",
+            "flavor-prefix", "n-is-not-nu",
+        ],
     )
-    def test_exit_codes_pass_through(self, capsys, monkeypatch, argv, code, usage):
+    def test_exit_codes_pass_through(self, capsys, monkeypatch, argv, code, usage, error):
         # argparse's usage errors (usage, then one error line) end through run
         # as main's own errors do: the status, stdout and stderr of main in process.
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
         got, out, err = run_process(*argv)
         assert (got, out) == (code, "")
-        assert err.startswith("usage: foulkes expand ") == usage
+        assert err.startswith(f"usage: {usage}") if usage else not err.startswith("usage:")
         assert err.count("error: ") == 1 and "Traceback" not in err
+        assert error in err.splitlines()[-1] and "ambiguous" not in err
         assert (got, out, err) == outcome(capsys, argv)
 
     @pytest.mark.parametrize("argv", [("--help",), ("expand", "-h")], ids=["help", "expand-h"])
@@ -707,6 +728,13 @@ class TestParserPerCommand:
     def test_the_full_parser_has_every_command(self):
         assert with_arguments(cli.build_parser()) == COMMANDS
 
+    def test_top_level_help_gives_the_description_and_every_command(self, capsys):
+        code, out, err = outcome(capsys, ("--help",))
+        assert (code, err) == (EXIT_OK, "")
+        assert "\n\nCommand-line interface.\n\n" in out
+        for name, (help_text, *_) in cli._COMMANDS.items():
+            assert re.search(rf"^ +{name} +{re.escape(help_text)}$", out, re.MULTILINE), name
+
     @pytest.mark.parametrize(
         "argv, named", PARSER_CASES, ids=[" ".join(argv) or "no-command" for argv, _ in PARSER_CASES]
     )
@@ -753,6 +781,20 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "nonempty" in err
 
+    @pytest.mark.parametrize(
+        "joined",
+        [
+            ("expand", "--m=2", "--nu=2,1", "--flavor=column"),
+            ("theta", "--n=3", "--format=json"),
+        ],
+        ids=["flavor", "format"],
+    )
+    def test_an_option_joined_to_its_value_parses(self, capsys, joined):
+        spaced = [word for arg in joined for word in arg.split("=", 1)]
+        code, out, err = run(capsys, *joined)
+        assert (code, err) == (EXIT_OK, "") and out
+        assert (code, out, err) == run(capsys, *spaced)
+
     def test_bad_tuple_json(self, capsys):
         code, _, _ = run(
             capsys, "certificate", "--m", "2", "--nu", "2", "--tuple", "{not json"
@@ -781,7 +823,8 @@ class TestDeterminism:
 def fuzzed_argv(st, missing_file):
     """A command, or a junk token, then options in any order with small values.
     Each option of the command comes seven times in eight, one of any command
-    once in eight, and an invalid choice or partition is one value in eight."""
+    once in eight, and an invalid choice or partition is one value in eight.
+    A command's own option is spelled as a proper prefix one time in eight."""
 
     def mostly(usual, rare):
         """``usual`` seven draws in eight, else ``rare``."""
@@ -823,6 +866,12 @@ def fuzzed_argv(st, missing_file):
             return st.just((flag,))
         return values[flag].map(lambda value: (flag, value))
 
+    def spelled(flag):
+        """The flag, or one time in eight a proper prefix of it, such as --fl."""
+        prefixes = [flag[:k] for k in range(3, len(flag))]
+        spellings = mostly(st.just(flag), st.sampled_from(prefixes)) if prefixes else st.just(flag)
+        return st.tuples(spellings, option(flag)).map(lambda drawn: (drawn[0], *drawn[1][1:]))
+
     flags = {
         name: [a.option_strings[0] for a in p._actions[1:]]
         for name, p in subparsers(cli.build_parser()).items()
@@ -832,7 +881,7 @@ def fuzzed_argv(st, missing_file):
     anything = st.sampled_from(list(values)).flatmap(option)
 
     def argv_of(head):
-        own = [mostly(option(flag), nothing) for flag in flags[head]]
+        own = [mostly(spelled(flag), nothing) for flag in flags[head]]
         return st.tuples(*own, mostly(nothing, anything)).flatmap(
             st.permutations
         ).map(lambda opts: [head, *(arg for opt in opts for arg in opt)])

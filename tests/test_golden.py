@@ -7,8 +7,9 @@ or cut from a deeper size stored before, must list what a fresh search lists.
 
 Each README command is run with its ``--format`` option dropped, once as
 text and once with ``--format json``.  ``golden/readme_commands.json`` holds
-the argv, exit code and stdout of every run.  After an intended change of
-output, re-record with
+the argv, exit code and stdout of every run, and ``golden/command_help.json``
+the ``--help`` text of each command at a terminal width of 80 columns.  After
+an intended change of output, re-record both with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import shlex
 from pathlib import Path
@@ -38,12 +40,13 @@ from foulkes import (
     minimal_constituents_psi,
     partitions_of,
 )
-from foulkes.cli import main
+from foulkes.cli import _COMMANDS, main
 from foulkes.families import is_minimal_tuple, tuple_to_json
 
 HERE = Path(__file__).resolve().parent
 README = HERE.parent / "README.md"
 GOLDEN = HERE / "golden" / "readme_commands.json"
+HELP = HERE / "golden" / "command_help.json"
 
 
 def readme_commands() -> list[list[str]]:
@@ -99,6 +102,29 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(blocks[0].split("```", 1)[0], {})
     assert out.getvalue().splitlines()[0] == "['4,2,1,1', '3,3,2']"
+
+
+def command_help(command: str) -> str:
+    """What ``foulkes <command> --help`` prints; argparse wraps it to ``COLUMNS``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    return out.getvalue()
+
+
+def _recorded_help() -> dict[str, str]:
+    return json.loads(HELP.read_text(encoding="utf-8"))
+
+
+def test_every_command_help_is_recorded():
+    assert list(_recorded_help()) == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_command_help_is_byte_for_byte(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert command_help(command) == _recorded_help()[command]
 
 
 REPORTS = (
@@ -308,3 +334,7 @@ if __name__ == "__main__":
     transcripts = [replay(argv) for argv in transcript_argvs()]
     GOLDEN.write_text(json.dumps(transcripts, indent=1) + "\n", encoding="utf-8")
     print(f"recorded {len(transcripts)} transcripts in {GOLDEN}")
+    os.environ["COLUMNS"] = "80"
+    helps = {command: command_help(command) for command in _COMMANDS}
+    HELP.write_text(json.dumps(helps, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(helps)} help texts in {HELP}")
