@@ -46,7 +46,6 @@ from .oracle import (
     SchurExpansion,
     character_value,
     multiplicity,
-    omega_check,
     plethysm_expansion,
     z_order,
 )
@@ -71,7 +70,7 @@ def clear_caches() -> None:
     """Empty every memo the package keeps; the only code that names them all.
 
     A process memoizes, in four memos, ribbon-strip values per (cycle-type
-    suffix, m, flavor), whose m = 1 nodes hold the character values, the
+    suffix, m), whose m = 1 nodes hold the character values, the
     class weights of each s_nu, the closed families of each (m, n) asked
     for, and prefix folds, and frees none of them on its own.  Answers never
     depend on what the memos hold.

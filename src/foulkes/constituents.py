@@ -174,7 +174,8 @@ def verify(
     The omega involution gives omega(s_nu o s_(m)) = s_kappa o s_(1^m), so
     when kappa = nu (m even, or nu self-conjugate) the psi expansion is the
     phi expansion with every label conjugated, and only one is computed.
-    ``plethysm_expansion`` and ``omega_check`` still compute both flavors.
+    Otherwise the column expansion of nu is the row expansion of kappa,
+    conjugated: the oracle has one walk direction.
     """
     row = plethysm_expansion(nu, m, PlethysmFlavor.ROW, guard=guard)
     if kappa_partition(m, nu) == nu:

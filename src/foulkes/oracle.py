@@ -3,22 +3,24 @@
 Partitions are bead masks: one integer whose set bits are the beta numbers,
 so the strips of ribbons of a length, their signs and what each leaves or
 makes are a few bit operations (the abacus of Loehr-Remmel, "A computational
-and combinatorial expose of plethystic calculus", 2011).  Both paths sum over
-the classes rho of S_n only, n = |nu|, with the integer weights
+and combinatorial expose of plethystic calculus", 2011).  Both paths sum
+over the classes rho of S_n only, n = |nu|, with the integer weights
 chi^nu(rho) n!/z_rho: s_nu o h_m = sum_rho chi^nu(rho)/z_rho prod_j
-h_m[p_{rho_j}] (e_m for s_(1^m)), and h_m[p_r] (e_m[p_r]) adds a horizontal
-(vertical) strip of m ribbons of length r.  A full expansion adds strips: it
-multiplies by one h_m[p_r] (e_m[p_r]) at a time over the trie of the
-classes and divides each coefficient of the one vector that results by n!.  A single
-coefficient removes strips: one memoized recursion, :func:`_ribbon_value`,
-takes lam's mask down the suffixes of rho, reading, computing and storing
-every value at its own (suffix, m, flavor) node, and the sum is divided by
-n!.  One walk lists the strips of both directions.  At m = 1, h_1[p_r] =
-p_r and the strips are single border strips, so a character value
-chi^lam(rho) = <s_lam, p_rho> is the memo's value at (rho, 1, ROW); those
-nodes are the one store of character values, which a
-:class:`CharacterTable` saves to a file of one degree and loads from it.
-The monomial cross-oracle that checks this one is in ``tests/monomial.py``.
+h_m[p_{rho_j}], and h_m[p_r] adds a horizontal strip of m ribbons of length
+r.  A full expansion adds strips: it multiplies by one h_m[p_r] at a time
+over the trie of the classes and divides each coefficient of the one vector
+that results by n!.  A single coefficient removes strips: one memoized
+recursion, :func:`_ribbon_value`, takes lam's mask down the suffixes of rho,
+reading, computing and storing every value at its own (suffix, m) node, and
+the sum is divided by n!.  One walk lists the strips of both directions.
+The column flavor is s_nu o s_(1^m) = omega(s_kappa o s_(m)), kappa = nu for
+even m and nu' for odd m (Macdonald, I.8): the row answers of kappa with
+every label conjugated.  At m = 1, h_1[p_r] = p_r and the strips are single
+border strips, so a character value chi^lam(rho) = <s_lam, p_rho> is the
+memo's value at (rho, 1); those nodes are the one store of character values,
+which a :class:`CharacterTable` saves to a file of one degree and loads from
+it.  The monomial cross-oracle that checks this one is in
+``tests/monomial.py``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "expected_dimension",
     "plethysm_expansion",
     "multiplicity",
-    "omega_check",
 ]
 
 DEFAULT_GUARD = 16
@@ -102,14 +103,14 @@ def character_value(lam: Partition, rho: Partition) -> int:
     """The irreducible symmetric-group character value chi^lam(rho) = <s_lam, p_rho>.
 
     Border-strip removal: the ribbon recursion at m = 1, read from and stored
-    at rho's node (rho, 1, ROW) of the ribbon memo.
+    at rho's node (rho, 1) of the ribbon memo.
     """
     if lam.weight != rho.weight:
         raise ValueError(
             f"character arguments must have equal weight: |{lam}| != |{rho}|"
         )
-    node = _ribbon_node(rho.parts, 1, PlethysmFlavor.ROW)
-    return _ribbon_value(_beads(lam.parts), node, 1, False, rho.weight)
+    node = _ribbon_node(rho.parts, 1)
+    return _ribbon_value(_beads(lam.parts), node, 1, rho.weight)
 
 
 _TABLE_FILE = "characters-n{}.json"
@@ -118,7 +119,7 @@ _TABLE_FILE = "characters-n{}.json"
 class CharacterTable:
     """Character values of one degree on disk: a degree and a file format.
 
-    The values live in the ribbon memo only, at its nodes (rho, 1, ROW).
+    The values live in the ribbon memo only, at its nodes (rho, 1).
     ``values`` is a snapshot, built on each access, of those nodes' values of
     this degree, keyed by ``(lam.parts, rho.parts)``, and :meth:`save_to`
     writes it to the file ``characters-n<degree>.json`` of a directory, which
@@ -142,8 +143,8 @@ class CharacterTable:
     def values(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
         return {
             (_unbeads(mask), rho): v
-            for (rho, m, flavor), node in _RIBBON_CACHE.items()
-            if m == 1 and flavor is PlethysmFlavor.ROW and sum(rho) == self.degree
+            for (rho, m), node in _RIBBON_CACHE.items()
+            if m == 1 and sum(rho) == self.degree
             for mask, v in node[2].items()
         }
 
@@ -229,12 +230,12 @@ def _load(path: Path, want: int) -> None:
         if (len(rho) == degree and v != dimension(Partition(lam))) or (len(lam) <= 1 and v != 1):
             raise ValueError(f"entry {key!r} holds {v}, not the character value")
         mask = _beads(lam)
-        held = _RIBBON_CACHE.get((rho, 1, PlethysmFlavor.ROW), _EMPTY_PRODUCT)[2]
+        held = _RIBBON_CACHE.get((rho, 1), _EMPTY_PRODUCT)[2]
         if entries.get((rho, mask), held.get(mask, v)) != v:
             raise ValueError(f"entry {key!r} holds {v}, not the value already held for it")
         entries[rho, mask] = v
     for (rho, mask), v in entries.items():
-        _ribbon_node(rho, 1, PlethysmFlavor.ROW)[2].setdefault(mask, v)
+        _ribbon_node(rho, 1)[2].setdefault(mask, v)
 
 
 class SchurExpansion:
@@ -324,104 +325,89 @@ def _power_sum_coefficients(nu_parts: tuple[int, ...]) -> tuple[tuple[tuple[int,
     return tuple(sorted(weights))
 
 
-def _schur_vector(terms, m: int, column: bool, depth: int = 0) -> dict[int, int]:
-    """sum w prod_j f[p_{rho_j}] over ``terms`` (rho, w), j >= ``depth``, in the Schur basis.
+def _schur_vector(terms, m: int, depth: int = 0) -> dict[int, int]:
+    """sum w prod_j h_m[p_{rho_j}] over ``terms`` (rho, w), j >= ``depth``, in the Schur basis.
 
-    f is h_m, or e_m if ``column``; the vector is {bead mask: coefficient}.
-    The f[p_r] commute, so a rho may list its parts in any order.  ``terms``
-    is sorted and its rhos share their first ``depth`` parts, so those with
-    the same part r at ``depth`` are consecutive: their tails are summed
-    first and multiplied by f[p_r] once, by :func:`_ribbon_strips_up`
-    (Horner's rule on the trie of the classes).  A rho that ends at
-    ``depth`` adds its weight to s_() at mask 0.  Parts in increasing order
-    share the most work: the many small parts form the shared prefixes, and
-    the few large ones the tails, whose vectors are small.
+    The vector is {bead mask: coefficient}.  The h_m[p_r] commute, so a rho
+    may list its parts in any order.  ``terms`` is sorted and its rhos share
+    their first ``depth`` parts, so those with the same part r at ``depth``
+    are consecutive: their tails are summed first and multiplied by h_m[p_r]
+    once, by :func:`_ribbon_strips_up` (Horner's rule on the trie of the
+    classes).  A rho that ends at ``depth`` adds its weight to s_() at mask
+    0.  Parts in increasing order share the most work: the many small parts
+    form the shared prefixes, and the few large ones the tails, whose
+    vectors are small.
     """
     vec: dict[int, int] = {}
     for r, run in groupby(terms, lambda term: term[0][depth] if len(term[0]) > depth else 0):
         if r:
-            for mask, coeff in _schur_vector(list(run), m, column, depth + 1).items():
+            for mask, coeff in _schur_vector(list(run), m, depth + 1).items():
                 if coeff:
-                    for nxt, sign in _ribbon_strips_up(mask, r, m, column):
+                    for nxt, sign in _ribbon_strips_up(mask, r, m):
                         vec[nxt] = vec.get(nxt, 0) + sign * coeff
         else:
             vec[0] = sum(w for _, w in run)
     return vec
 
 
-# The ribbon memo, one node per (suffix rho of a cycle type, m, flavor):
-# (rho[0], the node of rho[1:], {bead mask of lam: <s_lam, prod_j f[p_{rho_j}]>}),
-# where f is h_m (ROW) or e_m (COLUMN).  The empty suffix holds only the
-# empty partition, at mask 0.
+# The ribbon memo, one node per (suffix rho of a cycle type, m):
+# (rho[0], the node of rho[1:], {bead mask of lam: <s_lam, prod_j h_m[p_{rho_j}]>}).
+# The empty suffix holds only the empty partition, at mask 0.
 _EMPTY_PRODUCT: tuple = (0, None, {0: 1})
-_RIBBON_CACHE: dict[tuple[tuple[int, ...], int, PlethysmFlavor], tuple] = {}
+_RIBBON_CACHE: dict[tuple[tuple[int, ...], int], tuple] = {}
 
 
-def _ribbon_node(rho: tuple[int, ...], m: int, flavor: PlethysmFlavor) -> tuple:
+def _ribbon_node(rho: tuple[int, ...], m: int) -> tuple:
     """The ribbon-memo node of the weakly decreasing ``rho``, interned with its suffixes."""
-    node = _RIBBON_CACHE.get((rho, m, flavor))
+    node = _RIBBON_CACHE.get((rho, m))
     if node is None:
         node = _EMPTY_PRODUCT
         for i in range(len(rho) - 1, -1, -1):
-            node = _RIBBON_CACHE.setdefault((rho[i:], m, flavor), (rho[i], node, {}))
+            node = _RIBBON_CACHE.setdefault((rho[i:], m), (rho[i], node, {}))
     return node
 
 
-def _ribbon_strips(mask: int, r: int, m: int, column: bool) -> list[tuple[int, int]]:
+def _ribbon_strips(mask: int, r: int, m: int) -> list[tuple[int, int]]:
     """(bead mask left, sign) for each strip of m ribbons of length r of ``mask``.
 
-    The terms of the adjoint of multiplying by h_m[p_r] (ROW) or e_m[p_r]
-    (COLUMN), a horizontal or vertical strip of r-ribbons (Lascoux-Leclerc-
-    Thibon, J. Math. Phys. 38, 1997).  On r runners (positions mod r) beads
-    move down by whole slots of r positions, m slots in all, each into a
-    free position: under ROW strictly above the original position of the
-    next lower bead on its runner and at or above 0, under COLUMN one slot
-    at most.  The sign is (-1) to the beads crossed (for COLUMN too:
-    e_m[p_r] = (-1)^((r-1)m) omega(h_m[p_r]), and conjugating a ribbon
-    flips its sign (r-1) times), so at r = 1 it is +1.  The moves start at
-    the beads at r or above with the slot below free (ROW) or at those
-    slots (COLUMN): there a bead moves only after the one below it, so a
-    strip that leaves a run's lowest bead leaves the run, one move per run.
-    At m = 1 this is border-strip removal, whose values are character
-    values.
+    The terms of the adjoint of multiplying by h_m[p_r], a horizontal strip
+    of r-ribbons (Lascoux-Leclerc-Thibon, J. Math. Phys. 38, 1997).  On r
+    runners (positions mod r) beads move down by whole slots of r positions,
+    m slots in all, each into a free position strictly above the original
+    position of the next lower bead on its runner and at or above 0.  The
+    sign is (-1) to the beads crossed, so at r = 1 it is +1.  The moves
+    start at the beads at r or above with the slot below free, one move per
+    run of beads on a runner, from its lowest bead.  At m = 1 this is
+    border-strip removal, whose values are character values.
     """
-    starts = mask & ~mask << r
-    return _strip_walk(mask, starts >> r if column else starts, r if column else -r, m, column)
+    return _strip_walk(mask, mask & ~mask << r, -r, m)
 
 
-def _ribbon_strips_up(mask: int, r: int, m: int, column: bool) -> list[tuple[int, int]]:
+def _ribbon_strips_up(mask: int, r: int, m: int) -> list[tuple[int, int]]:
     """(bead mask, sign) for each strip of m ribbons of length r added to ``mask``.
 
     The adjoint of :func:`_ribbon_strips`, pair for pair and sign for sign:
-    the terms of multiplying by h_m[p_r] (ROW) or e_m[p_r] (COLUMN).  The
-    mask is padded with r zero parts (ROW) or m r (COLUMN), as many rows as
-    the strip can add; then beads move up by whole slots of r, m slots in
-    all, each into a free position: under ROW strictly below the original
-    position of the next higher bead on its runner, under COLUMN one slot.
-    The moves start at the beads with the slot above free (ROW) or at those
-    slots (COLUMN), where a run's top d <= m beads move, one move per run:
-    a strip that leaves the top bead leaves the run.  Sign (+1 at r = 1)
-    and shift are those of the removal.
+    the terms of multiplying by h_m[p_r].  The mask is padded with r zero
+    parts, as many rows as the strip can add; then beads move up by whole
+    slots of r, m slots in all, each into a free position strictly below
+    the original position of the next higher bead on its runner.  The moves
+    start at the beads with the slot above free, one move per run, from its
+    top bead.  Sign (+1 at r = 1) and shift are those of the removal.
     """
-    pad = m * r if column else r
-    padded = (mask << pad) | ((1 << pad) - 1)
-    starts = padded & ~(padded >> r)
-    return _strip_walk(padded, starts << r if column else starts, -r if column else r, m, column)
+    padded = (mask << r) | ((1 << r) - 1)
+    return _strip_walk(padded, padded & ~(padded >> r), r, m)
 
 
-def _strip_walk(mask: int, starts: int, step: int, m: int, column: bool) -> list[tuple[int, int]]:
+def _strip_walk(mask: int, starts: int, step: int, m: int) -> list[tuple[int, int]]:
     """(bead mask, sign) for each way to make m slot moves of ``step`` positions in all.
 
-    A move starts at each bit of ``starts`` and takes d <= m slots: under
-    ROW a bead jumps d slots over free positions, under COLUMN a free
-    position is traded for the d-th bead of the run behind it on its
-    runner, each of the d beads moving one slot.  The slots stay open
-    whatever the other moves do, so a state is dropped once the moves after
-    it cannot take the slots it has left, and every state kept finishes: a
-    COLUMN strip that leaves a run's head leaves the run.  The sign is (-1)
-    to the beads strictly inside the slots passed, on the mask as it stands
+    A move starts at each bit of ``starts``, and its bead jumps d <= m
+    slots over free positions.  The slots stay open whatever the other
+    moves do, so a state is dropped once the moves after it cannot take the
+    slots it has left, and every state kept finishes.  The sign is (-1) to
+    the beads strictly inside the slots passed, on the mask as it stands
     then; beads of one runner never pass each other, so the order of the
-    moves (ROW: highest first, fewer tries) does not change it, and at
+    moves (highest first, fewer tries) does not change it, and at
     |step| = 1 a slot has no inside: unit-ribbon strips have sign +1.  Zero
     parts, one-bits at the bottom, are shifted out.
     """
@@ -432,7 +418,7 @@ def _strip_walk(mask: int, starts: int, step: int, m: int, column: bool) -> list
         starts ^= low
         b = low.bit_length() - 1
         room, c = 1, b + 2 * step
-        while room < m and c >= 0 and mask >> c & 1 == column:
+        while room < m and c >= 0 and not mask >> c & 1:
             room += 1
             c += step
         moves.append((low, b, room))
@@ -441,7 +427,7 @@ def _strip_walk(mask: int, starts: int, step: int, m: int, column: bool) -> list
     shift = min(step, 0) + 1
     states = [(mask, m, 0)] if m <= capacity else []  # (mask, slots left, sign parity)
     out = []
-    for low, b, room in moves if column else moves[::-1]:
+    for low, b, room in moves[::-1]:
         capacity -= room
         grown = []
         for cur, left, odd in states:
@@ -463,26 +449,22 @@ def _strip_walk(mask: int, starts: int, step: int, m: int, column: bool) -> list
     return out
 
 
-def _ribbon_value(mask: int, node: tuple, m: int, column: bool, weight: int) -> int:
-    """<s_lam, prod_j f[p_{rho_j}]> for the bead ``mask`` of lam at rho's ``node``.
+def _ribbon_value(mask: int, node: tuple, m: int, weight: int) -> int:
+    """<s_lam, prod_j h_m[p_{rho_j}]> for the bead ``mask`` of lam at rho's ``node``.
 
     ``weight`` is |rho|.  A value held at the node is returned; otherwise
     the first part r of rho, its largest, is stripped, the value of each
     partition mu left is taken at the child node, whose suffix weighs
     |rho| - r, and the signed sum is stored at rho's node.
 
-    A mu past the child's bound has value 0 and is skipped, neither searched
-    nor stored: under ROW a mu with more than |rho| - r parts, under COLUMN
-    one whose first part is above |rho| - r.  The bound holds because a ROW
-    strip of r-ribbons removes at most r rows: bit 0 of the mask is clear
-    before it, and a move lands strictly above the original position of the
-    next lower bead on its runner, so afterwards positions 0 and r are never
-    both occupied and at most r zero parts are shifted out.  The strips down
-    to the empty partition thus remove at most |rho| - r rows from mu.  By
-    omega every constituent of e_m[p_r] has at most r columns, so by
-    Littlewood-Richardson a COLUMN strip lowers the first part by at most r.
-    At m = 1 nothing is skipped: no partition has more parts, or a larger
-    first part, than its weight.
+    A mu with more than |rho| - r parts has value 0 and is skipped, neither
+    searched nor stored.  The bound holds because a strip of r-ribbons
+    removes at most r rows: bit 0 of the mask is clear before it, and a
+    move lands strictly above the original position of the next lower bead
+    on its runner, so afterwards positions 0 and r are never both occupied
+    and at most r zero parts are shifted out.  The strips down to the empty
+    partition thus remove at most |rho| - r rows from mu.  At m = 1 nothing
+    is skipped: no partition has more parts than its weight.
     """
     values = node[2]
     value = values.get(mask)
@@ -490,9 +472,9 @@ def _ribbon_value(mask: int, node: tuple, m: int, column: bool, weight: int) -> 
         r, child, _ = node
         weight -= r
         value = 0
-        for nxt, sign in _ribbon_strips(mask, r, m, column):
-            if (nxt.bit_length() - nxt.bit_count() if column else nxt.bit_count()) <= weight:
-                value += sign * _ribbon_value(nxt, child, m, column, weight)
+        for nxt, sign in _ribbon_strips(mask, r, m):
+            if nxt.bit_count() <= weight:
+                value += sign * _ribbon_value(nxt, child, m, weight)
         values[mask] = value
     return value
 
@@ -549,18 +531,23 @@ def plethysm_expansion(
     Refuses degrees above ``guard``.  Every coefficient is checked to be a
     nonnegative integer and the full expansion must pass the dimension
     identity; failures raise :class:`InternalConsistencyError`.  A negative
-    guard raises ``ValueError``.  At m = 1 both flavors are s_nu itself,
-    returned without the strip walk.
+    guard raises ``ValueError``.  At m = 1 the expansion is s_nu itself,
+    returned without the strip walk.  COLUMN is the ROW expansion of kappa
+    (nu for even m, nu' for odd m) with every label conjugated, by
+    s_nu o s_(1^m) = omega(s_kappa o s_(m)); dim kappa = dim nu, so the
+    dimension check is that of nu.
     """
     flavor, degree = _degree(nu, m, flavor, guard)
+    if flavor is PlethysmFlavor.COLUMN:
+        return plethysm_expansion(kappa_partition(m, nu), m, guard=guard).conjugated()
     coeffs: dict[Partition, int] = {}
-    if m == 1:  # s_nu o s_(1) = s_nu o s_(1^1) = s_nu
+    if m == 1:  # s_nu o s_(1) = s_nu
         coeffs[nu] = 1
     else:
         scale = factorial(nu.weight)
         terms = sorted((rho[::-1], w) for rho, w in _power_sum_coefficients(nu.parts))
         # Labels missing from the vector, or at 0 in it, have coefficient 0.
-        for mask, total in _schur_vector(terms, m, flavor is PlethysmFlavor.COLUMN).items():
+        for mask, total in _schur_vector(terms, m).items():
             if total:
                 lam = Partition(_unbeads(mask))
                 coeffs[lam] = _quotient(total, scale, lam)
@@ -582,14 +569,14 @@ def multiplicity(
 
     The sum runs over the classes rho of S_|nu| with chi^nu(rho) != 0, at
     most p(|nu|) terms: w_rho = chi^nu(rho) |nu|!/z_rho times <s_lam, prod_j
-    f[p_{rho_j}]> with f = h_m (ROW) or e_m (COLUMN), which removes one strip
-    of m ribbons per part of rho, largest first, and is memoized per (suffix
-    of rho, m, flavor) by :func:`_ribbon_value`, which skips every partition
-    past the row (ROW) or column (COLUMN) bound of its suffix and gives the
-    argument for it.  A label past that bound at the top, with more than
-    |nu| rows or a first part above |nu|, is 0 at once.  At m = 1 both
-    flavors are the character values, read from and stored at the
-    (rho, 1, ROW) nodes.
+    h_m[p_{rho_j}]>, which removes one strip of m ribbons per part of rho,
+    largest first, and is memoized per (suffix of rho, m) by
+    :func:`_ribbon_value`, which skips every partition past the row bound
+    of its suffix and gives the argument for it.  A label with more than
+    |nu| rows is 0 at once.  At m = 1 the values are the character values,
+    read from and stored at the (rho, 1) nodes.  COLUMN is 0 at once for a
+    label whose first part is above |nu|, and otherwise the ROW coefficient
+    of lam' in s_kappa o s_(m) (kappa = nu for even m, nu' for odd m).
     The total is divided exactly by |nu|!; a remainder or a negative
     quotient raises :class:`InternalConsistencyError`.
 
@@ -603,26 +590,14 @@ def multiplicity(
         raise ValueError(f"label must have weight {degree}, got {lam.weight}")
     if table is not None and table.degree != degree:
         raise ValueError(f"table holds degree {table.degree} only")
-    if m == 1:
-        # e_1[p_r] = h_1[p_r] = p_r: the character values at (rho, 1, ROW).
-        flavor = PlethysmFlavor.ROW
     column = flavor is PlethysmFlavor.COLUMN
     n = nu.weight
     if (max(lam.parts, default=0) if column else len(lam.parts)) > n:
         return 0
+    if column:  # s_nu o s_(1^m) = omega(s_kappa o s_(m))
+        nu, lam = kappa_partition(m, nu), lam.conjugate()
     mask = _beads(lam.parts)
     total = 0
     for rho, w in _power_sum_coefficients(nu.parts):
-        total += w * _ribbon_value(mask, _ribbon_node(rho, m, flavor), m, column, n)
+        total += w * _ribbon_value(mask, _ribbon_node(rho, m), m, n)
     return _quotient(total, factorial(n), lam)
-
-
-def omega_check(nu: Partition, m: int, *, guard: int = DEFAULT_GUARD) -> bool:
-    """Verify the omega-involution identity on labels.
-
-    Conjugating every label of s_nu o s_(m) must give s_{nu'} o s_(1^m) when
-    ``m`` is odd and s_nu o s_(1^m) when ``m`` is even.
-    """
-    row = plethysm_expansion(nu, m, PlethysmFlavor.ROW, guard=guard)
-    col = plethysm_expansion(kappa_partition(m, nu), m, PlethysmFlavor.COLUMN, guard=guard)
-    return row.conjugated() == col

@@ -39,7 +39,6 @@ from foulkes.oracle import (
     character_value,
     class_size,
     multiplicity,
-    omega_check,
     plethysm_expansion,
 )
 from foulkes.partitions import (
@@ -50,10 +49,12 @@ from foulkes.partitions import (
     dominance_maximal_elements,
     dominance_minimal_elements,
     dominates,
+    kappa_partition,
     parse_partition,
     partitions_of,
 )
 from foulkes.special import agaoka_lex_least, theta_decomposition
+from monomial import monomial_expansion
 from power_sums import power_sum_terms
 
 P = parse_partition
@@ -173,11 +174,17 @@ def test_criterion_4_agaoka_cross_path():
 
 
 def test_criterion_5_omega_involution():
+    # s_nu o s_(1^m) = omega(s_kappa o s_(m)), kappa = nu for even m and nu'
+    # for odd m.  The column side is the monomial cross-oracle's count of
+    # fillings by m-element sets, which walks no ribbon strips; the row side
+    # is the oracle's expansion of kappa with every label conjugated.
     def body():
         for m in range(1, 11):
             for n in range(1, 10 // m + 1):
                 for nu in partitions_of(n):
-                    assert omega_check(nu, m), (m, nu)
+                    row = plethysm_expansion(kappa_partition(m, nu), m, PlethysmFlavor.ROW)
+                    col = monomial_expansion(nu, m, PlethysmFlavor.COLUMN)
+                    assert row.conjugated() == col, (m, nu)
 
     _criterion(5, "omega-involution identity for all mn <= 10", 120.0, body)
 

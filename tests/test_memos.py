@@ -17,8 +17,8 @@ from foulkes import (
     enumerate_closed_families,
     families,
     minimal_constituents_phi,
+    kappa_partition,
     multiplicity,
-    omega_check,
     oracle,
     parse_partition,
     partitions_of,
@@ -86,7 +86,7 @@ def test_oracle_answers_do_not_depend_on_call_order_or_memo_state():
         calls += [
             (plethysm_expansion, nu, m, ROW),
             (plethysm_expansion, nu, m, COLUMN),
-            (omega_check, nu, m),
+            (plethysm_expansion, kappa_partition(m, nu), m, ROW),
             (multiplicity, nu, m, lam, rng.choice([ROW, COLUMN])),
         ]
     cold = []
