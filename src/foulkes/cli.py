@@ -343,7 +343,8 @@ def build_parser(argv: Sequence[str] | None = None) -> _Parser:
     an option several commands share once.  Every command is registered
     with its help text, so the top-level help and the choice check are
     those of the full parser.  A command given its arguments gets
-    ``--format``, its row's options in order, and its handler as ``func``.
+    ``--format``, its row's options in order, its handler as ``func`` and
+    its own parser as ``parser``, which reports its unknown arguments.
     argparse hands argv to the subparser of the first token not starting
     with ``-`` (an earlier positional token would be an invalid choice), so
     arguments are added to that command alone when it is one, and to every
@@ -358,14 +359,22 @@ def build_parser(argv: Sequence[str] | None = None) -> _Parser:
             p.add_argument("--format", choices=("text", "json"), default="text")
             for flag, keywords in options:
                 p.add_argument(flag, **keywords)
-            p.set_defaults(func=handler)
+            p.set_defaults(func=handler, parser=p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    parser = build_parser(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # An argument the command does not take gets the command's usage, as
+        # its other usage errors do; with anything before the command, the
+        # top level reports them all, as parse_args would.
+        (args.parser if argv[0] == args.command else parser).error(
+            f"unrecognized arguments: {' '.join(extras)}"
+        )
     try:
         return args.func(args)
     except GuardExceededError as exc:

@@ -562,19 +562,29 @@ class TestExitPath:
                 "foulkes expand [-h]", "the following arguments are required: --nu",
             ),
             # Only full option names parse: a prefix of --flavor is not --flavor,
-            # and --n in min-constituents is not ambiguous but unknown.
+            # and --n in min-constituents is not ambiguous but unknown.  An
+            # unknown argument after the command gets the command's usage.
             (
                 ("expand", "--m", "2", "--nu", "2", "--fl", "column"), EXIT_USAGE,
-                "foulkes [-h]", "unrecognized arguments: --fl column",
+                "foulkes expand [-h]", "foulkes expand: error: unrecognized arguments: --fl column",
             ),
             (
                 ("min-constituents", "--m", "2", "--n", "3"), EXIT_USAGE,
                 "foulkes min-constituents [-h]", "the following arguments are required: --nu",
             ),
+            (
+                ("expand", "--m", "2", "--nu", "2", "--bogus"), EXIT_USAGE,
+                "foulkes expand [-h]", "foulkes expand: error: unrecognized arguments: --bogus",
+            ),
+            # Before the command, an unknown option is the top level's.
+            (
+                ("--bogus", "expand", "--m", "2", "--nu", "2"), EXIT_USAGE,
+                "foulkes [-h]", "foulkes: error: unrecognized arguments: --bogus",
+            ),
         ],
         ids=[
             "bad-guard", "bad-partition", "guard-exceeded", "missing-nu",
-            "flavor-prefix", "n-is-not-nu",
+            "flavor-prefix", "n-is-not-nu", "unknown-option", "unknown-before-command",
         ],
     )
     def test_exit_codes_pass_through(self, capsys, monkeypatch, argv, code, usage, error):
