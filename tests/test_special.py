@@ -3,7 +3,9 @@ import pytest
 from foulkes.constituents import (
     CharacterFlavor,
     maximal_constituents_phi,
+    maximal_constituents_psi,
     minimal_constituents_phi,
+    minimal_constituents_psi,
 )
 from foulkes.families import (
     BlockKind,
@@ -133,6 +135,47 @@ class TestUniqueClassifications:
                     maxs = maximal_constituents_phi(m, nu)
                     want_max = maxs.labels[0] if len(maxs.labels) == 1 else None
                     assert unique_maximal_classification(m, nu) == want_max, (m, nu)
+
+
+REPORTS = {
+    CharacterFlavor.PHI: (minimal_constituents_phi, maximal_constituents_phi),
+    CharacterFlavor.PSI: (minimal_constituents_psi, maximal_constituents_psi),
+}
+
+
+def closed_form_mismatches(top: int) -> tuple[int, list[tuple]]:
+    """The pairs (m >= 2, nu) with m |nu| <= ``top``, and each closed form a rule report contradicts.
+
+    Lex order extends dominance, so the lex-least constituent is the
+    lex-least label of the minimal report and the lex-greatest constituent
+    the lex-greatest label of the maximal one, for phi and for psi.  The
+    unique classifications of phi name the one label of a report that has
+    one label, and nothing otherwise.  The closed forms share no code with
+    the family search, the fold or the maxima kernel, so this judges all
+    four reports without the plethysm oracle.
+    """
+    pairs, bad = 0, []
+    for m in range(2, top + 1):
+        for n in range(1, top // m + 1):
+            for nu in partitions_of(n):
+                pairs += 1
+                for flavor, (minimal, maximal) in REPORTS.items():
+                    lo, hi = minimal(m, nu).labels, maximal(m, nu).labels
+                    if lex_least_constituent(m, nu, flavor) != min(lo):
+                        bad.append((m, str(nu), flavor.value, "lex-least"))
+                    if lex_greatest_constituent(m, nu, flavor)[0] != max(hi):
+                        bad.append((m, str(nu), flavor.value, "lex-greatest"))
+                    if flavor is CharacterFlavor.PHI:
+                        if unique_minimal_classification(m, nu) != (lo[0] if len(lo) == 1 else None):
+                            bad.append((m, str(nu), flavor.value, "unique-minimal"))
+                        if unique_maximal_classification(m, nu) != (hi[0] if len(hi) == 1 else None):
+                            bad.append((m, str(nu), flavor.value, "unique-maximal"))
+    return pairs, bad
+
+
+def test_closed_forms_judge_the_four_reports_up_to_degree_30():
+    # CI runs the same check up to degree 50.
+    assert closed_form_mismatches(30) == (971, [])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
