@@ -344,11 +344,10 @@ def build_parser(argv: Sequence[str] | None = None) -> _Parser:
     with its help text, so the top-level help and the choice check are
     those of the full parser.  A command given its arguments gets
     ``--format``, its row's options in order, its handler as ``func`` and
-    its own parser as ``parser``, which reports its unknown arguments.
-    argparse hands argv to the subparser of the first token not starting
-    with ``-`` (an earlier positional token would be an invalid choice), so
-    arguments are added to that command alone when it is one, and to every
-    command otherwise.
+    its parser as ``parser``.  argparse hands argv to the subparser of the
+    first token not starting with ``-`` (an earlier positional token would
+    be an invalid choice), so arguments are added to that command alone
+    when it is one, and to every command otherwise.
     """
     parser = _Parser(prog="foulkes", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
